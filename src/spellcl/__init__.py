@@ -43,7 +43,7 @@ from .embed import (
     hashed_embed,
     load_embeddings,
 )
-from .metrics import EvalReport, compare_runs, evaluate
+from .metrics import EvalReport, evaluate
 from .model import (
     CorrectorModel,
     Prediction,
@@ -68,7 +68,7 @@ __all__ = [
     "score_corpus",
     "ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder", "embed_corpus",
     "hashed_embed", "load_embeddings",
-    "EvalReport", "compare_runs", "evaluate",
+    "EvalReport", "evaluate",
     "CorrectorModel", "Prediction", "candidate_set", "featurize", "load_model",
     "predict", "predict_corpus", "save_model", "train",
 ]

@@ -1,51 +1,19 @@
-"""Hot numeric kernels with numba and pure-numpy twins.
+"""Hot numeric kernels: the context-hash embedder and the averaged-perceptron
+train/predict passes.
 
-The two inner loops that dominate runtime - the context-hash embedder and
-the averaged-perceptron train/predict passes - exist in two functionally
-identical implementations:
-
-* ``numba``: the loop functions below compiled with ``@njit(cache=True)``.
-* ``numpy``: the same arithmetic without JIT (vectorized where the
-  algorithm allows, plain loops where it is inherently sequential).
-
-The backend is chosen by the ``SPELLCL_BACKEND`` environment variable
-(``numba`` or ``numpy``); unset, numba is used when importable.  Both
-backends produce bit-identical results: every float that matters is either
-an integer-valued weight, a sum of signed units, or a sum accumulated in
-the same order on both paths.  ``benchmarks/bench_backends.py`` compares
-their throughput.
+One implementation each.  The embedder is vectorized over positions per
+window offset; the perceptron passes are plain loops, because an update
+changes the scores of every later position and training must visit
+samples strictly in manifest order.  Every float that matters is an
+integer-valued weight, a sum of signed units, or a sum accumulated in a
+fixed order, so results are bit-identical across runs and platforms.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
-
-FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 FNV_PRIME = np.uint64(0x100000001B3)
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Pick the kernel backend: explicit arg > env var > auto."""
-    if name is None:
-        name = os.environ.get("SPELLCL_BACKEND", "").strip().lower() or None
-    if name is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise ConfigError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ConfigError("backend 'numba' requested but numba is not importable")
-    return name
 
 
 def fnv1a64(data: bytes) -> int:
@@ -63,28 +31,11 @@ def fnv1a64(data: bytes) -> int:
 # sign taken from bit 63 of the hash.
 
 
-def _hash_embed_loop(char_bytes, char_nbytes, window, dim, out):
+def hash_embed(char_bytes, char_nbytes, window: int, dim: int) -> np.ndarray:
     n = char_bytes.shape[0]
-    for j in range(n):
-        for o in range(-window, window + 1):
-            p = j + o
-            if p < 0 or p >= n:
-                continue
-            h = FNV_OFFSET
-            for b in range(char_nbytes[p]):
-                h = (h ^ np.uint64(char_bytes[p, b])) * FNV_PRIME
-            h = (h ^ np.uint64(o & 0xFF)) * FNV_PRIME
-            idx = np.int64(h % np.uint64(dim))
-            if (h >> np.uint64(63)) == np.uint64(0):
-                out[j, idx] += 1.0
-            else:
-                out[j, idx] -= 1.0
-
-
-def _hash_embed_numpy(char_bytes, char_nbytes, window, dim, out):
-    n = char_bytes.shape[0]
+    out = np.zeros((n, dim), dtype=np.float64)
     if n == 0:
-        return
+        return out
     # FNV over each character's UTF-8 bytes; the offset byte is folded in
     # afterwards per offset, vectorized over positions.
     base = np.empty(n, dtype=np.uint64)
@@ -98,6 +49,7 @@ def _hash_embed_numpy(char_bytes, char_nbytes, window, dim, out):
         j = positions - o
         ok = (j >= 0) & (j < n)
         np.add.at(out, (j[ok], idx[ok]), sign[ok])
+    return out
 
 
 # --- averaged perceptron over a pre-encoded corpus ---------------------------
@@ -169,45 +121,19 @@ def _predict_loop(sample_idx, samp_pos_start, pos_slot_start, pos_n_real,
             k += 1
 
 
-if HAVE_NUMBA:
-    _hash_embed_numba = njit(cache=True)(_hash_embed_loop)
-    _train_numba = njit(cache=True)(_train_loop)
-    _predict_numba = njit(cache=True)(_predict_loop)
-
-
-# --- dispatch ----------------------------------------------------------------
-
-def hash_embed(char_bytes, char_nbytes, window: int, dim: int,
-               backend: str | None = None) -> np.ndarray:
-    out = np.zeros((char_bytes.shape[0], dim), dtype=np.float64)
-    if resolve_backend(backend) == "numba":
-        _hash_embed_numba(char_bytes, char_nbytes, window, dim, out)
-    else:
-        _hash_embed_numpy(char_bytes, char_nbytes, window, dim, out)
-    return out
-
-
-def train_pass(order, enc, w, u_acc, last_upd, t_start: int,
-               backend: str | None = None) -> int:
+def train_pass(order, enc, w, u_acc, last_upd, t_start: int) -> int:
     """Run one sequential training pass over ``order``; returns the update count."""
-    args = (order, enc.samp_pos_start, enc.pos_slot_start, enc.pos_n_real,
-            enc.pos_gold_slot, enc.slot_feat_start, enc.feat_ids,
-            w, u_acc, last_upd, t_start)
-    if resolve_backend(backend) == "numba":
-        return int(_train_numba(*args))
-    return int(_train_loop(*args))
+    return int(_train_loop(order, enc.samp_pos_start, enc.pos_slot_start, enc.pos_n_real,
+                           enc.pos_gold_slot, enc.slot_feat_start, enc.feat_ids,
+                           w, u_acc, last_upd, t_start))
 
 
-def predict_slots(sample_idx, enc, weights, backend: str | None = None) -> np.ndarray:
+def predict_slots(sample_idx, enc, weights) -> np.ndarray:
     """Chosen slot per position for the given samples, flattened in order."""
     n_pos = int(
         (enc.samp_pos_start[sample_idx + 1] - enc.samp_pos_start[sample_idx]).sum()
     )
     out = np.empty(n_pos, dtype=np.int64)
-    args = (sample_idx, enc.samp_pos_start, enc.pos_slot_start, enc.pos_n_real,
-            enc.slot_feat_start, enc.feat_ids, weights, out)
-    if resolve_backend(backend) == "numba":
-        _predict_numba(*args)
-    else:
-        _predict_loop(*args)
+    _predict_loop(sample_idx, enc.samp_pos_start, enc.pos_slot_start, enc.pos_n_real,
+                  enc.slot_feat_start, enc.feat_ids, weights, out)
     return out

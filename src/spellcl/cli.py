@@ -38,7 +38,7 @@ ABLATION_MODES = (
 _CONFIG_KEYS = (
     "train", "test", "confusion", "input", "scores", "manifest", "model",
     "embeddings", "provider", "window", "dim", "policy", "k", "k_values",
-    "seed", "seeds", "rate", "out", "backend",
+    "seed", "seeds", "rate", "out",
 )
 
 _DEFAULTS = {
@@ -119,8 +119,7 @@ def _write_text(path: str, text: str) -> None:
 
 def build_provider(cfg: dict):
     if cfg["provider"] == "hashed":
-        return HashedEmbedder(window=int(cfg["window"]), dim=int(cfg["dim"]),
-                              backend=cfg.get("backend"))
+        return HashedEmbedder(window=int(cfg["window"]), dim=int(cfg["dim"]))
     if cfg["provider"] == "file":
         if not cfg.get("embeddings"):
             raise ConfigError("provider 'file' needs --embeddings")
@@ -221,8 +220,7 @@ def cmd_train(cfg: dict) -> int:
     manifest = cur.load_manifest(cfg["manifest"])
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
-    model = mod.train(manifest, train_corpus, confusion, seed=int(cfg["seed"]),
-                      backend=cfg.get("backend"))
+    model = mod.train(manifest, train_corpus, confusion)
     mod.save_model(model, os.path.join(outdir, "model.tsv"))
     _write_resolved(cfg, "train", outdir)
     print(f"trained: {model.updates_seen} updates, "
@@ -239,7 +237,7 @@ def cmd_evaluate(cfg: dict) -> int:
     test_corpus = corpus_mod.load_corpus(cfg["test"])
     if len(test_corpus) == 0:
         raise ConfigError("evaluate: test corpus is empty")
-    preds = mod.predict_corpus(model, test_corpus, backend=cfg.get("backend"))
+    preds = mod.predict_corpus(model, test_corpus)
     reports = [met.evaluate(preds, test_corpus, level) for level in met.LEVELS]
     table = met.reports_to_tsv(reports)
     _write_text(os.path.join(outdir, "report.tsv"), table)
@@ -281,9 +279,9 @@ def _arrange_for_mode(mode: str, ids, ctx_records, chr_records, k: int, seed: in
     raise ValueError(f"unknown ablation mode {mode!r}")
 
 
-def _run_one(manifest, enc_train, enc_test, test_corpus, backend):
-    _, averaged, _ = mod.train_encoded(enc_train, manifest, backend=backend)
-    preds = mod.predict_encoded(enc_test, test_corpus, averaged, backend=backend)
+def _run_one(manifest, enc_train, enc_test, test_corpus):
+    _, averaged, _ = mod.train_encoded(enc_train, manifest)
+    preds = mod.predict_encoded(enc_test, test_corpus, averaged)
     det = met.evaluate(preds, test_corpus, "detection")
     corr = met.evaluate(preds, test_corpus, "correction")
     return det, corr
@@ -303,7 +301,6 @@ def cmd_ablate(cfg: dict) -> int:
     if not seeds:
         raise ConfigError("ablate: --seeds must be non-empty")
     k = int(cfg["k"])
-    backend = cfg.get("backend")
     (train_corpus, test_corpus, ctx_records, chr_records,
      enc_train, enc_test) = _experiment_inputs(cfg)
     ids = train_corpus.ids()
@@ -315,7 +312,7 @@ def cmd_ablate(cfg: dict) -> int:
         for seed in seeds:
             manifest = _arrange_for_mode(mode, ids, ctx_records, chr_records, k, seed,
                                          cfg["train"])
-            det, corr = _run_one(manifest, enc_train, enc_test, test_corpus, backend)
+            det, corr = _run_one(manifest, enc_train, enc_test, test_corpus)
             det_f1s.append(det.f1)
             corr_f1s.append(corr.f1)
         det_mean, _ = _mean_sd(det_f1s)
@@ -346,7 +343,6 @@ def cmd_sweep_k(cfg: dict) -> int:
         raise ConfigError(f"sweep-k: duplicate k values in {k_values}")
     if any(k < 1 for k in k_values):
         raise ConfigError(f"sweep-k: k values must be >= 1, got {k_values}")
-    backend = cfg.get("backend")
     (train_corpus, test_corpus, ctx_records, _chr_records,
      enc_train, enc_test) = _experiment_inputs(cfg)
 
@@ -356,7 +352,7 @@ def cmd_sweep_k(cfg: dict) -> int:
         for seed in seeds:
             manifest = cur.arrange_annealing(ctx_records, k, seed,
                                              source_corpus=cfg["train"])
-            _, corr = _run_one(manifest, enc_train, enc_test, test_corpus, backend)
+            _, corr = _run_one(manifest, enc_train, enc_test, test_corpus)
             corr_f1s.append(corr.f1)
         mean, sd = _mean_sd(corr_f1s)
         lines.append(f"{k}\t{len(seeds)}\t{mean:.4f}\t{sd:.4f}")
@@ -372,8 +368,6 @@ def cmd_sweep_k(cfg: dict) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--backend", choices=["numba", "numpy"],
-                   help="kernel backend (default: numba when available)")
 
 
 def _add_provider(p: argparse.ArgumentParser) -> None:
@@ -421,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest JSONL from 'arrange'")
     p.add_argument("--train", help="training corpus TSV")
     p.add_argument("--confusion", help="confusion set TSV")
-    p.add_argument("--seed", type=int, help="reserved; training follows the manifest")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

@@ -37,10 +37,6 @@ class Sample:
             self, "error_positions", derive_error_positions(self.source, self.target)
         )
 
-    @property
-    def has_errors(self) -> bool:
-        return bool(self.error_positions)
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -103,17 +99,24 @@ class ConfusionSet:
 
 # --- parsing and serialization ---------------------------------------------
 
-def parse_corpus(text: str, name: str = "", format: str = "id_src_tgt") -> Corpus:
+def parse_corpus(text: str, name: str = "") -> Corpus:
     """Parse a TSV document into a Corpus; line order is preserved.
 
-    Raises MalformedLine for a wrong field count, LengthMismatch when the
-    two sides differ in length, DuplicateId for repeated IDs.
+    Raises MalformedLine for a leading byte-order mark, a CRLF line ending
+    or a wrong field count, LengthMismatch when the two sides differ in
+    length, DuplicateId for repeated IDs.
     """
-    if format != "id_src_tgt":
-        raise ValueError(f"unknown corpus format {format!r}")
+    if text.startswith("\ufeff"):
+        raise MalformedLine(
+            "line 1: file starts with a UTF-8 byte-order mark; save it as UTF-8 without BOM"
+        )
     samples = []
     seen: set[str] = set()
     for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            raise MalformedLine(
+                f"line {line_no}: CRLF line ending; the format requires LF line endings"
+            )
         if line == "":
             continue
         fields = line.split("\t")

@@ -51,8 +51,7 @@ def _seq_to_bytes(sequence: str) -> tuple[np.ndarray, np.ndarray]:
     return char_bytes, char_nbytes
 
 
-def hashed_embed(sequence: str, window: int = 2, dim: int = 64,
-                 backend: str | None = None) -> np.ndarray:
+def hashed_embed(sequence: str, window: int = 2, dim: int = 64) -> np.ndarray:
     """Feature-hashed context vectors, shape (len(sequence), dim).
 
     Position j sums one signed unit per in-bounds offset o in [-w, w]:
@@ -65,33 +64,28 @@ def hashed_embed(sequence: str, window: int = 2, dim: int = 64,
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     char_bytes, char_nbytes = _seq_to_bytes(sequence)
-    return hash_embed(char_bytes, char_nbytes, window, dim, backend=backend)
+    return hash_embed(char_bytes, char_nbytes, window, dim)
 
 
 class HashedEmbedder:
     """Deterministic built-in embedding provider."""
 
-    deterministic = True
-
-    def __init__(self, window: int = 2, dim: int = 64, backend: str | None = None):
+    def __init__(self, window: int = 2, dim: int = 64):
         if window < 0 or window > 127:
             raise ValueError(f"window must be in [0, 127], got {window}")
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         self.window = window
         self.dim = dim
-        self.backend = backend
 
     def embed_side(self, sample: Sample, side: str) -> ContextualEmbedding:
         seq = sample.source if side == "source" else sample.target
-        vectors = hashed_embed(seq, self.window, self.dim, backend=self.backend)
+        vectors = hashed_embed(seq, self.window, self.dim)
         return ContextualEmbedding(sample_id=sample.id, side=side, vectors=vectors)
 
 
 class FileEmbeddingProvider:
     """Provider backed by externally computed vectors."""
-
-    deterministic = True
 
     def __init__(self, table: dict[tuple[str, str], ContextualEmbedding], dim: int):
         self._table = table

@@ -95,21 +95,3 @@ def reports_to_tsv(reports: list[EvalReport]) -> str:
             f"\t{r.f1:.4f}\t{r.tp}\t{r.fp}\t{r.fn}\t{r.tn}\t{r.n_sentences}"
         )
     return "\n".join(lines) + "\n"
-
-
-def compare_runs(reports: list[tuple[str, EvalReport]]) -> str:
-    """Comparison table with an F1 delta column against the first (baseline) row.
-
-    Callers compare correction-level reports, matching the convention of
-    reporting absolute correction-F1 improvements over a baseline.
-    """
-    if not reports:
-        raise ValueError("compare_runs needs at least one report")
-    base_f1 = reports[0][1].f1
-    lines = ["label\taccuracy\tprecision\trecall\tf1\tdelta_f1"]
-    for label, r in reports:
-        lines.append(
-            f"{label}\t{r.accuracy:.4f}\t{r.precision:.4f}\t{r.recall:.4f}"
-            f"\t{r.f1:.4f}\t{r.f1 - base_f1:+.4f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -10,9 +10,10 @@ the average of the weight vector over all update steps.  Ordering is the
 experimental variable, so training is strictly sequential and completely
 determined by the manifest.
 
-For speed the corpus is pre-encoded once into flat integer arrays (see
-``_kernels``); the dict-based ``predict`` is the reference path and the
-encoded path must agree with it exactly.
+For speed the corpus is pre-encoded once into flat integer arrays that
+the train and predict kernels in ``_kernels`` walk; the dict-based
+``predict`` is the reference path and the encoded path must agree with
+it exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class CorrectorModel:
     averaged_weights: dict[str, float]
     updates_seen: int
     confusion: ConfusionSet
-    window: int = WINDOW
 
 
 def candidate_set(source: str, j: int, confusion: ConfusionSet) -> list[str]:
@@ -186,15 +186,15 @@ def manifest_order(manifest: CurriculumManifest, enc: CorpusEncoding) -> np.ndar
 
 # --- training -------------------------------------------------------------------
 
-def train_encoded(enc: CorpusEncoding, manifest: CurriculumManifest,
-                  backend: str | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+def train_encoded(enc: CorpusEncoding,
+                  manifest: CurriculumManifest) -> tuple[np.ndarray, np.ndarray, int]:
     """Train over an encoding; returns (final weights, averaged weights, updates)."""
     n_feat = len(enc.feature_index)
     w = np.zeros(n_feat, dtype=np.float64)
     u_acc = np.zeros(n_feat, dtype=np.float64)
     last_upd = np.zeros(n_feat, dtype=np.int64)
     order = manifest_order(manifest, enc)
-    t = _kernels.train_pass(order, enc, w, u_acc, last_upd, 0, backend=backend)
+    t = _kernels.train_pass(order, enc, w, u_acc, last_upd, 0)
     if t > 0:
         averaged = (u_acc + w * (t - last_upd)) / t
     else:
@@ -202,16 +202,15 @@ def train_encoded(enc: CorpusEncoding, manifest: CurriculumManifest,
     return w, averaged, t
 
 
-def train(manifest: CurriculumManifest, corpus: Corpus, confusion: ConfusionSet,
-          seed: int = 0, backend: str | None = None) -> CorrectorModel:
+def train(manifest: CurriculumManifest, corpus: Corpus,
+          confusion: ConfusionSet) -> CorrectorModel:
     """Train one epoch per manifest stage, in order.
 
     The manifest fixes the visiting order completely, so training is
-    deterministic; ``seed`` is accepted for config symmetry and unused.
+    deterministic.
     """
-    del seed
     enc = encode_corpus(corpus, confusion)
-    w, averaged, t = train_encoded(enc, manifest, backend=backend)
+    w, averaged, t = train_encoded(enc, manifest)
     names = enc.feature_index.names
     weights = {names[i]: float(w[i]) for i in range(len(names)) if w[i] != 0.0}
     averaged_weights = {
@@ -255,11 +254,11 @@ def weights_vector(weight_map: dict[str, float], fx: FeatureIndex) -> np.ndarray
     return vec
 
 
-def predict_encoded(enc: CorpusEncoding, corpus: Corpus, weights: np.ndarray,
-                    backend: str | None = None) -> list[Prediction]:
+def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
+                    weights: np.ndarray) -> list[Prediction]:
     """Kernel-backed bulk prediction; agrees with ``predict`` bit for bit."""
     sample_idx = np.arange(len(corpus), dtype=np.int64)
-    slots = _kernels.predict_slots(sample_idx, enc, weights, backend=backend)
+    slots = _kernels.predict_slots(sample_idx, enc, weights)
     preds = []
     k = 0
     for sample in corpus:
@@ -274,20 +273,18 @@ def predict_encoded(enc: CorpusEncoding, corpus: Corpus, weights: np.ndarray,
     return preds
 
 
-def predict_corpus(model: CorrectorModel, corpus: Corpus,
-                   backend: str | None = None) -> list[Prediction]:
+def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
     """Bulk prediction for a free-standing model (e.g. loaded from disk)."""
     fx = FeatureIndex(names=sorted(model.averaged_weights), frozen=True)
     enc = encode_corpus(corpus, model.confusion, feature_index=fx)
-    return predict_encoded(enc, corpus, weights_vector(model.averaged_weights, fx),
-                           backend=backend)
+    return predict_encoded(enc, corpus, weights_vector(model.averaged_weights, fx))
 
 
 # --- model file -----------------------------------------------------------------
 
 def model_to_tsv(model: CorrectorModel) -> str:
     """Header with window and schema version, then sorted feature/weight rows."""
-    lines = [f"# spellcl-model schema={FEATURE_SCHEMA} window={model.window}\n"]
+    lines = [f"# spellcl-model schema={FEATURE_SCHEMA} window={WINDOW}\n"]
     for key in sorted(model.averaged_weights):
         lines.append(f"{key}\t{repr(model.averaged_weights[key])}\n")
     return "".join(lines)
@@ -307,6 +304,10 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
         raise MalformedLine("line 1: header must carry schema=<int> window=<int>")
     if schema != FEATURE_SCHEMA:
         raise MalformedLine(f"unsupported feature schema {schema}")
+    if window != WINDOW:
+        raise MalformedLine(
+            f"line 1: model was trained with window={window}; features use window={WINDOW}"
+        )
     averaged: dict[str, float] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if line == "":
@@ -318,10 +319,8 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
             averaged[fields[0]] = float(fields[1])
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad weight {fields[1]!r}")
-    return CorrectorModel(
-        weights={}, averaged_weights=averaged, updates_seen=0,
-        confusion=confusion, window=window,
-    )
+    return CorrectorModel(weights={}, averaged_weights=averaged, updates_seen=0,
+                          confusion=confusion)
 
 
 def save_model(model: CorrectorModel, path) -> None:

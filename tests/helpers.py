@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
-
 import numpy as np
-import pytest
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample
-
-# numba is an optional extra: its kernel cases run only where it is installed
-requires_numba = pytest.mark.skipif(importlib.util.find_spec("numba") is None,
-                                    reason="numba is not installed")
-BACKENDS = [pytest.param("numba", marks=requires_numba), "numpy"]
 
 
 def make_vocab(n: int = 50) -> list[str]:

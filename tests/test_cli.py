@@ -313,6 +313,19 @@ class TestConfig:
         cfg_path.write_text('{"bogus": 1}', encoding="utf-8")
         assert run("score", "--config", cfg_path, "--out", workdir["root"] / "x") == 2
 
+    def test_backend_flag_is_usage_error(self, workdir):
+        assert run("ablate", "--backend", "numpy", "--train", workdir["train"],
+                   "--test", workdir["test"], "--confusion", workdir["confusion"],
+                   "--out", workdir["root"] / "x") == 2
+
+    def test_backend_config_key_is_usage_error(self, workdir, capsys):
+        cfg_path = workdir["root"] / "backend.json"
+        cfg_path.write_text('{"backend": "numpy"}', encoding="utf-8")
+        assert run("ablate", "--config", cfg_path, "--train", workdir["train"],
+                   "--test", workdir["test"], "--confusion", workdir["confusion"],
+                   "--out", workdir["root"] / "x") == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
     def test_missing_required_flag(self, workdir):
         assert run("score", "--out", workdir["root"] / "x") == 2
 

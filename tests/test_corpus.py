@@ -79,6 +79,14 @@ class TestParseCorpus:
         with pytest.raises(MalformedLine):
             parse_corpus("only-two-fields\tX\n")
 
+    def test_byte_order_mark_names_the_cause(self):
+        with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
+            parse_corpus("\ufeffa\tAB\tAC\n")
+
+    def test_crlf_names_the_cause(self):
+        with pytest.raises(MalformedLine, match="line 2: CRLF line ending"):
+            parse_corpus("a\tAB\tAC\nb\tAB\tAB\r\n")
+
     def test_order_preserved(self):
         corpus = parse_corpus("b\tX\tX\na\tY\tY\n")
         assert corpus.ids() == ["b", "a"]

@@ -177,7 +177,6 @@ class TestScoreCorpus:
         # same context everywhere, positive equal cosines => score grows with |W|
         class ConstantProvider:
             dim = 2
-            deterministic = True
 
             def embed_side(self, sample, side):
                 vecs = np.tile([1.0, 0.0], (len(sample.source), 1))

@@ -5,7 +5,7 @@ import pytest
 
 from spellcl.corpus import Corpus, Sample, parse_corpus
 from spellcl.errors import IdMismatch
-from spellcl.metrics import EvalReport, compare_runs, evaluate, reports_to_tsv
+from spellcl.metrics import EvalReport, evaluate, reports_to_tsv
 from spellcl.model import Prediction
 
 
@@ -141,18 +141,3 @@ class TestTables:
         text = reports_to_tsv([report(1 / 3)])
         row = text.splitlines()[1].split("\t")
         assert row[4] == "0.3333"
-
-    def test_compare_runs_baseline_delta_zero(self):
-        text = compare_runs([("base", report(0.5))])
-        assert text.splitlines()[1].split("\t")[-1] == "+0.0000"
-
-    def test_compare_runs_known_improvement(self):
-        # 75.0% -> 78.4% correction F1 is a +3.4-point absolute gain
-        text = compare_runs([("base", report(0.750)), ("variant", report(0.784))])
-        rows = [ln.split("\t") for ln in text.splitlines()[1:]]
-        assert rows[0][-1] == "+0.0000"
-        assert rows[1][-1] == "+0.0340"
-
-    def test_compare_runs_identical_reports(self):
-        text = compare_runs([("a", report(0.6)), ("b", report(0.6))])
-        assert text.splitlines()[2].split("\t")[-1] == "+0.0000"
