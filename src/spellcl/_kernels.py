@@ -7,6 +7,11 @@ changes the scores of every later position and training must visit
 samples strictly in manifest order.  Every float that matters is an
 integer-valued weight, a sum of signed units, or a sum accumulated in a
 fixed order, so results are bit-identical across runs and platforms.
+
+Encoding fields read (``CorpusEncoding``, model.py): ``train_pass`` reads
+``samp_pos_start``, ``pos_slot_start``, ``pos_n_real``, ``pos_gold_slot``,
+``slot_feat_start`` and ``feat_ids``; ``predict_slots`` reads the same but
+``samp_pos_start`` and ``pos_gold_slot``, walking every position in order.
 """
 
 from __future__ import annotations
@@ -31,16 +36,14 @@ def fnv1a64(data: bytes) -> int:
 # sign taken from bit 63 of the hash.
 
 
-def hash_embed(char_bytes, char_nbytes, window: int, dim: int) -> np.ndarray:
-    n = char_bytes.shape[0]
+def hash_embed(sequence: str, window: int, dim: int) -> np.ndarray:
+    n = len(sequence)
     out = np.zeros((n, dim), dtype=np.float64)
-    if n == 0:
-        return out
     # FNV over each character's UTF-8 bytes; the offset byte is folded in
     # afterwards per offset, vectorized over positions.
     base = np.empty(n, dtype=np.uint64)
-    for p in range(n):
-        base[p] = fnv1a64(char_bytes[p, : char_nbytes[p]].tobytes())
+    for p, ch in enumerate(sequence):
+        base[p] = fnv1a64(ch.encode("utf-8"))
     positions = np.arange(n)
     for o in range(-window, window + 1):
         h = (base ^ np.uint64(o & 0xFF)) * FNV_PRIME
@@ -67,9 +70,15 @@ def hash_embed(char_bytes, char_nbytes, window: int, dim: int) -> np.ndarray:
 # are +-1, so every quantity is integer-valued and exact in float64.
 
 
-def _train_loop(order, samp_pos_start, pos_slot_start, pos_n_real, pos_gold_slot,
-                slot_feat_start, feat_ids, w, u_acc, last_upd, t_start):
-    t = t_start
+def train_pass(order, enc, w, u_acc, last_upd) -> int:
+    """Run one sequential training pass over ``order``; returns the update count."""
+    samp_pos_start = enc.samp_pos_start
+    pos_slot_start = enc.pos_slot_start
+    pos_n_real = enc.pos_n_real
+    pos_gold_slot = enc.pos_gold_slot
+    slot_feat_start = enc.slot_feat_start
+    feat_ids = enc.feat_ids
+    t = 0
     for oi in range(order.shape[0]):
         s = order[oi]
         for p in range(samp_pos_start[s], samp_pos_start[s + 1]):
@@ -99,41 +108,26 @@ def _train_loop(order, samp_pos_start, pos_slot_start, pos_n_real, pos_gold_slot
     return t
 
 
-def _predict_loop(sample_idx, samp_pos_start, pos_slot_start, pos_n_real,
-                  slot_feat_start, feat_ids, weights, out_slots):
-    k = 0
-    for oi in range(sample_idx.shape[0]):
-        s = sample_idx[oi]
-        for p in range(samp_pos_start[s], samp_pos_start[s + 1]):
-            base = pos_slot_start[p]
-            best_slot = base
-            best_score = 0.0
-            for si in range(base, base + pos_n_real[p]):
-                sc = 0.0
-                for fi in range(slot_feat_start[si], slot_feat_start[si + 1]):
-                    f = feat_ids[fi]
-                    if f >= 0:
-                        sc += weights[f]
-                if si == base or sc > best_score:
-                    best_score = sc
-                    best_slot = si
-            out_slots[k] = best_slot
-            k += 1
-
-
-def train_pass(order, enc, w, u_acc, last_upd, t_start: int) -> int:
-    """Run one sequential training pass over ``order``; returns the update count."""
-    return int(_train_loop(order, enc.samp_pos_start, enc.pos_slot_start, enc.pos_n_real,
-                           enc.pos_gold_slot, enc.slot_feat_start, enc.feat_ids,
-                           w, u_acc, last_upd, t_start))
-
-
-def predict_slots(sample_idx, enc, weights) -> np.ndarray:
-    """Chosen slot per position for the given samples, flattened in order."""
-    n_pos = int(
-        (enc.samp_pos_start[sample_idx + 1] - enc.samp_pos_start[sample_idx]).sum()
-    )
-    out = np.empty(n_pos, dtype=np.int64)
-    _predict_loop(sample_idx, enc.samp_pos_start, enc.pos_slot_start, enc.pos_n_real,
-                  enc.slot_feat_start, enc.feat_ids, weights, out)
-    return out
+def predict_slots(enc, weights) -> np.ndarray:
+    """Chosen slot per position of the encoded corpus, in position order."""
+    pos_slot_start = enc.pos_slot_start
+    pos_n_real = enc.pos_n_real
+    slot_feat_start = enc.slot_feat_start
+    feat_ids = enc.feat_ids
+    n_pos = pos_n_real.shape[0]
+    out_slots = np.empty(n_pos, dtype=np.int64)
+    for p in range(n_pos):
+        base = pos_slot_start[p]
+        best_slot = base
+        best_score = 0.0
+        for si in range(base, base + pos_n_real[p]):
+            sc = 0.0
+            for fi in range(slot_feat_start[si], slot_feat_start[si + 1]):
+                f = feat_ids[fi]
+                if f >= 0:
+                    sc += weights[f]
+            if si == base or sc > best_score:
+                best_score = sc
+                best_slot = si
+        out_slots[p] = best_slot
+    return out_slots

@@ -24,13 +24,14 @@ from . import model as mod
 from .embed import HashedEmbedder, load_embeddings
 from .errors import ConfigError, EmptyInput, KTooLarge, SpellclError
 
-ABLATION_MODES = (
-    "shuffled_baseline",
-    "sorted_only",
-    "random_stages",
-    "annealing_char_similarity",
-    "annealing_contextual",
-)
+# ablation mode -> (arrangement policy, difficulty policy it reads or None)
+ABLATION_MODES = {
+    "shuffled_baseline": ("shuffled_baseline", None),
+    "sorted_only": ("sorted_only", "contextual"),
+    "random_stages": ("random_stages", None),
+    "annealing_char_similarity": ("annealing", "char_similarity"),
+    "annealing_contextual": ("annealing", "contextual"),
+}
 
 
 # --- config handling -----------------------------------------------------------
@@ -179,33 +180,21 @@ def cmd_arrange(cfg: dict) -> int:
             f"unknown arrangement policy {policy!r} (expected one of {cur.ARRANGEMENTS})"
         )
     outdir = _outdir(cfg)
-    seed = int(cfg["seed"])
-    k = int(cfg["k"])
-
-    if policy in ("annealing", "sorted_only"):
+    records = None
+    if policy in cur.SCORED:
         _require(cfg, ["scores"], "arrange")
+    if cfg.get("scores"):
         _require_paths(cfg, ["scores"])
         records = diff.load_records(cfg["scores"])
+        ids = [r.sample_id for r in records]
         name = cfg["scores"]
-        if policy == "annealing":
-            manifest = cur.arrange_annealing(records, k, seed, source_corpus=name)
-        else:
-            manifest = cur.arrange_sorted_only(records, seed, source_corpus=name)
+    elif cfg.get("train"):
+        _require_paths(cfg, ["train"])
+        ids = corpus_mod.load_corpus(cfg["train"]).ids()
+        name = cfg["train"]
     else:
-        if cfg.get("scores"):
-            _require_paths(cfg, ["scores"])
-            ids = [r.sample_id for r in diff.load_records(cfg["scores"])]
-            name = cfg["scores"]
-        elif cfg.get("train"):
-            _require_paths(cfg, ["train"])
-            ids = corpus_mod.load_corpus(cfg["train"]).ids()
-            name = cfg["train"]
-        else:
-            raise ConfigError("arrange: need --scores or --train as the sample-id source")
-        if policy == "random_stages":
-            manifest = cur.arrange_random_stages(ids, k, seed, source_corpus=name)
-        else:
-            manifest = cur.arrange_shuffled_baseline(ids, seed, source_corpus=name)
+        raise ConfigError("arrange: need --scores or --train as the sample-id source")
+    manifest = cur.arrange(policy, ids, records, int(cfg["k"]), int(cfg["seed"]), name)
 
     cur.save_manifest(manifest, os.path.join(outdir, "manifest.jsonl"))
     _write_resolved(cfg, "arrange", outdir)
@@ -246,7 +235,9 @@ def cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def _experiment_inputs(cfg: dict):
+def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
+    """``{(mode, k, seed): (detection F1, correction F1)}`` for the given keys;
+    scores the training corpus only under the difficulty policies the modes read."""
     _require_paths(cfg, ["train", "test", "confusion"])
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     test_corpus = corpus_mod.load_corpus(cfg["test"])
@@ -256,35 +247,31 @@ def _experiment_inputs(cfg: dict):
     if len(test_corpus) == 0:
         raise ConfigError("test corpus is empty")
     provider = build_provider(cfg)
-    ctx_records = diff.score_corpus(train_corpus, "contextual", provider=provider)
-    chr_records = diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
+    records = {
+        policy: diff.score_corpus(train_corpus, policy, provider=provider, confusion=confusion)
+        for policy in dict.fromkeys(ABLATION_MODES[mode][1] for mode, _, _ in keys)
+        if policy is not None
+    }
     enc_train = mod.encode_corpus(train_corpus, confusion)
     frozen = mod.FeatureIndex(names=enc_train.feature_index.names, frozen=True)
     enc_test = mod.encode_corpus(test_corpus, confusion, feature_index=frozen)
-    return train_corpus, test_corpus, ctx_records, chr_records, enc_train, enc_test
+    ids = train_corpus.ids()
+    results = {}
+    for mode, k, seed in keys:
+        arrangement, difficulty = ABLATION_MODES[mode]
+        manifest = cur.arrange(arrangement, ids, records.get(difficulty), k, seed, cfg["train"])
+        results[(mode, k, seed)] = _run_one(manifest, enc_train, enc_test, test_corpus)
+    return results
 
 
-def _arrange_for_mode(mode: str, ids, ctx_records, chr_records, k: int, seed: int,
-                      name: str) -> cur.CurriculumManifest:
-    if mode == "shuffled_baseline":
-        return cur.arrange_shuffled_baseline(ids, seed, source_corpus=name)
-    if mode == "sorted_only":
-        return cur.arrange_sorted_only(ctx_records, seed, source_corpus=name)
-    if mode == "random_stages":
-        return cur.arrange_random_stages(ids, k, seed, source_corpus=name)
-    if mode == "annealing_char_similarity":
-        return cur.arrange_annealing(chr_records, k, seed, source_corpus=name)
-    if mode == "annealing_contextual":
-        return cur.arrange_annealing(ctx_records, k, seed, source_corpus=name)
-    raise ValueError(f"unknown ablation mode {mode!r}")
-
-
-def _run_one(manifest, enc_train, enc_test, test_corpus):
+def _run_one(manifest, enc_train, enc_test, test_corpus) -> tuple[float, float]:
+    # Its own frame, so one run's weights and predictions are freed before
+    # the next run trains: peak memory stays that of a single run.
     _, averaged, _ = mod.train_encoded(enc_train, manifest)
     preds = mod.predict_encoded(enc_test, test_corpus, averaged)
     det = met.evaluate(preds, test_corpus, "detection")
     corr = met.evaluate(preds, test_corpus, "correction")
-    return det, corr
+    return det.f1, corr.f1
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -301,20 +288,12 @@ def cmd_ablate(cfg: dict) -> int:
     if not seeds:
         raise ConfigError("ablate: --seeds must be non-empty")
     k = int(cfg["k"])
-    (train_corpus, test_corpus, ctx_records, chr_records,
-     enc_train, enc_test) = _experiment_inputs(cfg)
-    ids = train_corpus.ids()
+    grid = _run_grid(cfg, [(mode, k, seed) for mode in ABLATION_MODES for seed in seeds])
 
     lines = ["mode\tseeds\tdetection_f1_mean\tcorrection_f1_mean\tcorrection_f1_sd\tdelta_f1"]
     baseline_mean = None
     for mode in ABLATION_MODES:
-        det_f1s, corr_f1s = [], []
-        for seed in seeds:
-            manifest = _arrange_for_mode(mode, ids, ctx_records, chr_records, k, seed,
-                                         cfg["train"])
-            det, corr = _run_one(manifest, enc_train, enc_test, test_corpus)
-            det_f1s.append(det.f1)
-            corr_f1s.append(corr.f1)
+        det_f1s, corr_f1s = zip(*(grid[(mode, k, seed)] for seed in seeds))
         det_mean, _ = _mean_sd(det_f1s)
         corr_mean, corr_sd = _mean_sd(corr_f1s)
         if baseline_mean is None:
@@ -343,18 +322,12 @@ def cmd_sweep_k(cfg: dict) -> int:
         raise ConfigError(f"sweep-k: duplicate k values in {k_values}")
     if any(k < 1 for k in k_values):
         raise ConfigError(f"sweep-k: k values must be >= 1, got {k_values}")
-    (train_corpus, test_corpus, ctx_records, _chr_records,
-     enc_train, enc_test) = _experiment_inputs(cfg)
+    mode = "annealing_contextual"
+    grid = _run_grid(cfg, [(mode, k, seed) for k in k_values for seed in seeds])
 
     lines = ["k\tseeds\tcorrection_f1_mean\tcorrection_f1_sd"]
     for k in k_values:
-        corr_f1s = []
-        for seed in seeds:
-            manifest = cur.arrange_annealing(ctx_records, k, seed,
-                                             source_corpus=cfg["train"])
-            _, corr = _run_one(manifest, enc_train, enc_test, test_corpus)
-            corr_f1s.append(corr.f1)
-        mean, sd = _mean_sd(corr_f1s)
+        mean, sd = _mean_sd([grid[(mode, k, seed)][1] for seed in seeds])
         lines.append(f"{k}\t{len(seeds)}\t{mean:.4f}\t{sd:.4f}")
     table = "\n".join(lines) + "\n"
     _write_text(os.path.join(outdir, "sweep.tsv"), table)

@@ -99,6 +99,20 @@ class ConfusionSet:
 
 # --- parsing and serialization ---------------------------------------------
 
+def _numbered_lines(text: str):
+    """(line number, line) pairs; MalformedLine for a leading BOM or a CRLF ending."""
+    if text.startswith("\ufeff"):
+        raise MalformedLine(
+            "line 1: file starts with a UTF-8 byte-order mark; save it as UTF-8 without BOM"
+        )
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            raise MalformedLine(
+                f"line {line_no}: CRLF line ending; the format requires LF line endings"
+            )
+        yield line_no, line
+
+
 def parse_corpus(text: str, name: str = "") -> Corpus:
     """Parse a TSV document into a Corpus; line order is preserved.
 
@@ -106,17 +120,9 @@ def parse_corpus(text: str, name: str = "") -> Corpus:
     or a wrong field count, LengthMismatch when the two sides differ in
     length, DuplicateId for repeated IDs.
     """
-    if text.startswith("\ufeff"):
-        raise MalformedLine(
-            "line 1: file starts with a UTF-8 byte-order mark; save it as UTF-8 without BOM"
-        )
     samples = []
     seen: set[str] = set()
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            raise MalformedLine(
-                f"line {line_no}: CRLF line ending; the format requires LF line endings"
-            )
+    for line_no, line in _numbered_lines(text):
         if line == "":
             continue
         fields = line.split("\t")
@@ -157,9 +163,10 @@ def parse_confusion_set(text: str) -> ConfusionSet:
     """Parse a ``head<TAB>candidates`` document into a ConfusionSet.
 
     Self-entries are silently dropped; duplicate heads merge by set union.
+    Raises MalformedLine for a byte-order mark, CRLF, or a malformed line.
     """
     entries: dict[str, set[str]] = {}
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in _numbered_lines(text):
         if line == "":
             continue
         fields = line.split("\t")

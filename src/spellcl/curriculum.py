@@ -40,6 +40,8 @@ from .errors import EmptyInput, KTooLarge, MalformedManifest
 from .rng import shuffled
 
 ARRANGEMENTS = ("annealing", "sorted_only", "random_stages", "shuffled_baseline")
+# Arrangements that read difficulty records; the others read sample IDs.
+SCORED = ("annealing", "sorted_only")
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,22 @@ def arrange_shuffled_baseline(ids: list[str], seed: int,
         stages=(tuple(shuffled(list(ids), seed, stream=0)),),
         source_corpus=source_corpus,
     )
+
+
+def arrange(policy: str, ids: list[str] | None, records: list[DifficultyRecord] | None,
+            k: int, seed: int, source_corpus: str = "") -> CurriculumManifest:
+    """Arrange with the named policy: ``SCORED`` ones read ``records``, the rest ``ids``."""
+    # Looked up by global name at call time, so wrappers set on this module
+    # (the benchmark's span tracer) see every call.
+    if policy == "annealing":
+        return arrange_annealing(records, k, seed, source_corpus=source_corpus)
+    if policy == "sorted_only":
+        return arrange_sorted_only(records, seed, source_corpus=source_corpus)
+    if policy == "random_stages":
+        return arrange_random_stages(ids, k, seed, source_corpus=source_corpus)
+    if policy == "shuffled_baseline":
+        return arrange_shuffled_baseline(ids, seed, source_corpus=source_corpus)
+    raise ValueError(f"unknown arrangement policy {policy!r}")
 
 
 # --- manifest file (JSON lines) ----------------------------------------------

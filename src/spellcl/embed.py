@@ -40,17 +40,6 @@ class ContextualEmbedding:
         return self.vectors.shape[0]
 
 
-def _seq_to_bytes(sequence: str) -> tuple[np.ndarray, np.ndarray]:
-    n = len(sequence)
-    char_bytes = np.zeros((n, 4), dtype=np.uint8)
-    char_nbytes = np.zeros(n, dtype=np.int64)
-    for i, ch in enumerate(sequence):
-        raw = ch.encode("utf-8")
-        char_bytes[i, : len(raw)] = list(raw)
-        char_nbytes[i] = len(raw)
-    return char_bytes, char_nbytes
-
-
 def hashed_embed(sequence: str, window: int = 2, dim: int = 64) -> np.ndarray:
     """Feature-hashed context vectors, shape (len(sequence), dim).
 
@@ -63,8 +52,7 @@ def hashed_embed(sequence: str, window: int = 2, dim: int = 64) -> np.ndarray:
         raise ValueError(f"window must be in [0, 127], got {window}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    char_bytes, char_nbytes = _seq_to_bytes(sequence)
-    return hash_embed(char_bytes, char_nbytes, window, dim)
+    return hash_embed(sequence, window, dim)
 
 
 class HashedEmbedder:
@@ -87,9 +75,8 @@ class HashedEmbedder:
 class FileEmbeddingProvider:
     """Provider backed by externally computed vectors."""
 
-    def __init__(self, table: dict[tuple[str, str], ContextualEmbedding], dim: int):
+    def __init__(self, table: dict[tuple[str, str], ContextualEmbedding]):
         self._table = table
-        self.dim = dim
 
     def embed_side(self, sample: Sample, side: str) -> ContextualEmbedding:
         try:
@@ -148,10 +135,7 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
 
 def load_embeddings(path) -> FileEmbeddingProvider:
     with open(path, encoding="utf-8") as fh:
-        table = parse_embeddings(fh.read())
-    dims = {emb.dim for emb in table.values()}
-    dim = dims.pop() if dims else 1
-    return FileEmbeddingProvider(table, dim)
+        return FileEmbeddingProvider(parse_embeddings(fh.read()))
 
 
 def embeddings_to_text(table: dict[tuple[str, str], ContextualEmbedding], dim: int) -> str:

@@ -11,9 +11,9 @@ experimental variable, so training is strictly sequential and completely
 determined by the manifest.
 
 For speed the corpus is pre-encoded once into flat integer arrays that
-the train and predict kernels in ``_kernels`` walk; the dict-based
-``predict`` is the reference path and the encoded path must agree with
-it exactly.
+the train and predict kernels in ``_kernels`` walk.  It is the only
+prediction path (``predict`` runs it on a one-sample corpus); the test
+suite's dict-based predictor is the oracle it must agree with exactly.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class CorpusEncoding:
     not a candidate.  Per slot: a run of feature ids.
     """
 
-    sample_ids: list[str]
     id_to_idx: dict[str, int]
     samp_pos_start: np.ndarray   # int64, len n_samples+1
     pos_slot_start: np.ndarray   # int64, len n_positions+1
@@ -159,7 +158,6 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet,
         samp_pos_start.append(len(pos_n_real))
 
     return CorpusEncoding(
-        sample_ids=corpus.ids(),
         id_to_idx={sid: i for i, sid in enumerate(corpus.ids())},
         samp_pos_start=np.asarray(samp_pos_start, dtype=np.int64),
         pos_slot_start=np.asarray(pos_slot_start, dtype=np.int64),
@@ -194,7 +192,7 @@ def train_encoded(enc: CorpusEncoding,
     u_acc = np.zeros(n_feat, dtype=np.float64)
     last_upd = np.zeros(n_feat, dtype=np.int64)
     order = manifest_order(manifest, enc)
-    t = _kernels.train_pass(order, enc, w, u_acc, last_upd, 0)
+    t = _kernels.train_pass(order, enc, w, u_acc, last_upd)
     if t > 0:
         averaged = (u_acc + w * (t - last_upd)) / t
     else:
@@ -225,40 +223,14 @@ def train(manifest: CurriculumManifest, corpus: Corpus,
 # --- prediction ------------------------------------------------------------------
 
 def predict(model: CorrectorModel, sample: Sample) -> Prediction:
-    """Reference per-sample prediction using the averaged weight map."""
-    aw = model.averaged_weights
-    src = sample.source
-    out = []
-    for j in range(len(src)):
-        best_char = src[j]
-        best_score = 0.0
-        for ci, cand in enumerate(candidate_set(src, j, model.confusion)):
-            score = 0.0
-            for key in featurize(src, j, cand):
-                score += aw.get(key, 0.0)
-            if ci == 0 or score > best_score:
-                best_score = score
-                best_char = cand
-        out.append(best_char)
-    predicted = "".join(out)
-    return Prediction(
-        sample_id=sample.id, predicted=predicted,
-        detected_positions=derive_error_positions(src, predicted),
-    )
-
-
-def weights_vector(weight_map: dict[str, float], fx: FeatureIndex) -> np.ndarray:
-    vec = np.zeros(len(fx), dtype=np.float64)
-    for i, name in enumerate(fx.names):
-        vec[i] = weight_map.get(name, 0.0)
-    return vec
+    """Prediction for one sample; see ``predict_corpus``."""
+    return predict_corpus(model, Corpus((sample,)))[0]
 
 
 def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
                     weights: np.ndarray) -> list[Prediction]:
-    """Kernel-backed bulk prediction; agrees with ``predict`` bit for bit."""
-    sample_idx = np.arange(len(corpus), dtype=np.int64)
-    slots = _kernels.predict_slots(sample_idx, enc, weights)
+    """Kernel-backed prediction for every sample of the encoded ``corpus``."""
+    slots = _kernels.predict_slots(enc, weights)
     preds = []
     k = 0
     for sample in corpus:
@@ -275,9 +247,10 @@ def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
 
 def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
     """Bulk prediction for a free-standing model (e.g. loaded from disk)."""
-    fx = FeatureIndex(names=sorted(model.averaged_weights), frozen=True)
-    enc = encode_corpus(corpus, model.confusion, feature_index=fx)
-    return predict_encoded(enc, corpus, weights_vector(model.averaged_weights, fx))
+    names = sorted(model.averaged_weights)
+    weights = np.array([model.averaged_weights[n] for n in names], dtype=np.float64)
+    enc = encode_corpus(corpus, model.confusion, feature_index=FeatureIndex(names, frozen=True))
+    return predict_encoded(enc, corpus, weights)
 
 
 # --- model file -----------------------------------------------------------------

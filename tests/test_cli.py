@@ -10,6 +10,7 @@ from spellcl.corpus import confusion_to_tsv, corpus_to_tsv, inject_errors, load_
 
 from helpers import (
     make_clean_corpus,
+    make_markov_corpus,
     make_symmetric_confusion,
     make_vocab,
     overfit_fixture,
@@ -34,6 +35,23 @@ def workdir(tmp_path):
     paths["train"].write_text(corpus_to_tsv(train), encoding="utf-8")
     paths["test"].write_text(corpus_to_tsv(test), encoding="utf-8")
     paths["clean"].write_text(corpus_to_tsv(train_clean), encoding="utf-8")
+    paths["confusion"].write_text(confusion_to_tsv(confusion), encoding="utf-8")
+    paths["root"] = tmp_path
+    return paths
+
+
+@pytest.fixture
+def markov_workdir(tmp_path):
+    """Bigram-walk train/test corpora on which every ablation mode scores differently."""
+    vocab = make_vocab(15)
+    confusion = make_symmetric_confusion(vocab, n_pairs=15, seed=0)
+    train = make_markov_corpus(vocab, 120, seed=1, min_len=5, max_len=10)
+    test = make_markov_corpus(vocab, 40, seed=2, min_len=5, max_len=10, prefix="t")
+    paths = {name: tmp_path / f"{name}.tsv" for name in ("train", "test", "confusion")}
+    paths["train"].write_text(corpus_to_tsv(inject_errors(train, confusion, 0.15, seed=3)),
+                              encoding="utf-8")
+    paths["test"].write_text(corpus_to_tsv(inject_errors(test, confusion, 0.15, seed=4)),
+                             encoding="utf-8")
     paths["confusion"].write_text(confusion_to_tsv(confusion), encoding="utf-8")
     paths["root"] = tmp_path
     return paths
@@ -240,6 +258,56 @@ class TestAblate:
         rows = (out / "ablation.tsv").read_text(encoding="utf-8").splitlines()[1:]
         f1s = {row.split("\t")[3] for row in rows}
         assert len(f1s) == 1
+
+
+    def test_rows_carry_mean_over_seeds(self, markov_workdir):
+        # mode-table oracle: every row equals the mean of per-seed runs,
+        # each arranged and scored independently through the library
+        from spellcl.corpus import load_confusion_set
+        from spellcl.curriculum import (
+            arrange_annealing,
+            arrange_random_stages,
+            arrange_shuffled_baseline,
+            arrange_sorted_only,
+        )
+        from spellcl.difficulty import score_corpus
+        from spellcl.embed import HashedEmbedder
+        from spellcl.metrics import evaluate
+        from spellcl.model import predict_corpus, train as train_model
+
+        workdir = markov_workdir
+        out = workdir["root"] / "ablavg"
+        assert run("ablate", "--train", workdir["train"], "--test", workdir["test"],
+                   "--confusion", workdir["confusion"], "--k", "3",
+                   "--seeds", "0,1,2", "--out", out) == 0
+        rows = [ln.split("\t") for ln in
+                (out / "ablation.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+        # the fixture tells the modes apart, so a miswired mode shows
+        assert len({row[3] for row in rows}) == 5
+
+        train_c = load_corpus(workdir["train"])
+        test_c = load_corpus(workdir["test"])
+        confusion = load_confusion_set(workdir["confusion"])
+        ids = train_c.ids()
+        ctx = score_corpus(train_c, "contextual", provider=HashedEmbedder())
+        chs = score_corpus(train_c, "char_similarity", confusion=confusion)
+        arrangers = {
+            "shuffled_baseline": lambda seed: arrange_shuffled_baseline(ids, seed),
+            "sorted_only": lambda seed: arrange_sorted_only(ctx, seed),
+            "random_stages": lambda seed: arrange_random_stages(ids, 3, seed),
+            "annealing_char_similarity": lambda seed: arrange_annealing(chs, 3, seed),
+            "annealing_contextual": lambda seed: arrange_annealing(ctx, 3, seed),
+        }
+        assert [row[0] for row in rows] == list(arrangers)
+        for row in rows:
+            det_f1s, corr_f1s = [], []
+            for seed in (0, 1, 2):
+                model = train_model(arrangers[row[0]](seed), train_c, confusion)
+                preds = predict_corpus(model, test_c)
+                det_f1s.append(evaluate(preds, test_c, "detection").f1)
+                corr_f1s.append(evaluate(preds, test_c, "correction").f1)
+            assert row[2] == f"{sum(det_f1s) / 3:.4f}", row[0]
+            assert row[3] == f"{sum(corr_f1s) / 3:.4f}", row[0]
 
 
 class TestSweepK:

@@ -7,6 +7,7 @@ from spellcl.corpus import (
     ConfusionSet,
     Corpus,
     Sample,
+    confusion_to_tsv,
     corpus_to_tsv,
     derive_error_positions,
     inject_errors,
@@ -150,6 +151,28 @@ class TestConfusionSet:
     def test_no_self_mapping_invariant(self):
         cs = ConfusionSet({"a": {"a", "b"}})
         assert cs.candidates("a") == {"b"}
+
+    def test_byte_order_mark_names_the_cause(self):
+        with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
+            parse_confusion_set("\ufeffa\tb\n")
+
+    def test_crlf_names_the_cause(self):
+        # without the check, 'a' would silently get the candidates {'\r', 'b'}
+        with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
+            parse_confusion_set("a\tb\r\n")
+
+    # Any character but the separators; a byte-order mark would only be
+    # rejected when it sorts first, so it is left out as well.
+    @given(st.dictionaries(
+        st.characters(exclude_characters="\t\n\r\ufeff"),
+        st.sets(st.characters(exclude_characters="\t\n\r\ufeff"), max_size=4),
+        max_size=6,
+    ))
+    def test_roundtrip_random(self, entries):
+        cs = ConfusionSet(entries)
+        text = confusion_to_tsv(cs)
+        assert parse_confusion_set(text) == cs
+        assert confusion_to_tsv(parse_confusion_set(text)) == text
 
 
 # ===========================================================================

@@ -1,8 +1,12 @@
 """Stage arrangements and the manifest file format."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spellcl.curriculum import (
+    ARRANGEMENTS,
+    CurriculumManifest,
+    arrange,
     arrange_annealing,
     arrange_random_stages,
     arrange_shuffled_baseline,
@@ -200,6 +204,29 @@ class TestShuffledBaseline:
 
 
 # ===========================================================================
+# policy dispatch
+# ===========================================================================
+
+class TestArrange:
+
+    def test_each_policy_calls_its_arranger(self):
+        records = recs({c: float(i % 3) for i, c in enumerate("abcdefg")})
+        ids = [r.sample_id for r in records]
+        assert arrange("annealing", None, records, 2, 5, "x") == arrange_annealing(
+            records, 2, 5, source_corpus="x")
+        assert arrange("sorted_only", None, records, 2, 5, "x") == arrange_sorted_only(
+            records, 5, source_corpus="x")
+        assert arrange("random_stages", ids, None, 2, 5, "x") == arrange_random_stages(
+            ids, 2, 5, source_corpus="x")
+        assert arrange("shuffled_baseline", ids, None, 2, 5, "x") == (
+            arrange_shuffled_baseline(ids, 5, source_corpus="x"))
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown arrangement policy 'bogus'"):
+            arrange("bogus", ["a"], recs({"a": 0.0}), 1, 0)
+
+
+# ===========================================================================
 # manifest file
 # ===========================================================================
 
@@ -235,3 +262,17 @@ class TestManifestFile:
     def test_not_json(self):
         with pytest.raises(MalformedManifest):
             parse_manifest("not json at all\n")
+
+    @given(st.builds(
+        CurriculumManifest,
+        policy=st.sampled_from(ARRANGEMENTS),
+        k=st.integers(1, 64),
+        seed=st.integers(0, 2**64 - 1),
+        stages=st.lists(st.lists(st.text(max_size=5), unique=True, max_size=5).map(tuple),
+                        min_size=1, max_size=5).map(tuple),
+        source_corpus=st.text(max_size=8),
+    ))
+    def test_roundtrip_random(self, manifest):
+        text = manifest_to_jsonl(manifest)
+        assert parse_manifest(text) == manifest
+        assert manifest_to_jsonl(parse_manifest(text)) == text

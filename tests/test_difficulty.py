@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spellcl.corpus import ConfusionSet, Sample, parse_corpus
 from spellcl.difficulty import (
+    POLICIES,
+    DifficultyRecord,
     cosine,
     load_records,
     parse_records,
@@ -217,3 +220,19 @@ class TestDifficultyFile:
             parse_records("s1\tnot-a-number\tcontextual\n")
         with pytest.raises(MalformedLine):
             parse_records("s1\t0.5\tbogus_policy\n")
+
+    @given(st.lists(st.builds(
+        DifficultyRecord,
+        st.text(alphabet=st.characters(exclude_characters="\t\n"), max_size=6),
+        st.floats(-1e6, 1e6),
+        st.sampled_from(POLICIES),
+    ), max_size=8))
+    def test_text_roundtrip_random(self, records):
+        # scores are written at 9 decimals, so the text is the fixpoint
+        text = records_to_tsv(records)
+        again = parse_records(text)
+        assert records_to_tsv(again) == text
+        assert [(r.sample_id, r.policy) for r in again] == [
+            (r.sample_id, r.policy) for r in records]
+        for r, a in zip(records, again):
+            assert a.score == pytest.approx(r.score, abs=1e-9)

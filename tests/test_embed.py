@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from spellcl.corpus import parse_corpus
 from spellcl.embed import (
+    SIDES,
+    ContextualEmbedding,
     HashedEmbedder,
     embed_corpus,
     embeddings_to_text,
@@ -179,6 +181,27 @@ class TestEmbeddingFile:
         again = parse_embeddings(text)
         for key in table:
             assert table[key].vectors.tobytes() == again[key].vectors.tobytes()
+
+    @given(st.data())
+    def test_roundtrip_random(self, data):
+        dim = data.draw(st.integers(1, 4))
+        keys = data.draw(st.lists(st.tuples(
+            st.text(alphabet=st.characters(exclude_characters="\t\n"), max_size=5),
+            st.sampled_from(SIDES),
+        ), unique=True, max_size=4))
+        table = {}
+        for sample_id, side in keys:
+            n = data.draw(st.integers(1, 3))
+            values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=n * dim, max_size=n * dim))
+            table[(sample_id, side)] = ContextualEmbedding(
+                sample_id, side, np.array(values, dtype=np.float64).reshape(n, dim))
+        text = embeddings_to_text(table, dim)
+        again = parse_embeddings(text)
+        assert list(again) == list(table)
+        for key, emb in table.items():
+            assert again[key].vectors.tobytes() == emb.vectors.tobytes()
+        assert embeddings_to_text(again, dim) == text
 
     def test_file_provider(self, tmp_path):
         path = tmp_path / "emb.tsv"

@@ -5,7 +5,14 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spellcl.corpus import ConfusionSet, Corpus, Sample, inject_errors, parse_corpus
+from spellcl.corpus import (
+    ConfusionSet,
+    Corpus,
+    Sample,
+    derive_error_positions,
+    inject_errors,
+    parse_corpus,
+)
 from spellcl.curriculum import (
     arrange_annealing,
     arrange_shuffled_baseline,
@@ -18,6 +25,7 @@ from spellcl.model import (
     BOS,
     EOS,
     CorrectorModel,
+    Prediction,
     candidate_set,
     featurize,
     load_model,
@@ -68,6 +76,29 @@ def trace_train(manifest, corpus, confusion):
     } if snapshots else {}
     final = {k: v for k, v in w.items() if v != 0.0}
     return final, averaged, len(snapshots)
+
+
+def reference_predict(model, sample):
+    """Independent dict-based prediction from the averaged weight map."""
+    aw = model.averaged_weights
+    src = sample.source
+    out = []
+    for j in range(len(src)):
+        best_char = src[j]
+        best_score = 0.0
+        for ci, cand in enumerate(candidate_set(src, j, model.confusion)):
+            score = 0.0
+            for key in featurize(src, j, cand):
+                score += aw.get(key, 0.0)
+            if ci == 0 or score > best_score:
+                best_score = score
+                best_char = cand
+        out.append(best_char)
+    predicted = "".join(out)
+    return Prediction(
+        sample_id=sample.id, predicted=predicted,
+        detected_positions=derive_error_positions(src, predicted),
+    )
 
 
 def small_noisy_setup(n_sentences=30, seed=0):
@@ -276,8 +307,10 @@ class TestPredict:
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=3)
         model = train(manifest, corpus, confusion)
         bulk = predict_corpus(model, corpus)
+        assert [p.sample_id for p in bulk] == corpus.ids()
         for sample, got in zip(corpus, bulk):
-            assert got == predict(model, sample)
+            assert got == reference_predict(model, sample)
+            assert predict(model, sample) == got
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup(), random_corpus(prefix="t"))
@@ -285,7 +318,7 @@ class TestPredict:
         corpus, confusion, manifest = setup
         model = train(manifest, corpus, confusion)
         bulk = predict_corpus(model, test_corpus)
-        assert bulk == [predict(model, sample) for sample in test_corpus]
+        assert bulk == [reference_predict(model, sample) for sample in test_corpus]
 
     def test_overfit_five_sentences(self):
         corpus, confusion = overfit_fixture()
@@ -337,3 +370,14 @@ class TestModelFile:
             parse_model("# spellcl-model schema=99 window=2\n", confusion)
         with pytest.raises(MalformedLine, match="window=5"):
             parse_model("# spellcl-model schema=1 window=5\nKEEP\t-1.0\n", confusion)
+
+    @given(st.dictionaries(st.text(alphabet=st.characters(exclude_characters="\t\n")),
+                           st.floats(allow_nan=False), max_size=8))
+    def test_roundtrip_random(self, averaged):
+        confusion = ConfusionSet()
+        model = CorrectorModel(weights={}, averaged_weights=averaged, updates_seen=0,
+                               confusion=confusion)
+        text = model_to_tsv(model)
+        loaded = parse_model(text, confusion)
+        assert loaded.averaged_weights == averaged
+        assert model_to_tsv(loaded) == text
