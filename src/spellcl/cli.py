@@ -1,10 +1,18 @@
 """Command-line pipeline: inject -> score -> arrange -> train -> evaluate,
 plus the ablation and k-sweep experiment drivers.
 
+Two tables drive the command line: ``OPTIONS`` declares every option once
+(type, bounds, help, whether it names an input file) and ``COMMANDS`` lists
+each subcommand's function, help, required options and other options.  The
+parser, the config file, type and bound checks, file checks and the
+resolved-config record are all derived from them.
+
 Every command reads an optional JSON config file, applies flag overrides,
-validates, and writes a resolved-config copy next to its outputs so runs
-are reproducible from the artifacts alone.  Exit codes: 0 success, 1
-internal/data error, 2 usage/config error.
+validates, and writes ``<command>_config.json`` next to its outputs.  The
+record holds exactly the command's options that have a value, plus
+``command``, so passing it back with ``--config`` reruns the command; a
+config key that belongs to another command is ignored.  Exit codes: 0
+success, 1 internal/data error, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +43,37 @@ ABLATION_MODES = {
 }
 
 
-# --- config handling -----------------------------------------------------------
+# --- options ---------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "train", "test", "confusion", "input", "scores", "manifest", "model",
-    "embeddings", "provider", "window", "dim", "policy", "k", "k_values",
-    "seed", "seeds", "rate", "out",
-)
+class Option(NamedTuple):
+    help: str
+    type: type = str      # str, int, float, or list: a comma-separated integer list
+    lo: float | None = None
+    hi: float | None = None
+    is_file: bool = False  # an input file, which must exist when given
+
+
+OPTIONS = {
+    "input": Option("clean corpus TSV (source == target)", is_file=True),
+    "train": Option("training corpus TSV; arrange reads its sample ids", is_file=True),
+    "test": Option("test corpus TSV", is_file=True),
+    "confusion": Option("confusion set TSV", is_file=True),
+    "scores": Option("difficulty TSV from 'score'", is_file=True),
+    "manifest": Option("manifest JSONL from 'arrange'", is_file=True),
+    "model": Option("model TSV from 'train'", is_file=True),
+    "embeddings": Option("embedding file for provider 'file'", is_file=True),
+    "provider": Option("embedding provider: hashed or file (default hashed)"),
+    "window": Option("hashed provider context window (default 2)", int, 0, 127),
+    "dim": Option("hashed provider dimension (default 64)", int, 2),
+    "policy": Option("score: " + ", ".join(diff.POLICIES)
+                     + "; arrange: " + ", ".join(cur.ARRANGEMENTS)),
+    "k": Option("number of subsets/stages (default 4)", int, 1),
+    "k_values": Option("comma-separated k values, e.g. 1,2,4,8", list, 1),
+    "seed": Option("PRNG seed (default 0)", int),
+    "seeds": Option("comma-separated seeds, e.g. 0,1,2 (default 0)", list),
+    "rate": Option("per-character corruption probability (default 0.1)", float, 0.0, 1.0),
+    "out": Option("output directory"),
+}
 
 _DEFAULTS = {
     "provider": "hashed",
@@ -53,78 +86,83 @@ _DEFAULTS = {
 }
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad config file {args.config}: {exc}")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _require(cfg: dict, keys: list[str], command: str) -> None:
-    missing = [k for k in keys if cfg.get(k) is None]
-    if missing:
-        raise ConfigError(f"{command}: missing required option(s): {', '.join('--' + m for m in missing)}")
-
-
-def _require_paths(cfg: dict, keys: list[str]) -> None:
-    for key in keys:
-        path = cfg.get(key)
-        if path is not None and not os.path.exists(path):
-            raise ConfigError(f"file not found for --{key}: {path}")
-
-
-def _parse_int_list(value) -> list[int]:
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v != ""]
+def _convert(name: str, value):
+    """``value`` as the option's type, within its bounds, an existing file for
+    input-file options; ConfigError naming the flag otherwise."""
+    opt = OPTIONS[name]
     try:
-        return [int(v) for v in value]
+        if opt.type is list:
+            items = value.split(",") if isinstance(value, str) else value
+            value = [int(str(v)) for v in items if str(v) != ""]
+            if not value:
+                raise ValueError
+        else:
+            # str() first, so a JSON true or 2.5 is rejected, not read as 1 or 2
+            value = opt.type(str(value))
     except (TypeError, ValueError):
-        raise ConfigError(f"expected a comma-separated integer list, got {value!r}")
+        kind = "comma-separated integers" if opt.type is list else opt.type.__name__
+        raise ConfigError(f"{_flag(name)}: expected {kind}, got {value!r}")
+    for v in value if opt.type is list else [value]:
+        if not ((opt.lo is None or v >= opt.lo) and (opt.hi is None or v <= opt.hi)):
+            bounds = f">= {opt.lo}" if opt.hi is None else f"in [{opt.lo}, {opt.hi}]"
+            raise ConfigError(f"{_flag(name)} must be {bounds}, got {v}")
+    if opt.is_file and not os.path.exists(value):
+        raise ConfigError(f"file not found for {_flag(name)}: {value}")
+    return value
 
 
-def _outdir(cfg: dict) -> str:
-    out = cfg.get("out")
-    if not out:
-        raise ConfigError("missing required option --out")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _load_config(path: str) -> dict:
+    try:
+        loaded = json.loads(corpus_mod.read_text(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad config file {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"bad config file {path}: expected a JSON object")
+    unknown = set(loaded) - set(OPTIONS) - {"command"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    return loaded
 
 
-def _write_resolved(cfg: dict, command: str, outdir: str) -> None:
-    resolved = {k: cfg[k] for k in sorted(cfg) if cfg[k] is not None}
-    resolved["command"] = command
-    path = os.path.join(outdir, f"{command.replace('-', '_')}_config.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(resolved, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The command's options: defaults, then the config file, then flags;
+    converted, bound-checked, required options present, input files existing."""
+    command = args.command
+    _, _, required, optional = COMMANDS[command]
+    names = required + optional
+    cfg = {name: _DEFAULTS[name] for name in names if name in _DEFAULTS}
+    if args.config:
+        loaded = _load_config(args.config)
+        if loaded.get("command", command) != command:
+            raise ConfigError(
+                f"config file {args.config} is for command {loaded['command']!r}, not {command!r}"
+            )
+        cfg.update((name, loaded[name]) for name in names if loaded.get(name) is not None)
+    cfg.update((name, getattr(args, name)) for name in names
+               if getattr(args, name) is not None)
+    missing = [_flag(name) for name in required if cfg.get(name, "") == ""]
+    if missing:
+        raise ConfigError(f"{command}: missing required option(s): {', '.join(missing)}")
+    return {name: _convert(name, value) for name, value in cfg.items()}
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_resolved(cfg: dict, command: str) -> None:
+    resolved = dict(cfg, command=command)
+    path = os.path.join(cfg["out"], f"{command.replace('-', '_')}_config.json")
+    corpus_mod.write_text(path, json.dumps(resolved, ensure_ascii=False, indent=2,
+                                           sort_keys=True) + "\n")
 
 
 def build_provider(cfg: dict):
     if cfg["provider"] == "hashed":
-        return HashedEmbedder(window=int(cfg["window"]), dim=int(cfg["dim"]))
+        return HashedEmbedder(window=cfg["window"], dim=cfg["dim"])
     if cfg["provider"] == "file":
         if not cfg.get("embeddings"):
             raise ConfigError("provider 'file' needs --embeddings")
-        _require_paths(cfg, ["embeddings"])
         return load_embeddings(cfg["embeddings"])
     raise ConfigError(f"unknown provider {cfg['provider']!r} (expected 'hashed' or 'file')")
 
@@ -132,18 +170,11 @@ def build_provider(cfg: dict):
 # --- commands --------------------------------------------------------------------
 
 def cmd_inject(cfg: dict) -> int:
-    _require(cfg, ["input", "confusion", "out"], "inject")
-    _require_paths(cfg, ["input", "confusion"])
-    rate = float(cfg["rate"])
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"--rate must be in [0, 1], got {rate}")
-    outdir = _outdir(cfg)
     clean = corpus_mod.load_corpus(cfg["input"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
-    noisy = corpus_mod.inject_errors(clean, confusion, rate, int(cfg["seed"]))
-    corpus_mod.save_corpus(noisy, os.path.join(outdir, "injected.tsv"))
-    _write_resolved(cfg, "inject", outdir)
-    print(f"injected {len(noisy)} samples -> {os.path.join(outdir, 'injected.tsv')}")
+    noisy = corpus_mod.inject_errors(clean, confusion, cfg["rate"], cfg["seed"])
+    corpus_mod.save_corpus(noisy, os.path.join(cfg["out"], "injected.tsv"))
+    print(f"injected {len(noisy)} samples -> {os.path.join(cfg['out'], 'injected.tsv')}")
     return 0
 
 
@@ -154,73 +185,57 @@ def _score_records(cfg: dict, train_corpus: corpus_mod.Corpus,
     if policy == "char_similarity":
         if not cfg.get("confusion"):
             raise ConfigError("char_similarity scoring needs --confusion")
-        _require_paths(cfg, ["confusion"])
         confusion = corpus_mod.load_confusion_set(cfg["confusion"])
         return diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
-    raise ConfigError(f"unknown scoring policy {policy!r}")
+    raise ConfigError(f"unknown scoring policy {policy!r} for --policy")
 
 
 def cmd_score(cfg: dict) -> int:
-    _require(cfg, ["train", "policy", "out"], "score")
-    _require_paths(cfg, ["train"])
-    outdir = _outdir(cfg)
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     records = _score_records(cfg, train_corpus, cfg["policy"])
-    diff.save_records(records, os.path.join(outdir, "difficulty.tsv"))
-    _write_resolved(cfg, "score", outdir)
-    print(f"scored {len(records)} samples -> {os.path.join(outdir, 'difficulty.tsv')}")
+    diff.save_records(records, os.path.join(cfg["out"], "difficulty.tsv"))
+    print(f"scored {len(records)} samples -> {os.path.join(cfg['out'], 'difficulty.tsv')}")
     return 0
 
 
 def cmd_arrange(cfg: dict) -> int:
-    _require(cfg, ["policy", "out"], "arrange")
     policy = cfg["policy"]
     if policy not in cur.ARRANGEMENTS:
         raise ConfigError(
             f"unknown arrangement policy {policy!r} (expected one of {cur.ARRANGEMENTS})"
         )
-    outdir = _outdir(cfg)
     records = None
-    if policy in cur.SCORED:
-        _require(cfg, ["scores"], "arrange")
+    if policy in cur.SCORED and not cfg.get("scores"):
+        raise ConfigError(f"arrange: policy {policy!r} needs --scores")
     if cfg.get("scores"):
-        _require_paths(cfg, ["scores"])
         records = diff.load_records(cfg["scores"])
         ids = [r.sample_id for r in records]
         name = cfg["scores"]
     elif cfg.get("train"):
-        _require_paths(cfg, ["train"])
         ids = corpus_mod.load_corpus(cfg["train"]).ids()
         name = cfg["train"]
     else:
         raise ConfigError("arrange: need --scores or --train as the sample-id source")
-    manifest = cur.arrange(policy, ids, records, int(cfg["k"]), int(cfg["seed"]), name)
+    manifest = cur.arrange(policy, ids, records, cfg["k"], cfg["seed"], name)
 
-    cur.save_manifest(manifest, os.path.join(outdir, "manifest.jsonl"))
-    _write_resolved(cfg, "arrange", outdir)
-    print(f"arranged {len(manifest.stages)} stages -> {os.path.join(outdir, 'manifest.jsonl')}")
+    cur.save_manifest(manifest, os.path.join(cfg["out"], "manifest.jsonl"))
+    print(f"arranged {len(manifest.stages)} stages -> "
+          f"{os.path.join(cfg['out'], 'manifest.jsonl')}")
     return 0
 
 
 def cmd_train(cfg: dict) -> int:
-    _require(cfg, ["manifest", "train", "confusion", "out"], "train")
-    _require_paths(cfg, ["manifest", "train", "confusion"])
-    outdir = _outdir(cfg)
     manifest = cur.load_manifest(cfg["manifest"])
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
     model = mod.train(manifest, train_corpus, confusion)
-    mod.save_model(model, os.path.join(outdir, "model.tsv"))
-    _write_resolved(cfg, "train", outdir)
+    mod.save_model(model, os.path.join(cfg["out"], "model.tsv"))
     print(f"trained: {model.updates_seen} updates, "
-          f"{len(model.averaged_weights)} features -> {os.path.join(outdir, 'model.tsv')}")
+          f"{len(model.averaged_weights)} features -> {os.path.join(cfg['out'], 'model.tsv')}")
     return 0
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    _require(cfg, ["model", "test", "confusion", "out"], "evaluate")
-    _require_paths(cfg, ["model", "test", "confusion"])
-    outdir = _outdir(cfg)
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
     model = mod.load_model(cfg["model"], confusion)
     test_corpus = corpus_mod.load_corpus(cfg["test"])
@@ -229,8 +244,7 @@ def cmd_evaluate(cfg: dict) -> int:
     preds = mod.predict_corpus(model, test_corpus)
     reports = [met.evaluate(preds, test_corpus, level) for level in met.LEVELS]
     table = met.reports_to_tsv(reports)
-    _write_text(os.path.join(outdir, "report.tsv"), table)
-    _write_resolved(cfg, "evaluate", outdir)
+    corpus_mod.write_text(os.path.join(cfg["out"], "report.tsv"), table)
     print(table, end="")
     return 0
 
@@ -238,7 +252,6 @@ def cmd_evaluate(cfg: dict) -> int:
 def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     """``{(mode, k, seed): (detection F1, correction F1)}`` for the given keys;
     scores the training corpus only under the difficulty policies the modes read."""
-    _require_paths(cfg, ["train", "test", "confusion"])
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     test_corpus = corpus_mod.load_corpus(cfg["test"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
@@ -282,12 +295,7 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 
 
 def cmd_ablate(cfg: dict) -> int:
-    _require(cfg, ["train", "test", "confusion", "out"], "ablate")
-    outdir = _outdir(cfg)
-    seeds = _parse_int_list(cfg["seeds"])
-    if not seeds:
-        raise ConfigError("ablate: --seeds must be non-empty")
-    k = int(cfg["k"])
+    seeds, k = cfg["seeds"], cfg["k"]
     grid = _run_grid(cfg, [(mode, k, seed) for mode in ABLATION_MODES for seed in seeds])
 
     lines = ["mode\tseeds\tdetection_f1_mean\tcorrection_f1_mean\tcorrection_f1_sd\tdelta_f1"]
@@ -303,25 +311,15 @@ def cmd_ablate(cfg: dict) -> int:
             f"\t{corr_sd:.4f}\t{corr_mean - baseline_mean:+.4f}"
         )
     table = "\n".join(lines) + "\n"
-    _write_text(os.path.join(outdir, "ablation.tsv"), table)
-    _write_resolved(cfg, "ablate", outdir)
+    corpus_mod.write_text(os.path.join(cfg["out"], "ablation.tsv"), table)
     print(table, end="")
     return 0
 
 
 def cmd_sweep_k(cfg: dict) -> int:
-    _require(cfg, ["train", "test", "confusion", "k_values", "out"], "sweep-k")
-    outdir = _outdir(cfg)
-    seeds = _parse_int_list(cfg["seeds"])
-    k_values = _parse_int_list(cfg["k_values"])
-    if not seeds:
-        raise ConfigError("sweep-k: --seeds must be non-empty")
-    if not k_values:
-        raise ConfigError("sweep-k: --k-values must be non-empty")
+    seeds, k_values = cfg["seeds"], cfg["k_values"]
     if len(set(k_values)) != len(k_values):
         raise ConfigError(f"sweep-k: duplicate k values in {k_values}")
-    if any(k < 1 for k in k_values):
-        raise ConfigError(f"sweep-k: k values must be >= 1, got {k_values}")
     mode = "annealing_contextual"
     grid = _run_grid(cfg, [(mode, k, seed) for k in k_values for seed in seeds])
 
@@ -330,94 +328,46 @@ def cmd_sweep_k(cfg: dict) -> int:
         mean, sd = _mean_sd([grid[(mode, k, seed)][1] for seed in seeds])
         lines.append(f"{k}\t{len(seeds)}\t{mean:.4f}\t{sd:.4f}")
     table = "\n".join(lines) + "\n"
-    _write_text(os.path.join(outdir, "sweep.tsv"), table)
-    _write_resolved(cfg, "sweep-k", outdir)
+    corpus_mod.write_text(os.path.join(cfg["out"], "sweep.tsv"), table)
     print(table, end="")
     return 0
 
 
-# --- argument parsing --------------------------------------------------------------
+# --- command table and argument parsing ----------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory")
+_PROVIDER = ("provider", "window", "dim", "embeddings")
 
-
-def _add_provider(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--provider", choices=["hashed", "file"],
-                   help="embedding provider (default hashed)")
-    p.add_argument("--window", type=int, help="hashed provider context window (default 2)")
-    p.add_argument("--dim", type=int, help="hashed provider dimension (default 64)")
-    p.add_argument("--embeddings", help="embedding file for provider 'file'")
+# command -> (function, help, required options, other options)
+COMMANDS = {
+    "inject": (cmd_inject, "corrupt a clean corpus via confusion-set substitution",
+               ("input", "confusion", "out"), ("rate", "seed")),
+    "score": (cmd_score, "write per-sample difficulty scores",
+              ("train", "policy", "out"), ("confusion",) + _PROVIDER),
+    "arrange": (cmd_arrange, "build a stage manifest from difficulty scores",
+                ("policy", "out"), ("scores", "train", "k", "seed")),
+    "train": (cmd_train, "train the corrector over a manifest",
+              ("manifest", "train", "confusion", "out"), ()),
+    "evaluate": (cmd_evaluate, "sentence-level detection/correction report",
+                 ("model", "test", "confusion", "out"), ()),
+    "ablate": (cmd_ablate, "run all ordering modes over seeds and compare",
+               ("train", "test", "confusion", "out"), ("k", "seeds") + _PROVIDER),
+    "sweep-k": (cmd_sweep_k, "correction F1 as a function of k",
+                ("train", "test", "confusion", "k_values", "out"), ("seeds",) + _PROVIDER),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags only; ``resolve_config`` converts and checks every value."""
     parser = argparse.ArgumentParser(
         prog="spellcl",
         description="Curriculum ordering, training, and evaluation for spell-checking data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("inject", help="corrupt a clean corpus via confusion-set substitution")
-    p.add_argument("--input", help="clean corpus TSV (source == target)")
-    p.add_argument("--confusion", help="confusion set TSV")
-    p.add_argument("--rate", type=float, help="per-character corruption probability (default 0.1)")
-    p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_inject)
-
-    p = sub.add_parser("score", help="write per-sample difficulty scores")
-    p.add_argument("--train", help="training corpus TSV")
-    p.add_argument("--policy", choices=["contextual", "char_similarity"],
-                   help="difficulty policy")
-    p.add_argument("--confusion", help="confusion set TSV (char_similarity)")
-    _add_provider(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("arrange", help="build a stage manifest from difficulty scores")
-    p.add_argument("--scores", help="difficulty TSV from 'score'")
-    p.add_argument("--train", help="corpus TSV (id source for id-based policies)")
-    p.add_argument("--policy", help="arrangement policy: " + ", ".join(cur.ARRANGEMENTS))
-    p.add_argument("--k", type=int, help="number of subsets/stages (default 4)")
-    p.add_argument("--seed", type=int, help="shuffle seed (default 0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_arrange)
-
-    p = sub.add_parser("train", help="train the corrector over a manifest")
-    p.add_argument("--manifest", help="manifest JSONL from 'arrange'")
-    p.add_argument("--train", help="training corpus TSV")
-    p.add_argument("--confusion", help="confusion set TSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="sentence-level detection/correction report")
-    p.add_argument("--model", help="model TSV from 'train'")
-    p.add_argument("--test", help="test corpus TSV")
-    p.add_argument("--confusion", help="confusion set TSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="run all ordering modes over seeds and compare")
-    p.add_argument("--train", help="training corpus TSV")
-    p.add_argument("--test", help="test corpus TSV")
-    p.add_argument("--confusion", help="confusion set TSV")
-    p.add_argument("--k", type=int, help="subsets for staged modes (default 4)")
-    p.add_argument("--seeds", help="comma-separated seeds, e.g. 0,1,2")
-    _add_provider(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep-k", help="correction F1 as a function of k")
-    p.add_argument("--train", help="training corpus TSV")
-    p.add_argument("--test", help="test corpus TSV")
-    p.add_argument("--confusion", help="confusion set TSV")
-    p.add_argument("--k-values", dest="k_values", help="comma-separated k values, e.g. 1,2,4,8")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    _add_provider(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_k)
-
+    for command, (_, help_text, required, optional) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in required + optional:
+            p.add_argument(_flag(name), dest=name, help=OPTIONS[name].help)
+        p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 
@@ -429,7 +379,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         cfg = resolve_config(args)
-        return args.func(cfg)
+        os.makedirs(cfg["out"], exist_ok=True)
+        code = COMMANDS[args.command][0](cfg)
+        _write_resolved(cfg, args.command)
+        return code
     except (ConfigError, KTooLarge, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,10 +97,23 @@ class ConfusionSet:
         return isinstance(other, ConfusionSet) and self._map == other._map
 
 
-# --- parsing and serialization ---------------------------------------------
+# --- text files ----------------------------------------------------------------
 
-def _numbered_lines(text: str):
-    """(line number, line) pairs; MalformedLine for a leading BOM or a CRLF ending."""
+def read_text(path) -> str:
+    """A whole artifact as text; text-mode reading turns CRLF line endings into LF."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    """Write an artifact as UTF-8 without byte-order mark, with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def numbered_lines(text: str):
+    """(line number, line) for every non-empty line; MalformedLine for a
+    leading byte-order mark or a CRLF ending."""
     if text.startswith("\ufeff"):
         raise MalformedLine(
             "line 1: file starts with a UTF-8 byte-order mark; save it as UTF-8 without BOM"
@@ -110,8 +123,11 @@ def _numbered_lines(text: str):
             raise MalformedLine(
                 f"line {line_no}: CRLF line ending; the format requires LF line endings"
             )
-        yield line_no, line
+        if line != "":
+            yield line_no, line
 
+
+# --- parsing and serialization ---------------------------------------------
 
 def parse_corpus(text: str, name: str = "") -> Corpus:
     """Parse a TSV document into a Corpus; line order is preserved.
@@ -122,9 +138,7 @@ def parse_corpus(text: str, name: str = "") -> Corpus:
     """
     samples = []
     seen: set[str] = set()
-    for line_no, line in _numbered_lines(text):
-        if line == "":
-            continue
+    for line_no, line in numbered_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(
@@ -149,14 +163,11 @@ def corpus_to_tsv(corpus: Corpus) -> str:
 
 
 def load_corpus(path, name: str | None = None) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_corpus(text, name=name if name is not None else str(path))
+    return parse_corpus(read_text(path), name=name if name is not None else str(path))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(corpus_to_tsv(corpus))
+    write_text(path, corpus_to_tsv(corpus))
 
 
 def parse_confusion_set(text: str) -> ConfusionSet:
@@ -166,9 +177,7 @@ def parse_confusion_set(text: str) -> ConfusionSet:
     Raises MalformedLine for a byte-order mark, CRLF, or a malformed line.
     """
     entries: dict[str, set[str]] = {}
-    for line_no, line in _numbered_lines(text):
-        if line == "":
-            continue
+    for line_no, line in numbered_lines(text):
         fields = line.split("\t")
         if len(fields) != 2 or len(fields[0]) != 1:
             raise MalformedLine(
@@ -180,8 +189,7 @@ def parse_confusion_set(text: str) -> ConfusionSet:
 
 
 def load_confusion_set(path) -> ConfusionSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_confusion_set(fh.read())
+    return parse_confusion_set(read_text(path))
 
 
 def confusion_to_tsv(confusion: ConfusionSet) -> str:

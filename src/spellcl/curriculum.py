@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .corpus import numbered_lines, read_text, write_text
 from .difficulty import DifficultyRecord
 from .errors import EmptyInput, KTooLarge, MalformedManifest
 from .rng import shuffled
@@ -175,13 +176,14 @@ def manifest_to_jsonl(manifest: CurriculumManifest) -> str:
 
 
 def parse_manifest(text: str) -> CurriculumManifest:
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    lines = list(numbered_lines(text))
     if not lines:
         raise MalformedManifest("empty manifest document")
+    meta_line_no, meta_line = lines[0]
     try:
-        meta = json.loads(lines[0])
+        meta = json.loads(meta_line)
     except json.JSONDecodeError as exc:
-        raise MalformedManifest(f"line 1: {exc}")
+        raise MalformedManifest(f"line {meta_line_no}: {exc}")
     for key in ("policy", "k", "seed", "corpus"):
         if key not in meta:
             raise MalformedManifest(f"metadata missing {key!r}")
@@ -189,7 +191,7 @@ def parse_manifest(text: str) -> CurriculumManifest:
         raise MalformedManifest(f"unknown policy {meta['policy']!r}")
 
     stages = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -213,10 +215,8 @@ def parse_manifest(text: str) -> CurriculumManifest:
 
 
 def load_manifest(path) -> CurriculumManifest:
-    with open(path, encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+    return parse_manifest(read_text(path))
 
 
 def save_manifest(manifest: CurriculumManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest_to_jsonl(manifest))
+    write_text(path, manifest_to_jsonl(manifest))

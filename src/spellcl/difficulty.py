@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ConfusionSet, Corpus, Sample
+from .corpus import ConfusionSet, Corpus, Sample, numbered_lines, read_text, write_text
 from .embed import ContextualEmbedding
 from .errors import MalformedLine, ShapeMismatch, ZeroNormVector
 
@@ -112,9 +112,7 @@ def records_to_tsv(records: list[DifficultyRecord]) -> str:
 
 def parse_records(text: str) -> list[DifficultyRecord]:
     records = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line == "":
-            continue
+    for line_no, line in numbered_lines(text):
         fields = line.split("\t")
         if len(fields) != 3 or fields[2] not in POLICIES:
             raise MalformedLine(f"line {line_no}: expected 'id<TAB>score<TAB>policy'")
@@ -127,10 +125,8 @@ def parse_records(text: str) -> list[DifficultyRecord]:
 
 
 def load_records(path) -> list[DifficultyRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_records(fh.read())
+    return parse_records(read_text(path))
 
 
 def save_records(records: list[DifficultyRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_to_tsv(records))
+    write_text(path, records_to_tsv(records))

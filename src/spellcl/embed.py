@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import hash_embed
-from .corpus import Corpus, Sample
+from .corpus import Corpus, Sample, numbered_lines, read_text
 from .errors import DimMismatch, MalformedLine, MissingEmbedding, MissingPosition
 
 SIDES = ("source", "target")
@@ -87,20 +87,19 @@ class FileEmbeddingProvider:
 
 def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
     """Parse an embedding document into a (sample_id, side) -> embedding map."""
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("dim="):
+    lines = numbered_lines(text)
+    first_no, first = next(lines, (1, ""))
+    if first_no != 1 or not first.startswith("dim="):
         raise MalformedLine("line 1: expected header 'dim=<d>'")
     try:
-        dim = int(lines[0][4:])
+        dim = int(first[4:])
     except ValueError:
-        raise MalformedLine(f"line 1: bad dimension in header {lines[0]!r}")
+        raise MalformedLine(f"line 1: bad dimension in header {first!r}")
     if dim < 1:
         raise MalformedLine(f"line 1: dimension must be positive, got {dim}")
 
     rows: dict[tuple[str, str], dict[int, np.ndarray]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
+    for line_no, line in lines:
         fields = line.split("\t")
         if len(fields) != 4:
             raise MalformedLine(f"line {line_no}: expected 4 tab-separated fields")
@@ -134,8 +133,7 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
 
 
 def load_embeddings(path) -> FileEmbeddingProvider:
-    with open(path, encoding="utf-8") as fh:
-        return FileEmbeddingProvider(parse_embeddings(fh.read()))
+    return FileEmbeddingProvider(parse_embeddings(read_text(path)))
 
 
 def embeddings_to_text(table: dict[tuple[str, str], ContextualEmbedding], dim: int) -> str:

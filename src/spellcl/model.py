@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .corpus import ConfusionSet, Corpus, Sample, derive_error_positions
+from .corpus import (
+    ConfusionSet, Corpus, Sample, derive_error_positions, numbered_lines, read_text, write_text,
+)
 from .curriculum import CurriculumManifest
 from .errors import MalformedLine, UnknownSampleId
 
@@ -264,11 +266,12 @@ def model_to_tsv(model: CorrectorModel) -> str:
 
 
 def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("# spellcl-model"):
+    lines = numbered_lines(text)
+    first_no, first = next(lines, (1, ""))
+    if first_no != 1 or not first.startswith("# spellcl-model"):
         raise MalformedLine("line 1: expected '# spellcl-model' header")
     header = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
+        part.split("=", 1) for part in first.split() if "=" in part
     )
     try:
         schema = int(header["schema"])
@@ -282,9 +285,7 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
             f"line 1: model was trained with window={window}; features use window={WINDOW}"
         )
     averaged: dict[str, float] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
+    for line_no, line in lines:
         fields = line.split("\t")
         if len(fields) != 2:
             raise MalformedLine(f"line {line_no}: expected 'feature<TAB>weight'")
@@ -297,10 +298,8 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
 
 
 def save_model(model: CorrectorModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_tsv(model))
+    write_text(path, model_to_tsv(model))
 
 
 def load_model(path, confusion: ConfusionSet) -> CorrectorModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read(), confusion)
+    return parse_model(read_text(path), confusion)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: pipelines, config handling, exit codes."""
 
+import argparse
 import json
 import os
 
@@ -400,6 +401,102 @@ class TestConfig:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 2
 
+    def test_keys_of_other_commands_are_ignored(self, workdir):
+        # one shared pipeline config serves every command that reads it
+        cfg = {"train": str(workdir["train"]), "test": str(workdir["test"]),
+               "policy": "contextual", "k": 3, "seeds": [0, 1], "rate": 0.5}
+        cfg_path = workdir["root"] / "shared.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = workdir["root"] / "shared"
+        assert run("score", "--config", cfg_path, "--out", out) == 0
+        resolved = json.loads((out / "score_config.json").read_text(encoding="utf-8"))
+        assert not {"test", "k", "seeds", "rate"} & set(resolved)
+
+    def test_score_record_holds_only_score_options(self, workdir):
+        out = workdir["root"] / "rec"
+        assert run("score", "--train", workdir["train"], "--policy", "contextual",
+                   "--out", out) == 0
+        resolved = json.loads((out / "score_config.json").read_text(encoding="utf-8"))
+        assert set(resolved) == {"command", "train", "policy", "provider", "window",
+                                 "dim", "out"}
+        assert not {"k", "rate", "seed", "seeds"} & set(resolved)
+
+    def _pipeline(self, workdir, root):
+        assert run("inject", "--input", workdir["clean"], "--confusion", workdir["confusion"],
+                   "--rate", "0.3", "--seed", "2", "--out", root) == 0
+        assert run("score", "--train", root / "injected.tsv", "--policy", "contextual",
+                   "--dim", "32", "--out", root) == 0
+        assert run("arrange", "--scores", root / "difficulty.tsv", "--policy", "annealing",
+                   "--k", "3", "--seed", "1", "--out", root) == 0
+        assert run("train", "--manifest", root / "manifest.jsonl", "--train",
+                   root / "injected.tsv", "--confusion", workdir["confusion"],
+                   "--out", root) == 0
+        assert run("evaluate", "--model", root / "model.tsv", "--test", workdir["test"],
+                   "--confusion", workdir["confusion"], "--out", root) == 0
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("inject", "injected.tsv"), ("score", "difficulty.tsv"),
+        ("arrange", "manifest.jsonl"), ("train", "model.tsv"),
+        ("evaluate", "report.tsv"),
+    ])
+    def test_record_reruns_the_command(self, workdir, command, artifact):
+        first, again = workdir["root"] / "first", workdir["root"] / "again"
+        self._pipeline(workdir, first)
+        assert run(command, "--config", first / f"{command}_config.json",
+                   "--out", again) == 0
+        assert (again / artifact).read_bytes() == (first / artifact).read_bytes()
+
+    def _usage_error(self, capsys, *argv) -> str:
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def test_bad_values_are_usage_errors(self, workdir, capsys):
+        x = workdir["root"] / "x"
+        scores = workdir["root"] / "scores.tsv"
+        scores.write_text("a\t0.5\tcontextual\nb\t1.5\tcontextual\n", encoding="utf-8")
+        score = ("score", "--train", workdir["train"], "--policy", "contextual", "--out", x)
+        assert "--k" in self._usage_error(capsys, "arrange", "--scores", scores, "--policy",
+                                          "annealing", "--k", "0", "--out", x)
+        assert "--dim" in self._usage_error(capsys, *score, "--dim", "1")
+        assert "--window" in self._usage_error(capsys, *score, "--window", "200")
+        assert "--policy" in self._usage_error(capsys, "score", "--train", workdir["train"],
+                                               "--policy", "bogus", "--out", x)
+        assert "provider" in self._usage_error(capsys, *score, "--provider", "bogus")
+        # an optional input file is checked when it is given
+        assert "--confusion" in self._usage_error(capsys, *score, "--confusion",
+                                                  workdir["root"] / "nope.tsv")
+
+    def test_bad_config_values_are_usage_errors(self, workdir, capsys):
+        x = workdir["root"] / "x"
+        bad_k = workdir["root"] / "bad_k.json"
+        bad_k.write_text('{"k": "x"}', encoding="utf-8")
+        assert "--k" in self._usage_error(capsys, "arrange", "--config", bad_k, "--train",
+                                          workdir["train"], "--policy", "random_stages",
+                                          "--out", x)
+        bad_seeds = workdir["root"] / "bad_seeds.json"
+        bad_seeds.write_text('{"seeds": "a,b"}', encoding="utf-8")
+        assert "--seeds" in self._usage_error(capsys, "ablate", "--config", bad_seeds,
+                                              "--train", workdir["train"], "--test",
+                                              workdir["test"], "--confusion",
+                                              workdir["confusion"], "--out", x)
+        score = ("score", "--train", workdir["train"], "--policy", "contextual", "--out", x)
+        not_object = workdir["root"] / "number.json"
+        not_object.write_text("5", encoding="utf-8")
+        assert "JSON object" in self._usage_error(capsys, *score, "--config", not_object)
+        assert "bad config file" in self._usage_error(capsys, *score, "--config",
+                                                      workdir["root"] / "nope.json")
+
+    def test_config_of_another_command_is_usage_error(self, workdir, capsys):
+        first = workdir["root"] / "first"
+        assert run("score", "--train", workdir["train"], "--policy", "contextual",
+                   "--out", first) == 0
+        err = self._usage_error(capsys, "train", "--config", first / "score_config.json",
+                                "--out", workdir["root"] / "x")
+        assert "'score'" in err
+
     def test_data_error_exits_one(self, workdir):
         # a structurally broken corpus is a data error, not a usage error
         bad = workdir["root"] / "bad.tsv"
@@ -433,3 +530,49 @@ class TestFileProvider:
     def test_file_provider_without_embeddings_flag(self, workdir):
         assert run("score", "--train", workdir["train"], "--policy", "contextual",
                    "--provider", "file", "--out", workdir["root"] / "x") == 2
+
+
+# ===========================================================================
+# flag surface
+# ===========================================================================
+
+class TestSurface:
+    """Pins every subcommand's flags and the defaults, so none changes silently."""
+
+    FLAGS = {
+        "inject": {"--input", "--confusion", "--rate", "--seed"},
+        "score": {"--train", "--policy", "--confusion", "--provider", "--window", "--dim",
+                  "--embeddings"},
+        "arrange": {"--scores", "--train", "--policy", "--k", "--seed"},
+        "train": {"--manifest", "--train", "--confusion"},
+        "evaluate": {"--model", "--test", "--confusion"},
+        "ablate": {"--train", "--test", "--confusion", "--k", "--seeds", "--provider",
+                   "--window", "--dim", "--embeddings"},
+        "sweep-k": {"--train", "--test", "--confusion", "--k-values", "--seeds",
+                    "--provider", "--window", "--dim", "--embeddings"},
+    }
+
+    def test_flags_per_subcommand(self):
+        from spellcl.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.FLAGS)
+        for command, parser in sub.choices.items():
+            flags = {opt for action in parser._actions for opt in action.option_strings}
+            assert flags == self.FLAGS[command] | {"-h", "--help", "--config", "--out"}, command
+
+    def test_config_keys(self):
+        from spellcl.cli import OPTIONS
+
+        assert set(OPTIONS) == {
+            "train", "test", "confusion", "input", "scores", "manifest", "model",
+            "embeddings", "provider", "window", "dim", "policy", "k", "k_values",
+            "seed", "seeds", "rate", "out",
+        }
+
+    def test_defaults(self):
+        from spellcl.cli import _DEFAULTS
+
+        assert _DEFAULTS == {"provider": "hashed", "window": 2, "dim": 64, "k": 4,
+                             "seed": 0, "seeds": [0], "rate": 0.1}

@@ -16,7 +16,7 @@ from spellcl.curriculum import (
     parse_manifest,
 )
 from spellcl.difficulty import DifficultyRecord
-from spellcl.errors import EmptyInput, KTooLarge, MalformedManifest
+from spellcl.errors import EmptyInput, KTooLarge, MalformedLine, MalformedManifest
 
 
 def recs(scores: dict[str, float]) -> list[DifficultyRecord]:
@@ -262,6 +262,26 @@ class TestManifestFile:
     def test_not_json(self):
         with pytest.raises(MalformedManifest):
             parse_manifest("not json at all\n")
+
+    def test_byte_order_mark_names_the_cause(self):
+        doc = '\ufeff{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
+        with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
+            parse_manifest(doc)
+
+    def test_crlf_names_the_cause(self):
+        doc = ('{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\r\n'
+               '{"stage": 1, "ids": ["a"]}\r\n')
+        with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
+            parse_manifest(doc)
+
+    def test_line_numbers_count_blank_lines(self):
+        doc = (
+            '{"policy": "annealing", "k": 2, "seed": 0, "corpus": ""}\n'
+            '\n'
+            '{"stage": 2, "ids": ["a"]}\n'
+        )
+        with pytest.raises(MalformedManifest, match="line 3: expected stage 1, got 2"):
+            parse_manifest(doc)
 
     @given(st.builds(
         CurriculumManifest,

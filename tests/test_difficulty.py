@@ -221,9 +221,19 @@ class TestDifficultyFile:
         with pytest.raises(MalformedLine):
             parse_records("s1\t0.5\tbogus_policy\n")
 
+    def test_byte_order_mark_names_the_cause(self):
+        # without the check, the first ID would silently read '\ufeffs1'
+        with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
+            parse_records("\ufeffs1\t0.5\tcontextual\n")
+
+    def test_crlf_names_the_cause(self):
+        with pytest.raises(MalformedLine, match="line 2: CRLF line ending"):
+            parse_records("s1\t0.5\tcontextual\ns2\t0.5\tcontextual\r\n")
+
+    # A byte-order mark is rejected when an ID starting with one comes first.
     @given(st.lists(st.builds(
         DifficultyRecord,
-        st.text(alphabet=st.characters(exclude_characters="\t\n"), max_size=6),
+        st.text(alphabet=st.characters(exclude_characters="\t\n\ufeff"), max_size=6),
         st.floats(-1e6, 1e6),
         st.sampled_from(POLICIES),
     ), max_size=8))

@@ -166,6 +166,19 @@ class TestEmbeddingFile:
         with pytest.raises(MalformedLine):
             parse_embeddings("s1\tsource\t0\t1.0\n")
 
+    def test_header_must_be_line_one(self):
+        with pytest.raises(MalformedLine, match="line 1: expected header 'dim=<d>'"):
+            parse_embeddings("\ndim=1\ns1\tsource\t0\t1.0\n")
+
+    def test_byte_order_mark_names_the_cause(self):
+        with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
+            parse_embeddings("\ufeffdim=1\ns1\tsource\t0\t1.0\n")
+
+    def test_crlf_names_the_cause(self):
+        # without the check, int() and float() strip the '\r' and the file loads
+        with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
+            parse_embeddings("dim=1\r\ns1\tsource\t0\t1.0\r\n")
+
     def test_bad_side(self):
         with pytest.raises(MalformedLine):
             parse_embeddings("dim=1\ns1\tmiddle\t0\t1.0\n")

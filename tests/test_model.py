@@ -371,6 +371,19 @@ class TestModelFile:
         with pytest.raises(MalformedLine, match="window=5"):
             parse_model("# spellcl-model schema=1 window=5\nKEEP\t-1.0\n", confusion)
 
+    def test_header_must_be_line_one(self):
+        with pytest.raises(MalformedLine, match="line 1: expected '# spellcl-model' header"):
+            parse_model("\n# spellcl-model schema=1 window=2\nKEEP\t-1.0\n", ConfusionSet())
+
+    def test_byte_order_mark_names_the_cause(self):
+        with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
+            parse_model("\ufeff# spellcl-model schema=1 window=2\nKEEP\t-1.0\n", ConfusionSet())
+
+    def test_crlf_names_the_cause(self):
+        # without the check, int() and float() strip the '\r' and the file loads
+        with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
+            parse_model("# spellcl-model schema=1 window=2\r\nKEEP\t-1.0\r\n", ConfusionSet())
+
     @given(st.dictionaries(st.text(alphabet=st.characters(exclude_characters="\t\n")),
                            st.floats(allow_nan=False), max_size=8))
     def test_roundtrip_random(self, averaged):
