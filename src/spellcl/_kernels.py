@@ -12,6 +12,9 @@ Encoding fields read (``CorpusEncoding``, model.py): ``train_pass`` reads
 ``samp_pos_start``, ``pos_slot_start``, ``pos_n_real``, ``pos_gold_slot``,
 ``slot_feat_start`` and ``feat_ids``; ``predict_slots`` reads the same but
 ``samp_pos_start`` and ``pos_gold_slot``, walking every position in order.
+Every feature id indexes the weight array passed in: the caller copies a
+model's weights into the encoding's own feature numbering, 0.0 where the
+model lacks a feature, so there are no unknown ids to skip.
 """
 
 from __future__ import annotations
@@ -123,9 +126,7 @@ def predict_slots(enc, weights) -> np.ndarray:
         for si in range(base, base + pos_n_real[p]):
             sc = 0.0
             for fi in range(slot_feat_start[si], slot_feat_start[si + 1]):
-                f = feat_ids[fi]
-                if f >= 0:
-                    sc += weights[f]
+                sc += weights[feat_ids[fi]]
             if si == base or sc > best_score:
                 best_score = sc
                 best_slot = si

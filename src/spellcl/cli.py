@@ -147,7 +147,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     missing = [_flag(name) for name in required if cfg.get(name, "") == ""]
     if missing:
         raise ConfigError(f"{command}: missing required option(s): {', '.join(missing)}")
-    return {name: _convert(name, value) for name, value in cfg.items()}
+    cfg = {name: _convert(name, value) for name, value in cfg.items()}
+    if os.path.exists(cfg["out"]) and not os.path.isdir(cfg["out"]):
+        raise ConfigError(f"--out: {cfg['out']} exists and is not a directory")
+    return cfg
 
 
 def _write_resolved(cfg: dict, command: str) -> None:
@@ -266,22 +269,33 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
         if policy is not None
     }
     enc_train = mod.encode_corpus(train_corpus, confusion)
-    frozen = mod.FeatureIndex(names=enc_train.feature_index.names, frozen=True)
-    enc_test = mod.encode_corpus(test_corpus, confusion, feature_index=frozen)
+    enc_test = mod.encode_corpus(test_corpus, confusion)
+    rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
     ids = train_corpus.ids()
     results = {}
     for mode, k, seed in keys:
         arrangement, difficulty = ABLATION_MODES[mode]
         manifest = cur.arrange(arrangement, ids, records.get(difficulty), k, seed, cfg["train"])
-        results[(mode, k, seed)] = _run_one(manifest, enc_train, enc_test, test_corpus)
+        results[(mode, k, seed)] = _run_one(manifest, enc_train, enc_test, rows, test_corpus)
     return results
 
 
-def _run_one(manifest, enc_train, enc_test, test_corpus) -> tuple[float, float]:
+def _test_rows(train_names: list[str], test_names: list[str]) -> np.ndarray:
+    """Training row of each test feature, or ``len(train_names)`` for a feature
+    training never saw: the row of the 0.0 that ``_run_one`` appends."""
+    test_ids = {name: i for i, name in enumerate(test_names)}
+    rows = np.full(len(test_names), len(train_names), dtype=np.int64)
+    for row, name in enumerate(train_names):
+        if name in test_ids:
+            rows[test_ids[name]] = row
+    return rows
+
+
+def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, float]:
     # Its own frame, so one run's weights and predictions are freed before
     # the next run trains: peak memory stays that of a single run.
     _, averaged, _ = mod.train_encoded(enc_train, manifest)
-    preds = mod.predict_encoded(enc_test, test_corpus, averaged)
+    preds = mod.predict_encoded(enc_test, test_corpus, np.append(averaged, 0.0)[rows])
     det = met.evaluate(preds, test_corpus, "detection")
     corr = met.evaluate(preds, test_corpus, "correction")
     return det.f1, corr.f1
@@ -379,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         cfg = resolve_config(args)
-        os.makedirs(cfg["out"], exist_ok=True)
         code = COMMANDS[args.command][0](cfg)
         _write_resolved(cfg, args.command)
         return code

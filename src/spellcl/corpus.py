@@ -12,6 +12,7 @@ concatenated.  Self-entries are dropped and repeated heads are merged.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .errors import DuplicateId, LengthMismatch, MalformedLine
@@ -106,7 +107,9 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write an artifact as UTF-8 without byte-order mark, with LF line endings."""
+    """Write an artifact as UTF-8 without byte-order mark, with LF line endings,
+    creating its directory if it does not exist yet."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

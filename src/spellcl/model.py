@@ -11,13 +11,18 @@ experimental variable, so training is strictly sequential and completely
 determined by the manifest.
 
 For speed the corpus is pre-encoded once into flat integer arrays that
-the train and predict kernels in ``_kernels`` walk.  It is the only
-prediction path (``predict`` runs it on a one-sample corpus); the test
-suite's dict-based predictor is the oracle it must agree with exactly.
+the train and predict kernels in ``_kernels`` walk.  Each encoding numbers
+its features in its own table, in first-seen order; a model's averaged
+weights are copied into that numbering (0.0 for a feature the model
+lacks), so the kernels never meet an unknown feature.  The encoding is the
+only prediction path (``predict`` runs it on a one-sample corpus); the
+test suite's dict-based predictor is the oracle it must agree with
+exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +49,6 @@ class Prediction:
 
 @dataclass
 class CorrectorModel:
-    weights: dict[str, float]
     averaged_weights: dict[str, float]
     updates_seen: int
     confusion: ConfusionSet
@@ -76,29 +80,6 @@ def featurize(sequence: str, j: int, candidate: str) -> list[str]:
 
 # --- corpus encoding ----------------------------------------------------------
 
-class FeatureIndex:
-    """String feature key <-> integer id; frozen indexes map unknowns to -1."""
-
-    def __init__(self, names: list[str] | None = None, frozen: bool = False):
-        self.names: list[str] = list(names) if names else []
-        self._index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
-        self.frozen = frozen
-
-    def id_of(self, key: str) -> int:
-        fid = self._index.get(key)
-        if fid is not None:
-            return fid
-        if self.frozen:
-            return -1
-        fid = len(self.names)
-        self._index[key] = fid
-        self.names.append(key)
-        return fid
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
 @dataclass
 class CorpusEncoding:
     """Flat-array view of a corpus for the train/predict kernels.
@@ -106,7 +87,10 @@ class CorpusEncoding:
     Per sample: a contiguous run of positions.  Per position: a run of
     slots - the real candidates in tie-break order, plus one hidden slot
     holding the gold character's features whenever the gold character is
-    not a candidate.  Per slot: a run of feature ids.
+    not a candidate.  Per slot: a run of feature ids.  Ids index the
+    encoding's own feature table, ``feature_index`` (names in first-seen
+    order), so every id is known; a model's weights reach an encoding by
+    being copied into that numbering.
     """
 
     id_to_idx: dict[str, int]
@@ -116,13 +100,12 @@ class CorpusEncoding:
     pos_gold_slot: np.ndarray    # int64, slot index of the gold character
     slot_feat_start: np.ndarray  # int64, len n_slots+1
     slot_char: np.ndarray        # int64, candidate code point per slot
-    feat_ids: np.ndarray         # int64, flattened feature ids (-1 = unknown)
-    feature_index: FeatureIndex
+    feat_ids: np.ndarray         # int64, flattened feature ids
+    feature_index: list[str]     # feature name per id
 
 
-def encode_corpus(corpus: Corpus, confusion: ConfusionSet,
-                  feature_index: FeatureIndex | None = None) -> CorpusEncoding:
-    fx = feature_index if feature_index is not None else FeatureIndex()
+def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
+    ids: dict[str, int] = {}
     samp_pos_start = [0]
     pos_slot_start = [0]
     pos_n_real: list[int] = []
@@ -135,27 +118,17 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet,
         src, tgt = sample.source, sample.target
         for j in range(len(src)):
             cands = candidate_set(src, j, confusion)
-            gold = tgt[j]
-            gold_slot = -1
-            base_slot = len(slot_char)
-            for ci, cand in enumerate(cands):
-                if cand == gold:
-                    gold_slot = base_slot + ci
-                slot_char.append(ord(cand))
-                for key in featurize(src, j, cand):
-                    feat_ids.append(fx.id_of(key))
-                slot_feat_start.append(len(feat_ids))
-            n_real = len(cands)
-            if gold_slot == -1:
+            pos_n_real.append(len(cands))
+            if tgt[j] not in cands:
                 # gold character outside the candidate set: hidden slot so
                 # updates still promote its features
-                gold_slot = base_slot + n_real
-                slot_char.append(ord(gold))
-                for key in featurize(src, j, gold):
-                    feat_ids.append(fx.id_of(key))
+                cands.append(tgt[j])
+            pos_gold_slot.append(len(slot_char) + cands.index(tgt[j]))
+            for cand in cands:
+                slot_char.append(ord(cand))
+                for key in featurize(src, j, cand):
+                    feat_ids.append(ids.setdefault(key, len(ids)))
                 slot_feat_start.append(len(feat_ids))
-            pos_n_real.append(n_real)
-            pos_gold_slot.append(gold_slot)
             pos_slot_start.append(len(slot_char))
         samp_pos_start.append(len(pos_n_real))
 
@@ -168,7 +141,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet,
         slot_feat_start=np.asarray(slot_feat_start, dtype=np.int64),
         slot_char=np.asarray(slot_char, dtype=np.int64),
         feat_ids=np.asarray(feat_ids, dtype=np.int64),
-        feature_index=fx,
+        feature_index=list(ids),
     )
 
 
@@ -210,16 +183,11 @@ def train(manifest: CurriculumManifest, corpus: Corpus,
     deterministic.
     """
     enc = encode_corpus(corpus, confusion)
-    w, averaged, t = train_encoded(enc, manifest)
-    names = enc.feature_index.names
-    weights = {names[i]: float(w[i]) for i in range(len(names)) if w[i] != 0.0}
-    averaged_weights = {
-        names[i]: float(averaged[i]) for i in range(len(names)) if averaged[i] != 0.0
-    }
-    return CorrectorModel(
-        weights=weights, averaged_weights=averaged_weights, updates_seen=t,
-        confusion=confusion,
-    )
+    _, averaged, t = train_encoded(enc, manifest)
+    names = enc.feature_index
+    averaged_weights = {names[i]: float(averaged[i]) for i in np.flatnonzero(averaged)}
+    return CorrectorModel(averaged_weights=averaged_weights, updates_seen=t,
+                          confusion=confusion)
 
 
 # --- prediction ------------------------------------------------------------------
@@ -248,10 +216,14 @@ def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
 
 
 def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
-    """Bulk prediction for a free-standing model (e.g. loaded from disk)."""
-    names = sorted(model.averaged_weights)
-    weights = np.array([model.averaged_weights[n] for n in names], dtype=np.float64)
-    enc = encode_corpus(corpus, model.confusion, feature_index=FeatureIndex(names, frozen=True))
+    """Bulk prediction for a free-standing model (e.g. loaded from disk).
+
+    Looks up only the corpus's own features, so the cost follows the
+    corpus, not the model's size; a feature the model lacks weighs 0.0.
+    """
+    enc = encode_corpus(corpus, model.confusion)
+    aw = model.averaged_weights
+    weights = np.array([aw.get(name, 0.0) for name in enc.feature_index], dtype=np.float64)
     return predict_encoded(enc, corpus, weights)
 
 
@@ -290,11 +262,15 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
         if len(fields) != 2:
             raise MalformedLine(f"line {line_no}: expected 'feature<TAB>weight'")
         try:
-            averaged[fields[0]] = float(fields[1])
+            weight = float(fields[1])
+            if math.isnan(weight):  # loses every comparison: the argmax would skip it
+                raise ValueError
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad weight {fields[1]!r}")
-    return CorrectorModel(weights={}, averaged_weights=averaged, updates_seen=0,
-                          confusion=confusion)
+        if fields[0] in averaged:
+            raise MalformedLine(f"line {line_no}: repeated feature {fields[0]!r}")
+        averaged[fields[0]] = weight
+    return CorrectorModel(averaged_weights=averaged, updates_seen=0, confusion=confusion)
 
 
 def save_model(model: CorrectorModel, path) -> None:

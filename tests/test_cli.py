@@ -497,6 +497,30 @@ class TestConfig:
                                 "--out", workdir["root"] / "x")
         assert "'score'" in err
 
+    def test_out_naming_a_file_is_usage_error(self, workdir, capsys):
+        afile = workdir["root"] / "afile"
+        afile.write_text("keep me\n", encoding="utf-8")
+        err = self._usage_error(capsys, "score", "--train", workdir["train"], "--policy",
+                                "contextual", "--out", afile)
+        assert "--out" in err and "not a directory" in err
+        assert afile.read_text(encoding="utf-8") == "keep me\n"
+
+    def test_rejected_command_creates_no_out_directory(self, workdir, capsys):
+        new1, new2 = workdir["root"] / "newdir", workdir["root"] / "newdir2"
+        self._usage_error(capsys, "score", "--train", workdir["train"], "--policy", "bogus",
+                          "--out", new1)
+        self._usage_error(capsys, "arrange", "--policy", "annealing", "--train",
+                          workdir["train"], "--out", new2)
+        assert not new1.exists() and not new2.exists()
+
+    def test_existing_out_directory_is_written_into(self, workdir, monkeypatch):
+        # the benchmark runs every command with --out .
+        monkeypatch.chdir(workdir["root"])
+        assert run("score", "--train", workdir["train"], "--policy", "contextual",
+                   "--out", ".") == 0
+        assert (workdir["root"] / "difficulty.tsv").exists()
+        assert (workdir["root"] / "score_config.json").exists()
+
     def test_data_error_exits_one(self, workdir):
         # a structurally broken corpus is a data error, not a usage error
         bad = workdir["root"] / "bad.tsv"

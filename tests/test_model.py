@@ -2,9 +2,11 @@
 
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spellcl.cli import _test_rows
 from spellcl.corpus import (
     ConfusionSet,
     Corpus,
@@ -27,14 +29,17 @@ from spellcl.model import (
     CorrectorModel,
     Prediction,
     candidate_set,
+    encode_corpus,
     featurize,
     load_model,
     model_to_tsv,
     parse_model,
     predict,
     predict_corpus,
+    predict_encoded,
     save_model,
     train,
+    train_encoded,
 )
 
 from helpers import (
@@ -76,6 +81,13 @@ def trace_train(manifest, corpus, confusion):
     } if snapshots else {}
     final = {k: v for k, v in w.items() if v != 0.0}
     return final, averaged, len(snapshots)
+
+
+def final_weights(manifest, corpus, confusion):
+    """Non-zero final (not averaged) weights by feature name, from ``train_encoded``."""
+    enc = encode_corpus(corpus, confusion)
+    w, _, _ = train_encoded(enc, manifest)
+    return {name: float(w[i]) for i, name in enumerate(enc.feature_index) if w[i] != 0.0}
 
 
 def reference_predict(model, sample):
@@ -128,13 +140,20 @@ def random_corpus(draw, prefix="s"):
     return Corpus(samples=tuple(samples))
 
 
+CONFUSIONS = st.builds(ConfusionSet, st.dictionaries(
+    st.sampled_from(ALPHABET), st.sets(st.sampled_from(ALPHABET + "Z"), max_size=3),
+    max_size=len(ALPHABET),
+))
+
+# Weights whose sums round differently in different orders (1e16 + 1.0 is
+# 1e16), so a prediction that adds a slot's features out of order shows.
+NON_ASSOCIATIVE = (1e16, -1e16, 1.0, 0.5, 3.0)
+
+
 @st.composite
 def random_setup(draw):
     corpus = draw(random_corpus())
-    confusion = ConfusionSet(draw(st.dictionaries(
-        st.sampled_from(ALPHABET), st.sets(st.sampled_from(ALPHABET + "Z"), max_size=3),
-        max_size=len(ALPHABET),
-    )))
+    confusion = draw(CONFUSIONS)
     scores = draw(st.lists(st.integers(0, 3), min_size=len(corpus), max_size=len(corpus)))
     records = [DifficultyRecord(sid, float(sc), "contextual")
                for sid, sc in zip(corpus.ids(), scores)]
@@ -193,8 +212,7 @@ class TestTrain:
 
     def test_zero_weight_model_keeps_everything(self):
         _, confusion = overfit_fixture()
-        model = CorrectorModel(weights={}, averaged_weights={}, updates_seen=0,
-                               confusion=confusion)
+        model = CorrectorModel(averaged_weights={}, updates_seen=0, confusion=confusion)
         sample = Sample(id="x", source="abcde", target="abcde")
         pred = predict(model, sample)
         assert pred.predicted == "abcde"
@@ -204,14 +222,14 @@ class TestTrain:
         confusion = ConfusionSet({"a": {"c"}, "c": {"a"}})
         corpus = parse_corpus("t1\tab\tcb\n")
         manifest = arrange_shuffled_baseline(["t1"], seed=0)
-        model = train(manifest, corpus, confusion)
 
         def margin(weights):
             gold = sum(weights.get(k, 0.0) for k in featurize("ab", 0, "c"))
             obs = sum(weights.get(k, 0.0) for k in featurize("ab", 0, "a"))
             return gold - obs
 
-        assert margin(model.weights) > 0  # was 0 before the update
+        # was 0 before the update
+        assert margin(final_weights(manifest, corpus, confusion)) > 0
 
     def test_deterministic(self):
         corpus, confusion = small_noisy_setup()
@@ -219,7 +237,8 @@ class TestTrain:
         manifest = arrange_annealing(records, k=3, seed=5)
         a = train(manifest, corpus, confusion)
         b = train(manifest, corpus, confusion)
-        assert a.weights == b.weights
+        assert final_weights(manifest, corpus, confusion) == final_weights(
+            manifest, corpus, confusion)
         assert a.averaged_weights == b.averaged_weights
         assert a.updates_seen == b.updates_seen
 
@@ -230,7 +249,7 @@ class TestTrain:
         final, averaged, n_updates = trace_train(manifest, corpus, confusion)
         assert model.updates_seen == n_updates
         assert n_updates >= 10
-        assert model.weights == final
+        assert final_weights(manifest, corpus, confusion) == final
         assert set(model.averaged_weights) == set(averaged)
         for k, v in averaged.items():
             assert model.averaged_weights[k] == pytest.approx(v, abs=1e-9)
@@ -242,7 +261,7 @@ class TestTrain:
         model = train(manifest, corpus, confusion)
         final, averaged, n_updates = trace_train(manifest, corpus, confusion)
         assert model.updates_seen == n_updates
-        assert model.weights == final
+        assert final_weights(manifest, corpus, confusion) == final
         # the model stores only non-zero averages; an update and its reversal
         # can leave a feature's average at exactly 0 in the trace
         for k in set(model.averaged_weights) | set(averaged):
@@ -261,9 +280,8 @@ class TestTrain:
         records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
         sorted_m = arrange_sorted_only(records, seed=0)
         baseline_m = arrange_shuffled_baseline(corpus.ids(), seed=0)
-        a = train(sorted_m, corpus, confusion)
-        b = train(baseline_m, corpus, confusion)
-        assert a.weights != b.weights
+        assert (final_weights(sorted_m, corpus, confusion)
+                != final_weights(baseline_m, corpus, confusion))
 
 
 # ===========================================================================
@@ -320,6 +338,48 @@ class TestPredict:
         bulk = predict_corpus(model, test_corpus)
         assert bulk == [reference_predict(model, sample) for sample in test_corpus]
 
+    def test_predict_reads_only_the_samples_features(self):
+        # the weight lookup follows the sample, not the model: a weight map
+        # that cannot be iterated still predicts as the oracle does
+        class LookupOnly(dict):
+            def __iter__(self):
+                raise AssertionError("predict walked the model's whole weight map")
+            keys = values = items = __iter__
+
+        corpus, confusion = small_noisy_setup(n_sentences=40, seed=9)
+        model = train(arrange_shuffled_baseline(corpus.ids(), seed=3), corpus, confusion)
+        lookup_only = CorrectorModel(averaged_weights=LookupOnly(model.averaged_weights),
+                                     updates_seen=model.updates_seen, confusion=confusion)
+        preds = [predict(lookup_only, sample) for sample in corpus]
+        assert preds == [reference_predict(model, sample) for sample in corpus]
+        assert any(p.detected_positions for p in preds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_corpus(prefix="t"), CONFUSIONS, st.data())
+    def test_non_associative_weights_match_reference_random(self, corpus, confusion, data):
+        names = sorted({key for s in corpus for j, gold in enumerate(s.target)
+                        for cand in candidate_set(s.source, j, confusion) + [gold]
+                        for key in featurize(s.source, j, cand)})
+        # some of the corpus's features are left out of the model
+        weights = {name: data.draw(st.sampled_from(NON_ASSOCIATIVE)) for name in names
+                   if data.draw(st.booleans())}
+        model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
+        assert predict_corpus(model, corpus) == [reference_predict(model, s) for s in corpus]
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_setup(), random_corpus(prefix="t"))
+    def test_grid_weight_rows_match_reference_random(self, setup, test_corpus):
+        # the experiment grid maps test features to training rows once and
+        # takes each run's averaged weights through that map
+        corpus, confusion, manifest = setup
+        enc_train = encode_corpus(corpus, confusion)
+        enc_test = encode_corpus(test_corpus, confusion)
+        rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+        _, averaged, _ = train_encoded(enc_train, manifest)
+        preds = predict_encoded(enc_test, test_corpus, np.append(averaged, 0.0)[rows])
+        model = train(manifest, corpus, confusion)
+        assert preds == [reference_predict(model, s) for s in test_corpus]
+
     def test_overfit_five_sentences(self):
         corpus, confusion = overfit_fixture()
         records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
@@ -355,8 +415,8 @@ class TestModelFile:
 
     def test_header_carries_window_and_schema(self):
         _, confusion = overfit_fixture()
-        model = CorrectorModel(weights={}, averaged_weights={"KEEP": -1.0},
-                               updates_seen=1, confusion=confusion)
+        model = CorrectorModel(averaged_weights={"KEEP": -1.0}, updates_seen=1,
+                               confusion=confusion)
         header = model_to_tsv(model).splitlines()[0]
         assert "schema=1" in header and "window=2" in header
 
@@ -370,6 +430,19 @@ class TestModelFile:
             parse_model("# spellcl-model schema=99 window=2\n", confusion)
         with pytest.raises(MalformedLine, match="window=5"):
             parse_model("# spellcl-model schema=1 window=5\nKEEP\t-1.0\n", confusion)
+
+    def test_repeated_feature_names_the_line(self):
+        # before, the later row silently won
+        with pytest.raises(MalformedLine, match="line 3: repeated feature 'KEEP'"):
+            parse_model("# spellcl-model schema=1 window=2\nKEEP\t1.0\nKEEP\t-2.0\n",
+                        ConfusionSet())
+
+    def test_nan_weight_names_the_line(self):
+        # a NaN score loses every comparison, so the argmax would silently
+        # favour earlier slots; inf stays a valid weight
+        with pytest.raises(MalformedLine, match="line 3: bad weight 'nan'"):
+            parse_model("# spellcl-model schema=1 window=2\nKEEP\tinf\nC|a\tnan\n",
+                        ConfusionSet())
 
     def test_header_must_be_line_one(self):
         with pytest.raises(MalformedLine, match="line 1: expected '# spellcl-model' header"):
@@ -388,8 +461,7 @@ class TestModelFile:
                            st.floats(allow_nan=False), max_size=8))
     def test_roundtrip_random(self, averaged):
         confusion = ConfusionSet()
-        model = CorrectorModel(weights={}, averaged_weights=averaged, updates_seen=0,
-                               confusion=confusion)
+        model = CorrectorModel(averaged_weights=averaged, updates_seen=0, confusion=confusion)
         text = model_to_tsv(model)
         loaded = parse_model(text, confusion)
         assert loaded.averaged_weights == averaged
