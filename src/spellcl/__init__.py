@@ -40,7 +40,6 @@ from .embed import (
     FileEmbeddingProvider,
     HashedEmbedder,
     embed_corpus,
-    hashed_embed,
     load_embeddings,
 )
 from .metrics import EvalReport, evaluate
@@ -67,7 +66,7 @@ __all__ = [
     "DifficultyRecord", "cosine", "score_char_similarity", "score_contextual",
     "score_corpus",
     "ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder", "embed_corpus",
-    "hashed_embed", "load_embeddings",
+    "load_embeddings",
     "EvalReport", "evaluate",
     "CorrectorModel", "Prediction", "candidate_set", "featurize", "load_model",
     "predict", "predict_corpus", "save_model", "train",

@@ -4,9 +4,13 @@ train/predict passes.
 One implementation each.  The embedder is vectorized over positions per
 window offset; the perceptron passes are plain loops, because an update
 changes the scores of every later position and training must visit
-samples strictly in manifest order.  Every float that matters is an
-integer-valued weight, a sum of signed units, or a sum accumulated in a
-fixed order, so results are bit-identical across runs and platforms.
+samples strictly in manifest order.  The whole perceptron rule lives here:
+both passes pick a slot through one argmax, ``_best_slot``, and
+``train_pass`` owns its weight arrays and returns the averaged weights,
+kept as a step-weighted sum (exact while T(T+1) < 2**53 for T updates).
+Every float that matters is an integer-valued weight, a sum of signed
+units, or a sum accumulated in a fixed order, so results are bit-identical
+across runs and platforms.
 
 Encoding fields read (``CorpusEncoding``, model.py): ``train_pass`` reads
 ``samp_pos_start``, ``pos_slot_start``, ``pos_n_real``, ``pos_gold_slot``,
@@ -67,68 +71,67 @@ def hash_embed(sequence: str, window: int, dim: int) -> np.ndarray:
 # gold character is not a candidate, its features occupy one extra hidden
 # slot that scoring never considers.
 #
-# Averaging bookkeeping: u_acc[f] holds the prefix sum of w[f] snapshots
-# through the last update that touched f (at index last_upd[f]); the final
-# averaged weight is (u_acc[f] + w[f] * (T - last_upd[f])) / T.  Updates
-# are +-1, so every quantity is integer-valued and exact in float64.
+# Averaging (Daume III's step-weighted sum): update t adds +-1 to w[f] and
+# +-t to c[f] for every feature f it touches, so after T updates
+# ((T + 1) * w[f] - c[f]) is the integer sum of w[f] over the T weight
+# vectors the updates left, and dividing it by T gives the averaged weight.
+# |c[f]| <= T(T+1)/2 and |(T + 1) * w[f]| <= T(T+1), so every quantity is
+# an integer held exactly in float64 while T(T+1) < 2**53 (T < 9.4e7).
 
 
-def train_pass(order, enc, w, u_acc, last_upd) -> int:
-    """Run one sequential training pass over ``order``; returns the update count."""
+def _best_slot(first, stop, slot_feat_start, feat_ids, w):
+    """Highest-scoring slot in ``first..stop-1``, the first on ties: slot
+    ``first`` is always taken, a later one only if it scores strictly
+    higher, so a NaN score never wins over it."""
+    best_slot = first
+    best_score = 0.0
+    for si in range(first, stop):
+        sc = 0.0
+        for fi in range(slot_feat_start[si], slot_feat_start[si + 1]):
+            sc += w[feat_ids[fi]]
+        if si == first or sc > best_score:
+            best_score = sc
+            best_slot = si
+    return best_slot
+
+
+def train_pass(order, enc, n_feat) -> tuple[np.ndarray, np.ndarray, int]:
+    """One sequential training pass over the samples in ``order``, from zero
+    weights over ``n_feat`` features; returns (final weights, averaged
+    weights, update count)."""
     samp_pos_start = enc.samp_pos_start
     pos_slot_start = enc.pos_slot_start
     pos_n_real = enc.pos_n_real
     pos_gold_slot = enc.pos_gold_slot
     slot_feat_start = enc.slot_feat_start
     feat_ids = enc.feat_ids
+    w = np.zeros(n_feat, dtype=np.float64)
+    c = np.zeros(n_feat, dtype=np.float64)
     t = 0
     for oi in range(order.shape[0]):
         s = order[oi]
         for p in range(samp_pos_start[s], samp_pos_start[s + 1]):
             base = pos_slot_start[p]
-            best_slot = base
-            best_score = 0.0
-            for si in range(base, base + pos_n_real[p]):
-                sc = 0.0
-                for fi in range(slot_feat_start[si], slot_feat_start[si + 1]):
-                    sc += w[feat_ids[fi]]
-                if si == base or sc > best_score:
-                    best_score = sc
-                    best_slot = si
+            best = _best_slot(base, base + pos_n_real[p], slot_feat_start, feat_ids, w)
             g = pos_gold_slot[p]
-            if best_slot != g:
+            if best != g:
                 t += 1
                 for fi in range(slot_feat_start[g], slot_feat_start[g + 1]):
                     f = feat_ids[fi]
-                    u_acc[f] += w[f] * (t - last_upd[f]) + 1.0
                     w[f] += 1.0
-                    last_upd[f] = t
-                for fi in range(slot_feat_start[best_slot], slot_feat_start[best_slot + 1]):
+                    c[f] += t
+                for fi in range(slot_feat_start[best], slot_feat_start[best + 1]):
                     f = feat_ids[fi]
-                    u_acc[f] += w[f] * (t - last_upd[f]) - 1.0
                     w[f] -= 1.0
-                    last_upd[f] = t
-    return t
+                    c[f] -= t
+    # with no update, w and c are all zero and so is the average
+    return w, ((t + 1) * w - c) / max(t, 1), t
 
 
 def predict_slots(enc, weights) -> np.ndarray:
     """Chosen slot per position of the encoded corpus, in position order."""
-    pos_slot_start = enc.pos_slot_start
-    pos_n_real = enc.pos_n_real
     slot_feat_start = enc.slot_feat_start
     feat_ids = enc.feat_ids
-    n_pos = pos_n_real.shape[0]
-    out_slots = np.empty(n_pos, dtype=np.int64)
-    for p in range(n_pos):
-        base = pos_slot_start[p]
-        best_slot = base
-        best_score = 0.0
-        for si in range(base, base + pos_n_real[p]):
-            sc = 0.0
-            for fi in range(slot_feat_start[si], slot_feat_start[si + 1]):
-                sc += weights[feat_ids[fi]]
-            if si == base or sc > best_score:
-                best_score = sc
-                best_slot = si
-        out_slots[p] = best_slot
-    return out_slots
+    return np.array([_best_slot(base, base + n_real, slot_feat_start, feat_ids, weights)
+                     for base, n_real in zip(enc.pos_slot_start[:-1], enc.pos_n_real)],
+                    dtype=np.int64)

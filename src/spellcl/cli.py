@@ -2,10 +2,11 @@
 plus the ablation and k-sweep experiment drivers.
 
 Two tables drive the command line: ``OPTIONS`` declares every option once
-(type, bounds, help, whether it names an input file) and ``COMMANDS`` lists
-each subcommand's function, help, required options and other options.  The
-parser, the config file, type and bound checks, file checks and the
-resolved-config record are all derived from them.
+(type, bounds, default, help, whether it names an input file) and
+``COMMANDS`` lists each subcommand's function, help, required options and
+other options.  The parser and its help, the config file, defaults, type
+and bound checks, file checks and the resolved-config record are all
+derived from them.
 
 Every command reads an optional JSON config file, applies flag overrides,
 validates, and writes ``<command>_config.json`` next to its outputs.  The
@@ -51,6 +52,7 @@ class Option(NamedTuple):
     lo: float | None = None
     hi: float | None = None
     is_file: bool = False  # an input file, which must exist when given
+    default: object = None  # the value when neither config nor flag gives one
 
 
 OPTIONS = {
@@ -62,32 +64,31 @@ OPTIONS = {
     "manifest": Option("manifest JSONL from 'arrange'", is_file=True),
     "model": Option("model TSV from 'train'", is_file=True),
     "embeddings": Option("embedding file for provider 'file'", is_file=True),
-    "provider": Option("embedding provider: hashed or file (default hashed)"),
-    "window": Option("hashed provider context window (default 2)", int, 0, 127),
-    "dim": Option("hashed provider dimension (default 64)", int, 2),
+    "provider": Option("embedding provider: hashed or file", default="hashed"),
+    "window": Option("hashed provider context window", int, 0, 127, default=2),
+    "dim": Option("hashed provider dimension", int, 2, default=64),
     "policy": Option("score: " + ", ".join(diff.POLICIES)
                      + "; arrange: " + ", ".join(cur.ARRANGEMENTS)),
-    "k": Option("number of subsets/stages (default 4)", int, 1),
+    "k": Option("number of subsets/stages", int, 1, default=4),
     "k_values": Option("comma-separated k values, e.g. 1,2,4,8", list, 1),
-    "seed": Option("PRNG seed (default 0)", int),
-    "seeds": Option("comma-separated seeds, e.g. 0,1,2 (default 0)", list),
-    "rate": Option("per-character corruption probability (default 0.1)", float, 0.0, 1.0),
+    "seed": Option("PRNG seed", int, default=0),
+    "seeds": Option("comma-separated seeds, e.g. 0,1,2", list, default=[0]),
+    "rate": Option("per-character corruption probability", float, 0.0, 1.0, default=0.1),
     "out": Option("output directory"),
-}
-
-_DEFAULTS = {
-    "provider": "hashed",
-    "window": 2,
-    "dim": 64,
-    "k": 4,
-    "seed": 0,
-    "seeds": [0],
-    "rate": 0.1,
 }
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _help(name: str) -> str:
+    """The option's help, ending in its default as the flag would take it."""
+    opt = OPTIONS[name]
+    if opt.default is None:
+        return opt.help
+    shown = ",".join(map(str, opt.default)) if opt.type is list else opt.default
+    return f"{opt.help} (default {shown})"
 
 
 def _convert(name: str, value):
@@ -134,7 +135,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
     _, _, required, optional = COMMANDS[command]
     names = required + optional
-    cfg = {name: _DEFAULTS[name] for name in names if name in _DEFAULTS}
+    cfg = {name: OPTIONS[name].default for name in names
+           if OPTIONS[name].default is not None}
     if args.config:
         loaded = _load_config(args.config)
         if loaded.get("command", command) != command:
@@ -148,8 +150,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if missing:
         raise ConfigError(f"{command}: missing required option(s): {', '.join(missing)}")
     cfg = {name: _convert(name, value) for name, value in cfg.items()}
-    if os.path.exists(cfg["out"]) and not os.path.isdir(cfg["out"]):
-        raise ConfigError(f"--out: {cfg['out']} exists and is not a directory")
+    # the nearest existing ancestor of --out must be a directory, or the
+    # first write would fail after all the work is done
+    out = cfg["out"]
+    while out and not os.path.lexists(out):
+        out = os.path.dirname(out)
+    if out and not os.path.isdir(out):
+        raise ConfigError(f"--out: {out} exists and is not a directory")
     return cfg
 
 
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, required, optional) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in required + optional:
-            p.add_argument(_flag(name), dest=name, help=OPTIONS[name].help)
+            p.add_argument(_flag(name), dest=name, help=_help(name))
         p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 

@@ -40,23 +40,15 @@ class ContextualEmbedding:
         return self.vectors.shape[0]
 
 
-def hashed_embed(sequence: str, window: int = 2, dim: int = 64) -> np.ndarray:
-    """Feature-hashed context vectors, shape (len(sequence), dim).
+class HashedEmbedder:
+    """Deterministic built-in embedding provider: feature-hashed context
+    vectors, shape (len(sequence), dim).
 
     Position j sums one signed unit per in-bounds offset o in [-w, w]:
     the feature (character at j+o, o) is hashed with 64-bit FNV-1a over
     the character's UTF-8 bytes followed by the offset as one signed
     (two's-complement) byte; bit 63 picks the sign, hash mod dim the index.
     """
-    if window < 0 or window > 127:
-        raise ValueError(f"window must be in [0, 127], got {window}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return hash_embed(sequence, window, dim)
-
-
-class HashedEmbedder:
-    """Deterministic built-in embedding provider."""
 
     def __init__(self, window: int = 2, dim: int = 64):
         if window < 0 or window > 127:
@@ -68,7 +60,7 @@ class HashedEmbedder:
 
     def embed_side(self, sample: Sample, side: str) -> ContextualEmbedding:
         seq = sample.source if side == "source" else sample.target
-        vectors = hashed_embed(seq, self.window, self.dim)
+        vectors = hash_embed(seq, self.window, self.dim)
         return ContextualEmbedding(sample_id=sample.id, side=side, vectors=vectors)
 
 

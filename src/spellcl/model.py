@@ -11,13 +11,15 @@ experimental variable, so training is strictly sequential and completely
 determined by the manifest.
 
 For speed the corpus is pre-encoded once into flat integer arrays that
-the train and predict kernels in ``_kernels`` walk.  Each encoding numbers
-its features in its own table, in first-seen order; a model's averaged
-weights are copied into that numbering (0.0 for a feature the model
-lacks), so the kernels never meet an unknown feature.  The encoding is the
-only prediction path (``predict`` runs it on a one-sample corpus); the
-test suite's dict-based predictor is the oracle it must agree with
-exactly.
+the train and predict kernels in ``_kernels`` walk.  The perceptron's rule
+(argmax, update, averaging) lives in those kernels alone; this module turns
+a manifest into a visiting order and averaged weights into predictions.
+Each encoding numbers its features in its own table, in first-seen order;
+a model's averaged weights are copied into that numbering (0.0 for a
+feature the model lacks), so the kernels never meet an unknown feature.
+The encoding is the only prediction path (``predict`` runs it on a
+one-sample corpus); the test suite's dict-based predictor is the oracle it
+must agree with exactly.
 """
 
 from __future__ import annotations
@@ -162,17 +164,7 @@ def manifest_order(manifest: CurriculumManifest, enc: CorpusEncoding) -> np.ndar
 def train_encoded(enc: CorpusEncoding,
                   manifest: CurriculumManifest) -> tuple[np.ndarray, np.ndarray, int]:
     """Train over an encoding; returns (final weights, averaged weights, updates)."""
-    n_feat = len(enc.feature_index)
-    w = np.zeros(n_feat, dtype=np.float64)
-    u_acc = np.zeros(n_feat, dtype=np.float64)
-    last_upd = np.zeros(n_feat, dtype=np.int64)
-    order = manifest_order(manifest, enc)
-    t = _kernels.train_pass(order, enc, w, u_acc, last_upd)
-    if t > 0:
-        averaged = (u_acc + w * (t - last_upd)) / t
-    else:
-        averaged = np.zeros(n_feat, dtype=np.float64)
-    return w, averaged, t
+    return _kernels.train_pass(manifest_order(manifest, enc), enc, len(enc.feature_index))
 
 
 def train(manifest: CurriculumManifest, corpus: Corpus,

@@ -505,6 +505,16 @@ class TestConfig:
         assert "--out" in err and "not a directory" in err
         assert afile.read_text(encoding="utf-8") == "keep me\n"
 
+    def test_out_below_a_file_is_usage_error(self, workdir, capsys):
+        # rejected before any work: otherwise the scores are computed and the
+        # first write fails with a NotADirectoryError traceback
+        afile = workdir["root"] / "afile"
+        afile.write_text("keep me\n", encoding="utf-8")
+        err = self._usage_error(capsys, "score", "--train", workdir["train"], "--policy",
+                                "contextual", "--out", afile / "sub" / "deeper")
+        assert f"--out: {afile} exists and is not a directory" in err
+        assert afile.read_text(encoding="utf-8") == "keep me\n"
+
     def test_rejected_command_creates_no_out_directory(self, workdir, capsys):
         new1, new2 = workdir["root"] / "newdir", workdir["root"] / "newdir2"
         self._usage_error(capsys, "score", "--train", workdir["train"], "--policy", "bogus",
@@ -596,7 +606,13 @@ class TestSurface:
         }
 
     def test_defaults(self):
-        from spellcl.cli import _DEFAULTS
+        from spellcl.cli import OPTIONS, _help
 
-        assert _DEFAULTS == {"provider": "hashed", "window": 2, "dim": 64, "k": 4,
-                             "seed": 0, "seeds": [0], "rate": 0.1}
+        defaults = {name: opt.default for name, opt in OPTIONS.items()
+                    if opt.default is not None}
+        assert defaults == {"provider": "hashed", "window": 2, "dim": 64, "k": 4,
+                            "seed": 0, "seeds": [0], "rate": 0.1}
+        # the help text shows each default as the flag would take it
+        assert _help("seeds").endswith("(default 0)")
+        assert _help("rate").endswith("(default 0.1)")
+        assert "(default" not in _help("out")

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spellcl.corpus import parse_corpus
+from spellcl.corpus import Sample, parse_corpus
 from spellcl.embed import (
     SIDES,
     ContextualEmbedding,
     HashedEmbedder,
     embed_corpus,
     embeddings_to_text,
-    hashed_embed,
     load_embeddings,
     parse_embeddings,
 )
@@ -37,20 +36,26 @@ def oracle_vector(sequence: str, j: int, window: int, dim: int) -> np.ndarray:
     return vec
 
 
+def embed(sequence: str, window: int, dim: int) -> np.ndarray:
+    """``HashedEmbedder`` vectors for ``sequence``, as a sample's source side."""
+    sample = Sample(id="s", source=sequence, target=sequence)
+    return HashedEmbedder(window=window, dim=dim).embed_side(sample, "source").vectors
+
+
 # ===========================================================================
-# hashed_embed
+# HashedEmbedder
 # ===========================================================================
 
 class TestHashedEmbed:
 
     def test_matches_independent_oracle(self):
-        vectors = hashed_embed("AB", window=1, dim=8)
+        vectors = embed("AB", window=1, dim=8)
         np.testing.assert_array_equal(vectors[0], oracle_vector("AB", 0, 1, 8))
         np.testing.assert_array_equal(vectors[1], oracle_vector("AB", 1, 1, 8))
 
     def test_oracle_multibyte_chars(self):
         seq = "他戴着帽子"
-        vectors = hashed_embed(seq, window=2, dim=16)
+        vectors = embed(seq, window=2, dim=16)
         for j in range(len(seq)):
             np.testing.assert_array_equal(vectors[j], oracle_vector(seq, j, 2, 16))
 
@@ -63,25 +68,25 @@ class TestHashedEmbed:
         st.integers(2, 32),
     )
     def test_matches_oracle_random(self, seq, window, dim):
-        vectors = hashed_embed(seq, window=window, dim=dim)
+        vectors = embed(seq, window=window, dim=dim)
         assert vectors.shape == (len(seq), dim)
         for j in range(len(seq)):
             np.testing.assert_array_equal(vectors[j], oracle_vector(seq, j, window, dim))
 
     def test_window_zero_position_independent(self):
-        vectors = hashed_embed("ABA", window=0, dim=8)
+        vectors = embed("ABA", window=0, dim=8)
         np.testing.assert_array_equal(vectors[0], vectors[2])
         assert not np.array_equal(vectors[0], vectors[1])
 
     def test_deterministic(self):
-        a = hashed_embed("他带着", window=2, dim=64)
-        b = hashed_embed("他带着", window=2, dim=64)
+        a = embed("他带着", window=2, dim=64)
+        b = embed("他带着", window=2, dim=64)
         assert a.tobytes() == b.tobytes()
 
     def test_locality(self):
         # editing position p only moves vectors within the window
-        base = hashed_embed("ABCDEFGH", window=2, dim=32)
-        edited = hashed_embed("ABCXEFGH", window=2, dim=32)
+        base = embed("ABCDEFGH", window=2, dim=32)
+        edited = embed("ABCXEFGH", window=2, dim=32)
         for j in range(8):
             if abs(j - 3) <= 2:
                 assert not np.array_equal(base[j], edited[j])
@@ -90,20 +95,20 @@ class TestHashedEmbed:
 
     def test_context_sensitivity(self):
         # same center character, different neighbor => different vector
-        a = hashed_embed("XAY", window=1, dim=64)
-        b = hashed_embed("XAZ", window=1, dim=64)
+        a = embed("XAY", window=1, dim=64)
+        b = embed("XAZ", window=1, dim=64)
         assert not np.array_equal(a[1], b[1])
 
     def test_empty_sequence(self):
-        assert hashed_embed("", window=2, dim=8).shape == (0, 8)
+        assert embed("", window=2, dim=8).shape == (0, 8)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            hashed_embed("A", window=-1, dim=8)
-        with pytest.raises(ValueError):
-            hashed_embed("A", window=0, dim=1)
-        with pytest.raises(ValueError):
-            hashed_embed("A", window=128, dim=8)
+        with pytest.raises(ValueError, match=r"window must be in \[0, 127\], got -1"):
+            HashedEmbedder(window=-1, dim=8)
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            HashedEmbedder(window=0, dim=1)
+        with pytest.raises(ValueError, match=r"window must be in \[0, 127\], got 128"):
+            HashedEmbedder(window=128, dim=8)
 
 
 # ===========================================================================

@@ -146,8 +146,10 @@ CONFUSIONS = st.builds(ConfusionSet, st.dictionaries(
 ))
 
 # Weights whose sums round differently in different orders (1e16 + 1.0 is
-# 1e16), so a prediction that adds a slot's features out of order shows.
-NON_ASSOCIATIVE = (1e16, -1e16, 1.0, 0.5, 3.0)
+# 1e16), so a prediction that adds a slot's features out of order shows; a
+# slot holding both infinities scores NaN, which the argmax never picks over
+# an earlier slot and which, in the first slot, no later slot beats.
+NON_ASSOCIATIVE = (1e16, -1e16, 1.0, 0.5, 3.0, float("inf"), float("-inf"))
 
 
 @st.composite
@@ -250,9 +252,8 @@ class TestTrain:
         assert model.updates_seen == n_updates
         assert n_updates >= 10
         assert final_weights(manifest, corpus, confusion) == final
-        assert set(model.averaged_weights) == set(averaged)
-        for k, v in averaged.items():
-            assert model.averaged_weights[k] == pytest.approx(v, abs=1e-9)
+        # the oracle's mean is an exact integer sum divided by T, as the kernel's is
+        assert model.averaged_weights == averaged
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup())
@@ -265,8 +266,7 @@ class TestTrain:
         # the model stores only non-zero averages; an update and its reversal
         # can leave a feature's average at exactly 0 in the trace
         for k in set(model.averaged_weights) | set(averaged):
-            assert model.averaged_weights.get(k, 0.0) == pytest.approx(
-                averaged.get(k, 0.0), abs=1e-9)
+            assert model.averaged_weights.get(k, 0.0) == averaged.get(k, 0.0)
 
     def test_unknown_sample_id(self):
         corpus, confusion = small_noisy_setup(n_sentences=3)
@@ -364,7 +364,9 @@ class TestPredict:
         weights = {name: data.draw(st.sampled_from(NON_ASSOCIATIVE)) for name in names
                    if data.draw(st.booleans())}
         model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
-        assert predict_corpus(model, corpus) == [reference_predict(model, s) for s in corpus]
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on purpose
+            preds = predict_corpus(model, corpus)
+        assert preds == [reference_predict(model, s) for s in corpus]
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup(), random_corpus(prefix="t"))
