@@ -10,10 +10,11 @@ the average of the weight vector over all update steps.  Ordering is the
 experimental variable, so training is strictly sequential and completely
 determined by the manifest.
 
-For speed the corpus is pre-encoded once into flat integer arrays that
-the train and predict kernels in ``_kernels`` walk.  The perceptron's rule
-(argmax, update, averaging) lives in those kernels alone; this module turns
-a manifest into a visiting order and averaged weights into predictions.
+For speed the corpus is pre-encoded once into fixed-width integer tables
+that the vectorized train and predict kernels in ``_kernels`` read.  The
+perceptron's rule (argmax, update, averaging) lives in those kernels alone;
+this module turns a manifest into a visiting order and averaged weights
+into predictions.
 Each encoding numbers its features in its own table, in first-seen order;
 a model's averaged weights are copied into that numbering (0.0 for a
 feature the model lacks), so the kernels never meet an unknown feature.
@@ -40,6 +41,8 @@ BOS = "<BOS>"
 EOS = "<EOS>"
 FEATURE_SCHEMA = 1
 WINDOW = 2
+# features per slot: C, L, R, LL, RR, and KEEP on the observed character
+SLOT_WIDTH = 6
 
 
 @dataclass(frozen=True)
@@ -84,25 +87,35 @@ def featurize(sequence: str, j: int, candidate: str) -> list[str]:
 
 @dataclass
 class CorpusEncoding:
-    """Flat-array view of a corpus for the train/predict kernels.
+    """Fixed-width tables of a corpus for the train/predict kernels.
 
-    Per sample: a contiguous run of positions.  Per position: a run of
-    slots - the real candidates in tie-break order, plus one hidden slot
-    holding the gold character's features whenever the gold character is
-    not a candidate.  Per slot: a run of feature ids.  Ids index the
-    encoding's own feature table, ``feature_index`` (names in first-seen
-    order), so every id is known; a model's weights reach an encoding by
-    being copied into that numbering.
+    Per sample: a contiguous run of positions.  Per position: its slots -
+    the real candidates in tie-break order, plus one hidden slot holding the
+    gold character's features whenever the gold character is not a
+    candidate.  Ids index the encoding's own feature table,
+    ``feature_index`` (names in first-seen order), so every id is known; a
+    model's weights reach an encoding by being copied into that numbering.
+
+    The kernels read two int32 tables.  ``slot_feats`` has one row of
+    ``SLOT_WIDTH`` feature ids per slot, in ``featurize`` order; a slot
+    without KEEP holds the sentinel id ``n_feat`` (``len(feature_index)``)
+    in its last column, which the kernels weigh 0.0.  Its last row is a
+    padding slot whose first id is ``n_feat + 1``, weighed -inf.
+    ``pos_slots`` holds each position's real slots, then the padding slot
+    up to the widest position; a hidden gold slot is never in it, so it can
+    never be chosen.  ``feat_ids`` (the ids of every slot without the
+    sentinels, flattened) and ``slot_char`` keep the corpus's sizes for the
+    benchmark's counts.
     """
 
     id_to_idx: dict[str, int]
     samp_pos_start: np.ndarray   # int64, len n_samples+1
-    pos_slot_start: np.ndarray   # int64, len n_positions+1
     pos_n_real: np.ndarray       # int64, real candidates per position
     pos_gold_slot: np.ndarray    # int64, slot index of the gold character
-    slot_feat_start: np.ndarray  # int64, len n_slots+1
+    pos_slots: np.ndarray        # int32, (n_positions, max pos_n_real)
+    slot_feats: np.ndarray       # int32, (n_slots+1, SLOT_WIDTH)
     slot_char: np.ndarray        # int64, candidate code point per slot
-    feat_ids: np.ndarray         # int64, flattened feature ids
+    feat_ids: np.ndarray         # int32, flattened feature ids
     feature_index: list[str]     # feature name per id
 
 
@@ -112,7 +125,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     pos_slot_start = [0]
     pos_n_real: list[int] = []
     pos_gold_slot: list[int] = []
-    slot_feat_start = [0]
+    slot_n_feat = bytearray()
     slot_char: list[int] = []
     feat_ids: list[int] = []
 
@@ -128,21 +141,34 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
             pos_gold_slot.append(len(slot_char) + cands.index(tgt[j]))
             for cand in cands:
                 slot_char.append(ord(cand))
-                for key in featurize(src, j, cand):
+                keys = featurize(src, j, cand)
+                slot_n_feat.append(len(keys))
+                for key in keys:
                     feat_ids.append(ids.setdefault(key, len(ids)))
-                slot_feat_start.append(len(feat_ids))
             pos_slot_start.append(len(slot_char))
         samp_pos_start.append(len(pos_n_real))
+
+    n_feat, n_slots = len(ids), len(slot_char)
+    flat = np.asarray(feat_ids, dtype=np.int32)
+    del feat_ids  # the list of references is twice the array's size
+    # a slot's ids fill its row from the left, the sentinel the rest
+    slot_feats = np.full((n_slots + 1, SLOT_WIDTH), n_feat, dtype=np.int32)
+    slot_feats[:-1][np.arange(SLOT_WIDTH) < np.frombuffer(slot_n_feat, np.uint8)[:, None]] = flat
+    slot_feats[-1, 0] = n_feat + 1  # the padding slot
+    n_real = np.asarray(pos_n_real, dtype=np.int64)
+    width = np.arange(n_real.max(initial=1), dtype=np.int32)
+    pos_slots = np.asarray(pos_slot_start[:-1], dtype=np.int32)[:, None] + width
+    pos_slots[width >= n_real[:, None]] = n_slots
 
     return CorpusEncoding(
         id_to_idx={sid: i for i, sid in enumerate(corpus.ids())},
         samp_pos_start=np.asarray(samp_pos_start, dtype=np.int64),
-        pos_slot_start=np.asarray(pos_slot_start, dtype=np.int64),
-        pos_n_real=np.asarray(pos_n_real, dtype=np.int64),
+        pos_n_real=n_real,
         pos_gold_slot=np.asarray(pos_gold_slot, dtype=np.int64),
-        slot_feat_start=np.asarray(slot_feat_start, dtype=np.int64),
+        pos_slots=pos_slots,
+        slot_feats=slot_feats,
         slot_char=np.asarray(slot_char, dtype=np.int64),
-        feat_ids=np.asarray(feat_ids, dtype=np.int64),
+        feat_ids=flat,
         feature_index=list(ids),
     )
 
@@ -192,14 +218,12 @@ def predict(model: CorrectorModel, sample: Sample) -> Prediction:
 def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
                     weights: np.ndarray) -> list[Prediction]:
     """Kernel-backed prediction for every sample of the encoded ``corpus``."""
-    slots = _kernels.predict_slots(enc, weights)
+    chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, weights)].tolist()))
     preds = []
     k = 0
     for sample in corpus:
-        n = len(sample.source)
-        chars = [chr(int(enc.slot_char[slots[k + j]])) for j in range(n)]
-        k += n
-        predicted = "".join(chars)
+        predicted = chars[k:k + len(sample.source)]
+        k += len(predicted)
         preds.append(Prediction(
             sample_id=sample.id, predicted=predicted,
             detected_positions=derive_error_positions(sample.source, predicted),

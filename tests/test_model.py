@@ -1,11 +1,13 @@
 """Averaged-perceptron corrector: features, training, prediction, model file."""
 
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from spellcl import _kernels
 from spellcl.cli import _test_rows
 from spellcl.corpus import (
     ConfusionSet,
@@ -153,8 +155,16 @@ NON_ASSOCIATIVE = (1e16, -1e16, 1.0, 0.5, 3.0, float("inf"), float("-inf"))
 
 
 @st.composite
-def random_setup(draw):
+def random_setup(draw, long_sample=False):
     corpus = draw(random_corpus())
+    if long_sample:
+        # one sample longer than a training block, so a block boundary falls
+        # inside it
+        src = draw(st.text(alphabet=ALPHABET, min_size=_kernels._BLOCK + 1,
+                           max_size=2 * _kernels._BLOCK + 3))
+        tgt = "".join(draw(st.sampled_from(ALPHABET)) if draw(st.booleans()) else c
+                      for c in src)
+        corpus = Corpus(samples=corpus.samples + (Sample(id="long", source=src, target=tgt),))
     confusion = draw(CONFUSIONS)
     scores = draw(st.lists(st.integers(0, 3), min_size=len(corpus), max_size=len(corpus)))
     records = [DifficultyRecord(sid, float(sc), "contextual")
@@ -162,6 +172,16 @@ def random_setup(draw):
     k = draw(st.integers(1, len(corpus)))
     manifest = arrange_annealing(records, k, seed=draw(st.integers(0, 2**32)))
     return corpus, confusion, manifest
+
+
+# With no confusables every position has one real slot, the observed
+# character, and every gold character here is another one: each position
+# is a mistake, so an update lands at every offset of every block.
+EVERY_POSITION_WRONG = (
+    Corpus(samples=(Sample(id="long", source="ab" * 40, target="ba" * 40),)),
+    ConfusionSet(),
+    arrange_shuffled_baseline(["long"], seed=0),
+)
 
 
 # ===========================================================================
@@ -267,6 +287,24 @@ class TestTrain:
         # can leave a feature's average at exactly 0 in the trace
         for k in set(model.averaged_weights) | set(averaged):
             assert model.averaged_weights.get(k, 0.0) == averaged.get(k, 0.0)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, _kernels._BLOCK])
+    @settings(max_examples=30, deadline=None)
+    @example(EVERY_POSITION_WRONG)
+    @given(random_setup(long_sample=True))
+    def test_every_block_size_matches_trace_oracle(self, block, setup):
+        corpus, confusion, manifest = setup
+        final, averaged, n_updates = trace_train(manifest, corpus, confusion)
+        with mock.patch.object(_kernels, "_BLOCK", block):
+            model = train(manifest, corpus, confusion)
+            assert final_weights(manifest, corpus, confusion) == final
+        assert model.updates_seen == n_updates
+        assert model.averaged_weights == {k: v for k, v in averaged.items() if v != 0.0}
+
+    def test_every_position_wrong_updates_at_every_position(self):
+        corpus, confusion, manifest = EVERY_POSITION_WRONG
+        _, _, t = train_encoded(encode_corpus(corpus, confusion), manifest)
+        assert t == len(corpus.samples[0].source) > 2 * _kernels._BLOCK
 
     def test_unknown_sample_id(self):
         corpus, confusion = small_noisy_setup(n_sentences=3)
@@ -381,6 +419,62 @@ class TestPredict:
         preds = predict_encoded(enc_test, test_corpus, np.append(averaged, 0.0)[rows])
         model = train(manifest, corpus, confusion)
         assert preds == [reference_predict(model, s) for s in test_corpus]
+
+    # Deterministic edge cases of the argmax.  Sample "a" has one position;
+    # the observed slot's features are, in index order:
+    A_FEATURES = featurize("a", 0, "a")  # C, L, R, LL, RR, KEEP
+
+    def predicts(self, weights, confusion, source="a"):
+        """The predicted string, checked against the dict-based oracle."""
+        model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
+        sample = Sample(id="x", source=source, target=source)
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on purpose
+            got = predict(model, sample)
+        assert got == reference_predict(model, sample)
+        return got.predicted
+
+    def test_nan_first_slot_is_kept(self):
+        weights = {"C|a": float("inf"), "L|<BOS>|a": float("-inf"), "C|b": 1.0}
+        assert self.predicts(weights, ConfusionSet({"a": {"b"}})) == "a"
+
+    def test_later_nan_never_wins(self):
+        nan_b = {"C|b": float("inf"), "L|<BOS>|b": float("-inf")}
+        confusion = ConfusionSet({"a": {"b", "c"}})
+        assert self.predicts({"C|a": 1.0, "C|c": 0.5, **nan_b}, confusion) == "a"
+        # a later slot that beats the first still wins past the NaN
+        assert self.predicts({"C|a": 1.0, "C|c": 2.0, **nan_b}, confusion) == "c"
+
+    def test_all_minus_inf_takes_the_first_slot(self):
+        # "b" has one candidate, "a" three, so b's row carries padding slots
+        # that score -inf as well
+        weights = {f"C|{ch}": float("-inf") for ch in "abc"}
+        assert self.predicts(weights, ConfusionSet({"a": {"b", "c"}}), source="ab") == "ab"
+
+    @pytest.mark.parametrize("rival, expected", [(3.25, "a"), (3.75, "b")])
+    def test_features_add_in_index_order(self, rival, expected):
+        # in index order the observed slot scores 3.5; a pairwise sum or
+        # np.add.reduceat gives 4.0, and these rivals pin the score to (3.25, 3.75)
+        weights = dict(zip(self.A_FEATURES, (1e16, 1.0, 1.0, -1e16, 0.5, 3.0)))
+        weights["C|b"] = rival
+        assert self.predicts(weights, ConfusionSet({"a": {"b"}})) == expected
+
+    def test_hidden_gold_slot_is_never_predicted_but_trained(self):
+        # gold "z" is no candidate of "a"; "c" has more candidates than "a",
+        # so the row of "a" is padded where its hidden slot would follow
+        confusion = ConfusionSet({"a": {"b"}, "c": {"d", "e"}})
+        corpus = parse_corpus("t1\tac\tzc\n")
+        model = CorrectorModel(averaged_weights={"C|z": 100.0}, updates_seen=0,
+                               confusion=confusion)
+        assert predict_corpus(model, corpus)[0].predicted == "ac"
+        manifest = arrange_shuffled_baseline(["t1"], seed=0)
+        final = final_weights(manifest, corpus, confusion)
+        assert final == trace_train(manifest, corpus, confusion)[0]
+        assert all(final[key] == 1.0 for key in featurize("ac", 0, "z"))
+
+    def test_empty_corpus(self):
+        corpus, confusion = overfit_fixture()
+        model = train(arrange_shuffled_baseline(corpus.ids(), seed=0), corpus, confusion)
+        assert predict_corpus(model, Corpus(samples=())) == []
 
     def test_overfit_five_sentences(self):
         corpus, confusion = overfit_fixture()
