@@ -145,7 +145,8 @@ def predict_slots(enc, weights) -> np.ndarray:
     taken unless a later one scores strictly higher, so a NaN score never
     wins, and a NaN in the first slot keeps it.
     """
-    slot_score = np.add.accumulate(_extend(weights)[enc.slot_feats], axis=1)[:, -1]
+    with np.errstate(invalid="ignore"):  # inf + -inf: the NaN rule below decides
+        slot_score = np.add.accumulate(_extend(weights)[enc.slot_feats], axis=1)[:, -1]
     scores = slot_score[enc.pos_slots]
     nan = np.isnan(scores)
     scores[nan] = -np.inf

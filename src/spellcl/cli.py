@@ -287,14 +287,12 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     return results
 
 
-def _test_rows(train_names: list[str], test_names: list[str]) -> np.ndarray:
-    """Training row of each test feature, or ``len(train_names)`` for a feature
-    training never saw: the row of the 0.0 that ``_run_one`` appends."""
-    test_ids = {name: i for i, name in enumerate(test_names)}
-    rows = np.full(len(test_names), len(train_names), dtype=np.int64)
-    for row, name in enumerate(train_names):
-        if name in test_ids:
-            rows[test_ids[name]] = row
+def _test_rows(train_keys: np.ndarray, test_keys: np.ndarray) -> np.ndarray:
+    """Training row of each test feature key, or ``len(train_keys)`` for a
+    feature training never saw: the row of the 0.0 that ``_run_one`` appends.
+    Both key tables are ascending (``CorpusEncoding.feature_index``)."""
+    rows = np.searchsorted(train_keys, test_keys)
+    rows[np.append(train_keys, -1)[rows] != test_keys] = len(train_keys)
     return rows
 
 

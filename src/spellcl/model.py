@@ -15,9 +15,15 @@ that the vectorized train and predict kernels in ``_kernels`` read.  The
 perceptron's rule (argmax, update, averaging) lives in those kernels alone;
 this module turns a manifest into a visiting order and averaged weights
 into predictions.
-Each encoding numbers its features in its own table, in first-seen order;
-a model's averaged weights are copied into that numbering (0.0 for a
-feature the model lacks), so the kernels never meet an unknown feature.
+The encoder works on code points with numpy and never builds a feature
+name: a feature is an integer key, and each encoding numbers the keys of
+its own corpus in ascending order.  ``feature_names`` turns keys into the
+``featurize`` names only where a name is read, the model's weight map
+(``train`` for the non-zero averaged weights, ``predict_corpus`` for the
+corpus's own features).  A model's averaged weights are copied into an
+encoding's numbering (0.0 for a feature the model lacks), so the kernels
+never meet an unknown feature.  ``candidate_set`` and ``featurize`` are
+the spec the encoding is tested against.
 The encoding is the only prediction path (``predict`` runs it on a
 one-sample corpus); the test suite's dict-based predictor is the oracle it
 must agree with exactly.
@@ -84,6 +90,37 @@ def featurize(sequence: str, j: int, candidate: str) -> list[str]:
 
 
 # --- corpus encoding ----------------------------------------------------------
+#
+# A feature is an int64 key: template << 42 | context code << 21 | candidate
+# code, with the templates numbered in ``featurize`` order (C, L, R, LL, RR)
+# and KEEP the single key of template 5.  Code points fit in 21 bits; BOS and
+# EOS take the two codes past the last one, so a key sorts by template, then
+# context, then candidate.
+
+_TEMPLATES = ("C", "L", "R", "LL", "RR")
+_OFFSETS = (0, -1, 1, -2, 2)  # each template's context position, relative to j
+_CODE_BITS = 21
+_CODE_MASK = (1 << _CODE_BITS) - 1
+_BOS_CODE, _EOS_CODE = 0x110000, 0x110001
+_CONTEXT_NAMES = {_BOS_CODE: BOS, _EOS_CODE: EOS}
+_KEEP_KEY = len(_TEMPLATES) << 2 * _CODE_BITS
+
+
+def _feature_name(key: int) -> str:
+    template = key >> 2 * _CODE_BITS
+    if template == len(_TEMPLATES):
+        return "KEEP"
+    cand = chr(key & _CODE_MASK)
+    if template == 0:
+        return f"C|{cand}"
+    ctx = key >> _CODE_BITS & _CODE_MASK
+    return f"{_TEMPLATES[template]}|{_CONTEXT_NAMES.get(ctx) or chr(ctx)}|{cand}"
+
+
+def feature_names(keys: np.ndarray) -> list[str]:
+    """The ``featurize`` name of each feature key."""
+    return [_feature_name(key) for key in keys.tolist()]
+
 
 @dataclass
 class CorpusEncoding:
@@ -93,8 +130,10 @@ class CorpusEncoding:
     the real candidates in tie-break order, plus one hidden slot holding the
     gold character's features whenever the gold character is not a
     candidate.  Ids index the encoding's own feature table,
-    ``feature_index`` (names in first-seen order), so every id is known; a
-    model's weights reach an encoding by being copied into that numbering.
+    ``feature_index``: the sorted int64 keys of the corpus's features (see
+    above), so every id is known; ``feature_names`` decodes keys to the
+    ``featurize`` names where a name is needed (a model's weight map).  A
+    model's weights reach an encoding by being copied into its numbering.
 
     The kernels read two int32 tables.  ``slot_feats`` has one row of
     ``SLOT_WIDTH`` feature ids per slot, in ``featurize`` order; a slot
@@ -114,62 +153,119 @@ class CorpusEncoding:
     pos_gold_slot: np.ndarray    # int64, slot index of the gold character
     pos_slots: np.ndarray        # int32, (n_positions, max pos_n_real)
     slot_feats: np.ndarray       # int32, (n_slots+1, SLOT_WIDTH)
-    slot_char: np.ndarray        # int64, candidate code point per slot
+    slot_char: np.ndarray        # int32, candidate code point per slot
     feat_ids: np.ndarray         # int32, flattened feature ids
-    feature_index: list[str]     # feature name per id
+    feature_index: np.ndarray    # int64, feature key per id, ascending
+
+
+def _codes(strings) -> np.ndarray:
+    """Code points of the concatenated strings (a lone surrogate keeps its own)."""
+    return np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
 
 
 def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
-    ids: dict[str, int] = {}
-    samp_pos_start = [0]
-    pos_slot_start = [0]
-    pos_n_real: list[int] = []
-    pos_gold_slot: list[int] = []
-    slot_n_feat = bytearray()
-    slot_char: list[int] = []
-    feat_ids: list[int] = []
+    samples = corpus.samples
+    lens = np.fromiter((len(s.source) for s in samples), dtype=np.int64, count=len(samples))
+    samp_pos_start = np.zeros(len(samples) + 1, dtype=np.int64)
+    np.cumsum(lens, out=samp_pos_start[1:])
+    src = _codes(s.source for s in samples)
+    tgt = _codes(s.target for s in samples)
+    n = src.shape[0]
 
-    for sample in corpus:
-        src, tgt = sample.source, sample.target
-        for j in range(len(src)):
-            cands = candidate_set(src, j, confusion)
-            pos_n_real.append(len(cands))
-            if tgt[j] not in cands:
-                # gold character outside the candidate set: hidden slot so
-                # updates still promote its features
-                cands.append(tgt[j])
-            pos_gold_slot.append(len(slot_char) + cands.index(tgt[j]))
-            for cand in cands:
-                slot_char.append(ord(cand))
-                keys = featurize(src, j, cand)
-                slot_n_feat.append(len(keys))
-                for key in keys:
-                    feat_ids.append(ids.setdefault(key, len(ids)))
-            pos_slot_start.append(len(slot_char))
-        samp_pos_start.append(len(pos_n_real))
+    # Candidate table, one entry per distinct source character (its class):
+    # the character, then its confusables in code-point order.
+    chars, cls = np.unique(src, return_inverse=True)
+    confusables = [sorted(map(ord, confusion.candidates(c))) for c in map(chr, chars.tolist())]
+    class_n_real = np.fromiter((1 + len(c) for c in confusables), dtype=np.int64,
+                               count=len(confusables))
+    class_start = np.cumsum(class_n_real) - class_n_real
+    cand_table = np.fromiter((code for head, conf in zip(chars.tolist(), confusables)
+                              for code in (head, *conf)), dtype=np.int32)
+    n_real = class_n_real[cls]
 
-    n_feat, n_slots = len(ids), len(slot_char)
-    flat = np.asarray(feat_ids, dtype=np.int32)
-    del feat_ids  # the list of references is twice the array's size
-    # a slot's ids fill its row from the left, the sentinel the rest
-    slot_feats = np.full((n_slots + 1, SLOT_WIDTH), n_feat, dtype=np.int32)
-    slot_feats[:-1][np.arange(SLOT_WIDTH) < np.frombuffer(slot_n_feat, np.uint8)[:, None]] = flat
+    # The gold character's slot: 0 when it is the observed one, its place
+    # among the confusables, or a hidden slot after the real ones.
+    gold_slot = np.zeros(n, dtype=np.int64)
+    err = np.flatnonzero(src != tgt)
+    conf_keys = np.repeat(np.arange(len(chars), dtype=np.int64), class_n_real - 1) << _CODE_BITS
+    conf_keys |= np.delete(cand_table, class_start)
+    keys = cls[err] << _CODE_BITS | tgt[err]
+    at = np.searchsorted(conf_keys, keys)
+    found = np.append(conf_keys, -1)[at] == keys
+    gold_slot[err] = np.where(found, at - (class_start[cls[err]] - cls[err]) + 1, n_real[err])
+    hidden = err[~found]
+    del conf_keys, keys, at, found, err
+
+    n_slot = n_real.copy()
+    n_slot[hidden] += 1
+    pos_slot_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_slot, out=pos_slot_start[1:])
+    n_slots = int(pos_slot_start[-1])
+    slot_pos = np.repeat(np.arange(n, dtype=np.int32), n_slot)
+    # a slot's entry in the candidate table; a hidden slot's points one past
+    # its position's candidates and is overwritten with the gold character
+    entry = np.arange(n_slots, dtype=np.int64)
+    entry -= np.repeat(pos_slot_start[:-1] - class_start[cls], n_slot)
+    del n_slot
+    hidden_slots = pos_slot_start[hidden] + n_real[hidden]
+    entry[hidden_slots] = 0
+    slot_char = cand_table[entry]
+    slot_char[hidden_slots] = tgt[hidden]
+    # each slot's candidate class: its character's rank among all candidates
+    cand_chars = np.unique(np.concatenate([cand_table, tgt[hidden]]))
+    slot_cc = np.searchsorted(cand_chars, cand_table).astype(np.int32)[entry]
+    slot_cc[hidden_slots] = np.searchsorted(cand_chars, tgt[hidden])
+    del entry
+
+    # Feature ids, one template column at a time: np.unique over a dense
+    # (context class, candidate class) code numbers each template's keys in
+    # key order, and the templates' key ranges follow each other.
+    n_cc = len(cand_chars)
+    ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
+    in_sample = np.arange(n, dtype=np.int64) - np.repeat(samp_pos_start[:-1], lens)
+    to_end = np.repeat(lens, lens) - in_sample
+    dense_type = np.int32 if len(ctx_codes) * n_cc < 2**31 else np.int64
+    slot_feats = np.empty((n_slots + 1, SLOT_WIDTH), dtype=np.int32)
+    feature_keys = []
+    n_feat = 0
+    for template, offset in enumerate(_OFFSETS):
+        if offset:
+            inside = in_sample >= -offset if offset < 0 else to_end > offset
+            ctx_class = np.full(n, len(chars) + (offset > 0), dtype=dense_type)
+            ctx_class[inside] = cls[np.flatnonzero(inside) + offset]
+            dense = ctx_class[slot_pos] * n_cc
+            dense += slot_cc
+        else:
+            dense = slot_cc
+        uniq, inverse = np.unique(dense, return_inverse=True)
+        np.add(inverse, n_feat, out=slot_feats[:-1, template], casting="unsafe")
+        del dense, inverse
+        context = ctx_codes[uniq // n_cc] << _CODE_BITS if offset else 0
+        feature_keys.append(template << 2 * _CODE_BITS | context | cand_chars[uniq % n_cc])
+        n_feat += len(uniq)
+    del slot_pos, slot_cc
+    if n:
+        feature_keys.append(np.array([_KEEP_KEY]))
+        n_feat += 1
+    # KEEP on the observed character's slot, the first of each position
+    slot_feats[:-1, -1] = n_feat
+    slot_feats[pos_slot_start[:-1], -1] = n_feat - 1
+    slot_feats[-1] = n_feat
     slot_feats[-1, 0] = n_feat + 1  # the padding slot
-    n_real = np.asarray(pos_n_real, dtype=np.int64)
     width = np.arange(n_real.max(initial=1), dtype=np.int32)
-    pos_slots = np.asarray(pos_slot_start[:-1], dtype=np.int32)[:, None] + width
+    pos_slots = pos_slot_start[:-1].astype(np.int32)[:, None] + width
     pos_slots[width >= n_real[:, None]] = n_slots
 
     return CorpusEncoding(
         id_to_idx={sid: i for i, sid in enumerate(corpus.ids())},
-        samp_pos_start=np.asarray(samp_pos_start, dtype=np.int64),
+        samp_pos_start=samp_pos_start,
         pos_n_real=n_real,
-        pos_gold_slot=np.asarray(pos_gold_slot, dtype=np.int64),
+        pos_gold_slot=pos_slot_start[:-1] + gold_slot,
         pos_slots=pos_slots,
         slot_feats=slot_feats,
-        slot_char=np.asarray(slot_char, dtype=np.int64),
-        feat_ids=flat,
-        feature_index=list(ids),
+        slot_char=slot_char,
+        feat_ids=slot_feats[:-1][slot_feats[:-1] < n_feat],
+        feature_index=np.concatenate(feature_keys, dtype=np.int64),
     )
 
 
@@ -202,8 +298,8 @@ def train(manifest: CurriculumManifest, corpus: Corpus,
     """
     enc = encode_corpus(corpus, confusion)
     _, averaged, t = train_encoded(enc, manifest)
-    names = enc.feature_index
-    averaged_weights = {names[i]: float(averaged[i]) for i in np.flatnonzero(averaged)}
+    kept = np.flatnonzero(averaged)
+    averaged_weights = dict(zip(feature_names(enc.feature_index[kept]), averaged[kept].tolist()))
     return CorrectorModel(averaged_weights=averaged_weights, updates_seen=t,
                           confusion=confusion)
 
@@ -239,7 +335,8 @@ def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
     """
     enc = encode_corpus(corpus, model.confusion)
     aw = model.averaged_weights
-    weights = np.array([aw.get(name, 0.0) for name in enc.feature_index], dtype=np.float64)
+    weights = np.array([aw.get(name, 0.0) for name in feature_names(enc.feature_index)],
+                       dtype=np.float64)
     return predict_encoded(enc, corpus, weights)
 
 

@@ -3,6 +3,9 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from helpers import (
     make_vocab,
     overfit_fixture,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -221,6 +226,28 @@ class TestTrainEvaluate:
         corr = (out / "report.tsv").read_text(encoding="utf-8").splitlines()[2].split("\t")
         assert corr[0] == "correction"
         assert corr[4] == "1.0000"
+
+    def test_nan_scoring_model_evaluates_without_warning(self, tmp_path):
+        # C|a inf plus L|<BOS>|a -inf makes the observed slot score NaN; the
+        # argmax's NaN rule decides it, and no numpy warning reaches stderr
+        model = tmp_path / "model.tsv"
+        model.write_text("# spellcl-model schema=1 window=2\nC|a\tinf\nL|<BOS>|a\t-inf\n",
+                         encoding="utf-8")
+        (tmp_path / "test.tsv").write_text("t1\tab\tab\n", encoding="utf-8")
+        (tmp_path / "conf.tsv").write_text("a\tb\n", encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from spellcl.cli import main; sys.exit(main(sys.argv[1:]))",
+             "evaluate", "--model", str(model), "--test", str(tmp_path / "test.tsv"),
+             "--confusion", str(tmp_path / "conf.tsv"), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / "out" / "report.tsv").exists()
 
     def test_empty_test_corpus_is_usage_error(self, workdir):
         root = self._pipeline(workdir, "runE")

@@ -28,10 +28,12 @@ from spellcl.errors import MalformedLine, UnknownSampleId
 from spellcl.model import (
     BOS,
     EOS,
+    SLOT_WIDTH,
     CorrectorModel,
     Prediction,
     candidate_set,
     encode_corpus,
+    feature_names,
     featurize,
     load_model,
     model_to_tsv,
@@ -89,7 +91,8 @@ def final_weights(manifest, corpus, confusion):
     """Non-zero final (not averaged) weights by feature name, from ``train_encoded``."""
     enc = encode_corpus(corpus, confusion)
     w, _, _ = train_encoded(enc, manifest)
-    return {name: float(w[i]) for i, name in enumerate(enc.feature_index) if w[i] != 0.0}
+    names = feature_names(enc.feature_index)
+    return {name: float(w[i]) for i, name in enumerate(names) if w[i] != 0.0}
 
 
 def reference_predict(model, sample):
@@ -224,6 +227,75 @@ class TestFeaturize:
     def test_interior_position(self):
         keys = featurize("ABCDE", 2, "Z")
         assert keys == ["C|Z", "L|B|Z", "R|D|Z", "LL|A|Z", "RR|E|Z"]
+
+
+# ===========================================================================
+# corpus encoding
+# ===========================================================================
+
+# 1- to 4-byte UTF-8 characters, the name separator "|" and the "<" that
+# opens "<BOS>"/"<EOS>"; "Z" only ever appears as a gold character and
+# "\U0010ffff" is the last code point, next to the BOS/EOS codes.
+SPEC_ALPHABET = "a|<é他😀\U0010ffff"
+
+
+@st.composite
+def spec_corpus(draw):
+    rows = draw(st.lists(st.text(alphabet=SPEC_ALPHABET, max_size=6), max_size=5))
+    samples = []
+    for i, src in enumerate(rows):
+        tgt = "".join(draw(st.sampled_from(SPEC_ALPHABET + "Z")) if draw(st.booleans()) else c
+                      for c in src)
+        samples.append(Sample(id=f"s{i}", source=src, target=tgt))
+    confusion = draw(st.builds(ConfusionSet, st.dictionaries(
+        st.sampled_from(SPEC_ALPHABET), st.sets(st.sampled_from(SPEC_ALPHABET), max_size=3),
+    )))
+    return Corpus(samples=tuple(samples)), confusion
+
+
+# a lone surrogate cannot be encoded as plain UTF-32 but is a valid str
+LONE_SURROGATE = (Corpus(samples=(Sample(id="s", source="a\ud800", target="a\udfff"),)),
+                  ConfusionSet({"\ud800": {"a"}}))
+
+
+class TestEncoding:
+
+    @settings(max_examples=150, deadline=None)
+    @example(LONE_SURROGATE)
+    @given(spec_corpus())
+    def test_slots_follow_the_spec(self, setup):
+        corpus, confusion = setup
+        enc = encode_corpus(corpus, confusion)
+        keys = enc.feature_index
+        n_feat, n_slots = len(keys), len(enc.slot_char)
+        assert (np.diff(keys) > 0).all()  # ascending, so no key repeats
+        names = feature_names(keys)
+
+        def slot_names(slot):
+            ids = enc.slot_feats[slot]
+            assert (ids[:-1] < n_feat).all()
+            return [names[i] for i in ids if i != n_feat]
+
+        p = 0
+        for sample in corpus:
+            src, tgt = sample.source, sample.target
+            for j in range(len(src)):
+                cands = candidate_set(src, j, confusion)
+                row = enc.pos_slots[p]
+                assert enc.pos_n_real[p] == len(cands)
+                real = row[:len(cands)]
+                assert (row[len(cands):] == n_slots).all()
+                assert [chr(c) for c in enc.slot_char[real]] == cands
+                for slot, cand in zip(real, cands):
+                    assert slot_names(slot) == featurize(src, j, cand)
+                gold = enc.pos_gold_slot[p]
+                assert chr(enc.slot_char[gold]) == tgt[j]
+                assert (gold in real) == (tgt[j] in cands)
+                assert slot_names(gold) == featurize(src, j, tgt[j])
+                p += 1
+        assert p == len(enc.pos_n_real)
+        assert enc.slot_feats[-1].tolist() == [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)
+        assert len(set(names)) == n_feat
 
 
 # ===========================================================================
@@ -402,8 +474,7 @@ class TestPredict:
         weights = {name: data.draw(st.sampled_from(NON_ASSOCIATIVE)) for name in names
                    if data.draw(st.booleans())}
         model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
-        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on purpose
-            preds = predict_corpus(model, corpus)
+        preds = predict_corpus(model, corpus)
         assert preds == [reference_predict(model, s) for s in corpus]
 
     @settings(max_examples=60, deadline=None)
@@ -420,6 +491,29 @@ class TestPredict:
         model = train(manifest, corpus, confusion)
         assert preds == [reference_predict(model, s) for s in test_corpus]
 
+    def test_grid_rows_of_an_empty_training_table_are_the_sentinel(self):
+        corpus, confusion = overfit_fixture()
+        enc_test = encode_corpus(corpus, confusion)
+        enc_train = encode_corpus(Corpus(samples=()), confusion)
+        rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+        assert len(rows) == len(enc_test.feature_index) > 0
+        assert (rows == 0).all()
+
+    def test_grid_row_of_an_unseen_feature_is_the_sentinel(self):
+        confusion = ConfusionSet({"a": {"b"}})
+        enc_train = encode_corpus(parse_corpus("s1\tab\tbb\n"), confusion)
+        enc_test = encode_corpus(parse_corpus("t1\tax\tax\n"), confusion)
+        rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+        train_names = feature_names(enc_train.feature_index)
+        for name, row in zip(feature_names(enc_test.feature_index), rows):
+            if name in train_names:
+                assert train_names[row] == name
+            else:
+                assert row == len(train_names)
+        # "C|a" is shared; "R|x|a" and "C|x" were never seen in training
+        assert {"C|a", "R|x|a", "C|x"} <= set(feature_names(enc_test.feature_index))
+        assert "C|a" in train_names and not {"R|x|a", "C|x"} & set(train_names)
+
     # Deterministic edge cases of the argmax.  Sample "a" has one position;
     # the observed slot's features are, in index order:
     A_FEATURES = featurize("a", 0, "a")  # C, L, R, LL, RR, KEEP
@@ -428,8 +522,7 @@ class TestPredict:
         """The predicted string, checked against the dict-based oracle."""
         model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
         sample = Sample(id="x", source=source, target=source)
-        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on purpose
-            got = predict(model, sample)
+        got = predict(model, sample)
         assert got == reference_predict(model, sample)
         return got.predicted
 
