@@ -39,7 +39,6 @@ from .embed import (
     ContextualEmbedding,
     FileEmbeddingProvider,
     HashedEmbedder,
-    embed_corpus,
     load_embeddings,
 )
 from .metrics import EvalReport, evaluate
@@ -65,8 +64,7 @@ __all__ = [
     "arrange_shuffled_baseline", "arrange_sorted_only", "load_manifest", "save_manifest",
     "DifficultyRecord", "cosine", "score_char_similarity", "score_contextual",
     "score_corpus",
-    "ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder", "embed_corpus",
-    "load_embeddings",
+    "ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder", "load_embeddings",
     "EvalReport", "evaluate",
     "CorrectorModel", "Prediction", "candidate_set", "featurize", "load_model",
     "predict", "predict_corpus", "save_model", "train",

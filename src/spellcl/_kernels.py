@@ -1,12 +1,13 @@
 """Hot numeric kernels: the context-hash embedder and the averaged-perceptron
 train/predict passes.
 
-One implementation each, all vectorized with numpy.  The embedder works
-over positions per window offset.  The perceptron passes read the
-encoding's two fixed-width tables (``CorpusEncoding``, model.py):
-``pos_slots`` (each position's candidate slots) and ``slot_feats`` (each
-slot's feature ids).  The whole perceptron rule lives here, and both
-passes give exactly what a loop over slots and features gives:
+One implementation each.  The embedder builds only the rows it is asked
+for, with a plain loop over each row's window.  The perceptron passes are
+vectorized with numpy over the encoding's two fixed-width tables
+(``CorpusEncoding``, model.py): ``pos_slots`` (each position's candidate
+slots) and ``slot_feats`` (each slot's feature ids).  The whole perceptron
+rule lives here, and both passes give exactly what a loop over slots and
+features gives:
 
 - ``train_pass`` must visit samples strictly in manifest order, since an
   update changes the scores of every later position.  It scores the next
@@ -34,14 +35,15 @@ from __future__ import annotations
 
 import numpy as np
 
-FNV_PRIME = np.uint64(0x100000001B3)
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a64(data: bytes) -> int:
     """Reference FNV-1a 64 over a byte string (python ints, no wrapping tricks)."""
     h = 0xCBF29CE484222325
     for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
 
 
@@ -49,25 +51,41 @@ def fnv1a64(data: bytes) -> int:
 #
 # Vector at position j is the sum over in-bounds offsets o in [-w, w] of a
 # signed unit at index FNV1a64(utf8(char at j+o) ++ signed_byte(o)) mod d,
-# sign taken from bit 63 of the hash.
+# sign taken from bit 63 of the hash.  Every component is a sum of +-1.0, an
+# integer held exactly in float64, so a row is the same bit for bit whatever
+# other positions are built with it and in whatever order its units are added.
+
+# Per (window, dim), each character's signed units over offsets -w..w: a
+# tuple of indices and a tuple of signs, filled on first use: ~0.2 KB per
+# distinct character at the default w=2, ~4 KB at the largest w=127.
+_UNITS: dict[tuple[int, int], dict[str, tuple[tuple[int, ...], tuple[float, ...]]]] = {}
 
 
-def hash_embed(sequence: str, window: int, dim: int) -> np.ndarray:
+def _char_units(ch: str, window: int, dim: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    # surrogatepass: a lone surrogate hashes as its three-byte encoding, so
+    # every sample that encodes (model.encode_corpus) also embeds
+    base = fnv1a64(ch.encode("utf-8", "surrogatepass"))
+    hs = [((base ^ (o & 0xFF)) * _FNV_PRIME) & _MASK64 for o in range(-window, window + 1)]
+    return tuple(h % dim for h in hs), tuple(-1.0 if h >> 63 else 1.0 for h in hs)
+
+
+def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
+    """The context vectors of ``sequence`` at ``positions`` (in range, any
+    order, repeats allowed), shape ``(len(positions), dim)``."""
     n = len(sequence)
-    out = np.zeros((n, dim), dtype=np.float64)
-    # FNV over each character's UTF-8 bytes; the offset byte is folded in
-    # afterwards per offset, vectorized over positions.
-    base = np.empty(n, dtype=np.uint64)
-    for p, ch in enumerate(sequence):
-        base[p] = fnv1a64(ch.encode("utf-8"))
-    positions = np.arange(n)
-    for o in range(-window, window + 1):
-        h = (base ^ np.uint64(o & 0xFF)) * FNV_PRIME
-        idx = (h % np.uint64(dim)).astype(np.int64)
-        sign = np.where((h >> np.uint64(63)) == 0, 1.0, -1.0)
-        j = positions - o
-        ok = (j >= 0) & (j < n)
-        np.add.at(out, (j[ok], idx[ok]), sign[ok])
+    units = _UNITS.get((window, dim))
+    if units is None:
+        units = _UNITS[(window, dim)] = {}
+    out = np.zeros((len(positions), dim), dtype=np.float64)
+    # at most 2w+1 neighbours per row: a plain loop beats any batched form
+    for r, j in enumerate(positions):
+        for p in range(max(0, j - window), min(n, j + window + 1)):
+            ch = sequence[p]
+            u = units.get(ch)
+            if u is None:
+                u = units[ch] = _char_units(ch, window, dim)
+            o = p - j + window
+            out[r, u[0][o]] += u[1][o]
     return out
 
 

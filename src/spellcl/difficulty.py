@@ -35,7 +35,7 @@ class DifficultyRecord:
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1] against float overshoot.
 
-    Raises ZeroNormVector for degenerate inputs; score_contextual maps
+    Raises ZeroNormVector for degenerate inputs; the contextual score maps
     that case to similarity 0.
     """
     u = np.asarray(u, dtype=np.float64)
@@ -49,29 +49,38 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv)))
 
 
-def score_contextual(sample: Sample, emb_src: ContextualEmbedding,
-                     emb_tgt: ContextualEmbedding) -> DifficultyRecord:
-    """Sum of per-error-position cosines between the two sides' vectors."""
-    if len(emb_src) != len(sample.source) or len(emb_tgt) != len(sample.target):
-        raise ShapeMismatch(
-            f"sample {sample.id!r}: embeddings cover {len(emb_src)}/{len(emb_tgt)} "
-            f"positions for a {len(sample.source)}-character sample"
-        )
-    if emb_src.dim != emb_tgt.dim:
+def _sum_error_cosines(sample: Sample, src_rows: np.ndarray,
+                       tgt_rows: np.ndarray) -> DifficultyRecord:
+    """Contextual record from each side's vectors at ``sample.error_positions``,
+    one row per error position in that order."""
+    if src_rows.shape[1] != tgt_rows.shape[1]:
         raise ShapeMismatch(
             f"sample {sample.id!r}: embedding dims differ "
-            f"({emb_src.dim} vs {emb_tgt.dim})"
+            f"({src_rows.shape[1]} vs {tgt_rows.shape[1]})"
         )
     score = 0.0
-    for j in sample.error_positions:
+    for j, u, v in zip(sample.error_positions, src_rows, tgt_rows):
         try:
-            score += cosine(emb_src.vectors[j], emb_tgt.vectors[j])
+            score += cosine(u, v)
         except ZeroNormVector:
             logger.warning(
                 "zero-norm embedding at sample %r position %d; similarity taken as 0",
                 sample.id, j,
             )
     return DifficultyRecord(sample_id=sample.id, score=score, policy="contextual")
+
+
+def score_contextual(sample: Sample, emb_src: ContextualEmbedding,
+                     emb_tgt: ContextualEmbedding) -> DifficultyRecord:
+    """Sum of per-error-position cosines between the two sides' full-length
+    vectors."""
+    if len(emb_src) != len(sample.source) or len(emb_tgt) != len(sample.target):
+        raise ShapeMismatch(
+            f"sample {sample.id!r}: embeddings cover {len(emb_src)}/{len(emb_tgt)} "
+            f"positions for a {len(sample.source)}-character sample"
+        )
+    rows = list(sample.error_positions)
+    return _sum_error_cosines(sample, emb_src.vectors[rows], emb_tgt.vectors[rows])
 
 
 def score_char_similarity(sample: Sample, confusion: ConfusionSet) -> DifficultyRecord:
@@ -86,13 +95,17 @@ def score_char_similarity(sample: Sample, confusion: ConfusionSet) -> Difficulty
 
 def score_corpus(corpus: Corpus, policy: str, provider=None,
                  confusion: ConfusionSet | None = None) -> list[DifficultyRecord]:
-    """One record per sample, in corpus order."""
+    """One record per sample, in corpus order.  The contextual policy asks
+    ``provider.embed_side`` for each side's vectors at the error positions
+    only."""
     if policy == "contextual":
         if provider is None:
             raise ValueError("contextual scoring needs an embedding provider")
         return [
-            score_contextual(
-                s, provider.embed_side(s, "source"), provider.embed_side(s, "target")
+            _sum_error_cosines(
+                s,
+                provider.embed_side(s, "source", s.error_positions).vectors,
+                provider.embed_side(s, "target", s.error_positions).vectors,
             )
             for s in corpus
         ]

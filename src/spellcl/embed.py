@@ -1,14 +1,19 @@
 """Per-position contextual representations for character sequences.
 
-Two providers are available:
+A provider answers ``embed_side(sample, side, positions)`` with the
+vectors of one side of a sample at the given positions only, one row per
+position in the order given.  The contextual score reads vectors at error
+positions alone, so that is all it asks for.  Two providers are available:
 
 * ``HashedEmbedder`` - a deterministic, training-free stand-in for a
   neural encoder.  Each position's vector is built by feature-hashing the
   characters in a +-w window (offset-tagged, so left and right neighbors
   differ), giving bit-exact reproducibility across runs and platforms.
+  A vector is computed only when it is asked for.
 * ``FileEmbeddingProvider`` - vectors precomputed by an external encoder
   and loaded from a text file (header ``dim=<d>``, then one position per
-  line: ``sample_id<TAB>side<TAB>position<TAB>v1,v2,...,vd``).
+  line: ``sample_id<TAB>side<TAB>position<TAB>v1,v2,...,vd``).  A side's
+  table must hold one vector per character of that side.
 """
 
 from __future__ import annotations
@@ -18,19 +23,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import hash_embed
-from .corpus import Corpus, Sample, numbered_lines, read_text
-from .errors import DimMismatch, MalformedLine, MissingEmbedding, MissingPosition
+from .corpus import Sample, numbered_lines, read_text
+from .errors import DimMismatch, MalformedLine, MissingEmbedding, MissingPosition, ShapeMismatch
 
 SIDES = ("source", "target")
 
 
+def _side_text(sample: Sample, side: str) -> str:
+    """The characters of ``sample``'s ``side``; an unknown side raises ValueError."""
+    if side == "source":
+        return sample.source
+    if side == "target":
+        return sample.target
+    raise ValueError(f"unknown side {side!r}, expected one of {SIDES}")
+
+
 @dataclass(frozen=True)
 class ContextualEmbedding:
-    """One vector per character position of a sample side."""
+    """Vectors of a sample side: one per character in an embedding file,
+    one per requested position from a provider's ``embed_side``."""
 
     sample_id: str
     side: str
-    vectors: np.ndarray  # shape (sequence length, dim), float64
+    vectors: np.ndarray  # shape (rows, dim), float64
 
     @property
     def dim(self) -> int:
@@ -42,11 +57,12 @@ class ContextualEmbedding:
 
 class HashedEmbedder:
     """Deterministic built-in embedding provider: feature-hashed context
-    vectors, shape (len(sequence), dim).
+    vectors, computed only at the requested positions.
 
     Position j sums one signed unit per in-bounds offset o in [-w, w]:
     the feature (character at j+o, o) is hashed with 64-bit FNV-1a over
-    the character's UTF-8 bytes followed by the offset as one signed
+    the character's UTF-8 bytes (a lone surrogate as its three
+    ``surrogatepass`` bytes) followed by the offset as one signed
     (two's-complement) byte; bit 63 picks the sign, hash mod dim the index.
     """
 
@@ -58,9 +74,8 @@ class HashedEmbedder:
         self.window = window
         self.dim = dim
 
-    def embed_side(self, sample: Sample, side: str) -> ContextualEmbedding:
-        seq = sample.source if side == "source" else sample.target
-        vectors = hash_embed(seq, self.window, self.dim)
+    def embed_side(self, sample: Sample, side: str, positions) -> ContextualEmbedding:
+        vectors = hash_embed(_side_text(sample, side), self.window, self.dim, positions)
         return ContextualEmbedding(sample_id=sample.id, side=side, vectors=vectors)
 
 
@@ -70,11 +85,19 @@ class FileEmbeddingProvider:
     def __init__(self, table: dict[tuple[str, str], ContextualEmbedding]):
         self._table = table
 
-    def embed_side(self, sample: Sample, side: str) -> ContextualEmbedding:
+    def embed_side(self, sample: Sample, side: str, positions) -> ContextualEmbedding:
+        n_chars = len(_side_text(sample, side))
         try:
-            return self._table[(sample.id, side)]
+            emb = self._table[(sample.id, side)]
         except KeyError:
             raise MissingEmbedding(f"no embedding for sample {sample.id!r} side {side!r}")
+        if len(emb) != n_chars:
+            raise ShapeMismatch(
+                f"sample {sample.id!r} side {side}: {len(emb)} vectors "
+                f"for {n_chars} characters"
+            )
+        rows = emb.vectors[np.asarray(positions, dtype=np.intp)]
+        return ContextualEmbedding(sample_id=sample.id, side=side, vectors=rows)
 
 
 def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
@@ -136,19 +159,3 @@ def embeddings_to_text(table: dict[tuple[str, str], ContextualEmbedding], dim: i
             values = ",".join(repr(float(v)) for v in emb.vectors[j])
             out.append(f"{sample_id}\t{side}\t{j}\t{values}\n")
     return "".join(out)
-
-
-def embed_corpus(corpus: Corpus, provider) -> dict[tuple[str, str], ContextualEmbedding]:
-    """Embed both sides of every sample; shapes are checked against the corpus."""
-    result = {}
-    for sample in corpus:
-        for side in SIDES:
-            emb = provider.embed_side(sample, side)
-            seq = sample.source if side == "source" else sample.target
-            if len(emb) != len(seq):
-                raise DimMismatch(
-                    f"sample {sample.id!r} side {side}: {len(emb)} vectors "
-                    f"for {len(seq)} characters"
-                )
-            result[(sample.id, side)] = emb
-    return result

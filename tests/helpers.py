@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample
+from spellcl.embed import SIDES, ContextualEmbedding
 
 
 def make_vocab(n: int = 50) -> list[str]:
@@ -105,3 +106,12 @@ def overfit_fixture() -> tuple[Corpus, ConfusionSet]:
         name="overfit",
     )
     return corpus, confusion
+
+
+def embed_corpus(corpus: Corpus, provider) -> dict[tuple[str, str], ContextualEmbedding]:
+    """Every position of both sides of every sample, as an embedding file holds them."""
+    return {
+        (sample.id, side): provider.embed_side(sample, side, range(len(sample.source)))
+        for sample in corpus
+        for side in SIDES
+    }

@@ -13,6 +13,7 @@ from spellcl.cli import main
 from spellcl.corpus import confusion_to_tsv, corpus_to_tsv, inject_errors, load_corpus
 
 from helpers import (
+    embed_corpus,
     make_clean_corpus,
     make_markov_corpus,
     make_symmetric_confusion,
@@ -571,7 +572,7 @@ class TestFileProvider:
     def test_score_with_external_embeddings_matches_hashed(self, workdir):
         # export the hashed embeddings of the corpus, then score through the
         # file-provider interface; the two routes must agree exactly
-        from spellcl.embed import HashedEmbedder, embed_corpus, embeddings_to_text
+        from spellcl.embed import HashedEmbedder, embeddings_to_text
 
         corpus = load_corpus(workdir["train"])
         table = embed_corpus(corpus, HashedEmbedder(window=2, dim=64))
@@ -587,6 +588,21 @@ class TestFileProvider:
                    "--out", out_file) == 0
         assert ((out_hashed / "difficulty.tsv").read_bytes()
                 == (out_file / "difficulty.tsv").read_bytes())
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_embedding_of_wrong_length_exits_one_naming_the_sample(self, tmp_path, capsys,
+                                                                   extra):
+        train = tmp_path / "train.tsv"
+        train.write_text("s1\tABC\tABX\n", encoding="utf-8")
+        rows = ["dim=2\n"] + [f"s1\t{side}\t{j}\t1.0,0.0\n"
+                              for side in ("source", "target") for j in range(3 + extra)]
+        emb_path = tmp_path / "vectors.tsv"
+        emb_path.write_text("".join(rows), encoding="utf-8")
+        capsys.readouterr()
+        assert run("score", "--train", train, "--policy", "contextual", "--provider", "file",
+                   "--embeddings", emb_path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sample 's1' side source: {3 + extra} vectors for 3 characters\n"
 
     def test_file_provider_without_embeddings_flag(self, workdir):
         assert run("score", "--train", workdir["train"], "--policy", "contextual",

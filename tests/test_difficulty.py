@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from spellcl.corpus import ConfusionSet, Sample, parse_corpus
+from spellcl.corpus import ConfusionSet, Corpus, Sample, parse_corpus
 from spellcl.difficulty import (
     POLICIES,
     DifficultyRecord,
@@ -19,7 +19,12 @@ from spellcl.difficulty import (
     score_contextual,
     score_corpus,
 )
-from spellcl.embed import ContextualEmbedding, HashedEmbedder
+from spellcl.embed import (
+    ContextualEmbedding,
+    FileEmbeddingProvider,
+    HashedEmbedder,
+    parse_embeddings,
+)
 from spellcl.errors import MalformedLine, ShapeMismatch, ZeroNormVector
 
 
@@ -181,13 +186,49 @@ class TestScoreCorpus:
         class ConstantProvider:
             dim = 2
 
-            def embed_side(self, sample, side):
-                vecs = np.tile([1.0, 0.0], (len(sample.source), 1))
+            def embed_side(self, sample, side, positions):
+                vecs = np.tile([1.0, 0.0], (len(positions), 1))
                 return ContextualEmbedding(sample.id, side, vecs)
 
         corpus = parse_corpus("two\tABCD\tXYCD\none\tABCD\tXBCD\n")
         records = score_corpus(corpus, "contextual", provider=ConstantProvider())
         assert records[0].score > records[1].score
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.text(alphabet="abc他\ud800", max_size=12),
+                           st.lists(st.booleans(), max_size=12)), max_size=6),
+        st.integers(0, 3),
+        st.integers(2, 16),
+    )
+    def test_matches_full_length_route_bitwise(self, rows, window, dim):
+        # a flipped position holds "x", which no source holds: an error
+        corpus = Corpus(tuple(
+            Sample(id=f"s{i}", source=text,
+                   target="".join("x" if flip else c
+                                  for c, flip in zip(text, flips + [False] * len(text))))
+            for i, (text, flips) in enumerate(rows)
+        ))
+        provider = HashedEmbedder(window=window, dim=dim)
+        got = score_corpus(corpus, "contextual", provider=provider)
+        # the oracle scores full-length vectors through score_contextual
+        want = [
+            score_contextual(s, *(provider.embed_side(s, side, range(len(s.source)))
+                                  for side in ("source", "target")))
+            for s in corpus
+        ]
+        assert [(r.sample_id, r.score.hex(), r.policy) for r in got] == \
+            [(r.sample_id, r.score.hex(), r.policy) for r in want]
+
+    @pytest.mark.parametrize("n_vectors", [2, 4])
+    def test_file_embedding_of_wrong_length(self, n_vectors):
+        doc = "dim=2\n" + "".join(f"s1\t{side}\t{j}\t1.0,0.0\n"
+                                  for side in ("source", "target") for j in range(n_vectors))
+        provider = FileEmbeddingProvider(parse_embeddings(doc))
+        corpus = parse_corpus("s1\tABC\tABX\n")
+        with pytest.raises(ShapeMismatch, match=rf"^sample 's1' side source: {n_vectors} "
+                                                r"vectors for 3 characters$"):
+            score_corpus(corpus, "contextual", provider=provider)
 
     def test_missing_provider(self):
         with pytest.raises(ValueError):

@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spellcl.corpus import Sample, parse_corpus
+from spellcl.corpus import Corpus, Sample, parse_corpus
 from spellcl.embed import (
     SIDES,
     ContextualEmbedding,
+    FileEmbeddingProvider,
     HashedEmbedder,
-    embed_corpus,
     embeddings_to_text,
     load_embeddings,
     parse_embeddings,
 )
 from spellcl.errors import DimMismatch, MalformedLine, MissingEmbedding, MissingPosition
+
+from helpers import embed_corpus
 
 
 def oracle_vector(sequence: str, j: int, window: int, dim: int) -> np.ndarray:
@@ -31,15 +33,17 @@ def oracle_vector(sequence: str, j: int, window: int, dim: int) -> np.ndarray:
     for o in range(-window, window + 1):
         p = j + o
         if 0 <= p < len(sequence):
-            h = fnv1a(sequence[p].encode("utf-8") + bytes([o & 0xFF]))
+            h = fnv1a(sequence[p].encode("utf-8", "surrogatepass") + bytes([o & 0xFF]))
             vec[h % dim] += 1.0 if h < (1 << 63) else -1.0
     return vec
 
 
 def embed(sequence: str, window: int, dim: int) -> np.ndarray:
-    """``HashedEmbedder`` vectors for ``sequence``, as a sample's source side."""
+    """``HashedEmbedder`` vectors at every position of ``sequence``, as a
+    sample's source side."""
     sample = Sample(id="s", source=sequence, target=sequence)
-    return HashedEmbedder(window=window, dim=dim).embed_side(sample, "source").vectors
+    provider = HashedEmbedder(window=window, dim=dim)
+    return provider.embed_side(sample, "source", range(len(sequence))).vectors
 
 
 # ===========================================================================
@@ -61,17 +65,53 @@ class TestHashedEmbed:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.text(alphabet=st.one_of(st.sampled_from("aZé他😀"),
+        st.text(alphabet=st.one_of(st.sampled_from("aZé他😀\ud800"),
                                    st.characters(exclude_categories=("Cs",))),
                 max_size=10),
         st.integers(0, 3),
         st.integers(2, 32),
     )
+    @example("a\udfffb\ud800", 1, 8)  # lone surrogates, which encode_corpus accepts
     def test_matches_oracle_random(self, seq, window, dim):
         vectors = embed(seq, window=window, dim=dim)
         assert vectors.shape == (len(seq), dim)
         for j in range(len(seq)):
             np.testing.assert_array_equal(vectors[j], oracle_vector(seq, j, window, dim))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.text(alphabet="ab他😀\ud800", min_size=1, max_size=10),
+        st.sampled_from(SIDES),
+        st.lists(st.integers(0, 40), max_size=8),
+        st.integers(0, 3),
+        st.integers(2, 16),
+    )
+    @example("abcde", "source", [], 2, 8)
+    @example("abcde", "target", [4, 0, 4, 2, 0], 2, 8)  # unsorted, repeated, last, first
+    @example("a", "source", [0, 0], 3, 2)
+    def test_rows_at_positions_match_oracle(self, seq, side, raw, window, dim):
+        # both providers return one row per requested position, in the order asked
+        positions = [p % len(seq) for p in raw]
+        sample = Sample(id="s", source=seq, target=seq[::-1])
+        text = seq if side == "source" else seq[::-1]
+        hashed = HashedEmbedder(window=window, dim=dim)
+        from_file = FileEmbeddingProvider(embed_corpus(Corpus((sample,)), hashed))
+        for provider in (hashed, from_file):
+            emb = provider.embed_side(sample, side, positions)
+            assert (emb.sample_id, emb.side) == ("s", side)
+            assert emb.vectors.shape == (len(positions), dim)
+            for row, j in zip(emb.vectors, positions):
+                np.testing.assert_array_equal(row, oracle_vector(text, j, window, dim))
+
+    @pytest.mark.parametrize("provider", [
+        HashedEmbedder(window=1, dim=8),
+        FileEmbeddingProvider(parse_embeddings("dim=1\ns1\tsource\t0\t1.0\n")),
+    ], ids=["hashed", "file"])
+    def test_unknown_side_is_rejected(self, provider):
+        sample = Sample(id="s1", source="A", target="B")
+        with pytest.raises(ValueError, match=r"unknown side 'bogus', expected one of "
+                                             r"\('source', 'target'\)"):
+            provider.embed_side(sample, "bogus", [0])
 
     def test_window_zero_position_independent(self):
         vectors = embed("ABA", window=0, dim=8)

@@ -48,10 +48,13 @@ def test_traced_ablate_passes_every_grid_probe(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
 
-    calls = Counter(span[0] for span in json.loads(record.read_text())["spans"])
+    traced = json.loads(record.read_text())
+    calls = Counter(span[0] for span in traced["spans"])
     n_runs = 5  # five modes, one seed
     for name in RUN_PROBES:
         assert calls[name] >= n_runs, (name, calls[name])
     for name in ARRANGE_PROBES + SCORE_PROBES:
         assert calls[name] > 0, name
     assert sum(calls[name] for name in ARRANGE_PROBES) == n_runs
+    # the score embeds each side at its one error position only: 5 samples x 2 sides
+    assert traced["counts"]["embed.positions"] == traced["counts"]["embed.error_positions"] == 10
