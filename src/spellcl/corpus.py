@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from .errors import DuplicateId, LengthMismatch, MalformedLine
 from .rng import XorShift64Star
@@ -70,7 +72,9 @@ def derive_error_positions(source: str, target: str) -> tuple[int, ...]:
         raise LengthMismatch(
             f"source has {len(source)} characters, target has {len(target)}"
         )
-    return tuple(j for j, (a, b) in enumerate(zip(source, target)) if a != b)
+    if source == target:
+        return ()
+    return tuple(compress(range(len(source)), map(ne, source, target)))
 
 
 class ConfusionSet:

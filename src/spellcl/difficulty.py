@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ConfusionSet, Corpus, Sample, numbered_lines, read_text, write_text
-from .embed import ContextualEmbedding
+from .embed import ContextualEmbedding, FileEmbeddingProvider
 from .errors import MalformedLine, ShapeMismatch, ZeroNormVector
 
 logger = logging.getLogger(__name__)
@@ -32,8 +32,20 @@ class DifficultyRecord:
     policy: str
 
 
+def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of each row pair of two (rows, dim) arrays, clamped to [-1, 1]
+    against float overshoot and 0.0 where a row has zero norm, and the mask
+    of those pairs.  Each sum of products is ``np.add.reduce`` along its row,
+    so a row gets the same bits in any batch; hashed rows hold small
+    integers, whose sums are exact in any order."""
+    norms = np.sqrt(np.add.reduce(u * u, axis=1)) * np.sqrt(np.add.reduce(v * v, axis=1))
+    zero = norms == 0.0
+    cos = np.divide(np.add.reduce(u * v, axis=1), norms, out=np.zeros(len(norms)), where=~zero)
+    return np.clip(cos, -1.0, 1.0, out=cos), zero
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against float overshoot.
+    """Cosine similarity, clamped to [-1, 1].
 
     Raises ZeroNormVector for degenerate inputs; the contextual score maps
     that case to similarity 0.
@@ -42,45 +54,18 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ShapeMismatch(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.sqrt(np.dot(u, u)))
-    nv = float(np.sqrt(np.dot(v, v)))
-    if nu == 0.0 or nv == 0.0:
+    (cos,), (zero,) = _row_cosines(u.reshape(1, -1), v.reshape(1, -1))
+    if zero:
         raise ZeroNormVector("cosine undefined for zero-norm vector")
-    return min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv)))
-
-
-def _sum_error_cosines(sample: Sample, src_rows: np.ndarray,
-                       tgt_rows: np.ndarray) -> DifficultyRecord:
-    """Contextual record from each side's vectors at ``sample.error_positions``,
-    one row per error position in that order."""
-    if src_rows.shape[1] != tgt_rows.shape[1]:
-        raise ShapeMismatch(
-            f"sample {sample.id!r}: embedding dims differ "
-            f"({src_rows.shape[1]} vs {tgt_rows.shape[1]})"
-        )
-    score = 0.0
-    for j, u, v in zip(sample.error_positions, src_rows, tgt_rows):
-        try:
-            score += cosine(u, v)
-        except ZeroNormVector:
-            logger.warning(
-                "zero-norm embedding at sample %r position %d; similarity taken as 0",
-                sample.id, j,
-            )
-    return DifficultyRecord(sample_id=sample.id, score=score, policy="contextual")
+    return float(cos)
 
 
 def score_contextual(sample: Sample, emb_src: ContextualEmbedding,
                      emb_tgt: ContextualEmbedding) -> DifficultyRecord:
     """Sum of per-error-position cosines between the two sides' full-length
-    vectors."""
-    if len(emb_src) != len(sample.source) or len(emb_tgt) != len(sample.target):
-        raise ShapeMismatch(
-            f"sample {sample.id!r}: embeddings cover {len(emb_src)}/{len(emb_tgt)} "
-            f"positions for a {len(sample.source)}-character sample"
-        )
-    rows = list(sample.error_positions)
-    return _sum_error_cosines(sample, emb_src.vectors[rows], emb_tgt.vectors[rows])
+    vectors: ``score_corpus`` of a one-sample corpus over those vectors."""
+    table = {(sample.id, "source"): emb_src, (sample.id, "target"): emb_tgt}
+    return score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))[0]
 
 
 def score_char_similarity(sample: Sample, confusion: ConfusionSet) -> DifficultyRecord:
@@ -95,25 +80,44 @@ def score_char_similarity(sample: Sample, confusion: ConfusionSet) -> Difficulty
 
 def score_corpus(corpus: Corpus, policy: str, provider=None,
                  confusion: ConfusionSet | None = None) -> list[DifficultyRecord]:
-    """One record per sample, in corpus order.  The contextual policy asks
-    ``provider.embed_side`` for each side's vectors at the error positions
-    only."""
-    if policy == "contextual":
-        if provider is None:
-            raise ValueError("contextual scoring needs an embedding provider")
-        return [
-            _sum_error_cosines(
-                s,
-                provider.embed_side(s, "source", s.error_positions).vectors,
-                provider.embed_side(s, "target", s.error_positions).vectors,
-            )
-            for s in corpus
-        ]
+    """One record per sample, in corpus order.
+
+    The contextual policy asks ``provider.embed_side`` for each side's
+    vectors at the error positions only, sample by sample.  The cosines of
+    all samples come from one pass over the stacked rows; each sample's are
+    then added to 0.0 left to right in error order (``np.add.at``), as a
+    running sum does.
+    """
     if policy == "char_similarity":
         if confusion is None:
             raise ValueError("char_similarity scoring needs a confusion set")
         return [score_char_similarity(s, confusion) for s in corpus]
-    raise ValueError(f"unknown difficulty policy {policy!r}")
+    if policy != "contextual":
+        raise ValueError(f"unknown difficulty policy {policy!r}")
+    if provider is None:
+        raise ValueError("contextual scoring needs an embedding provider")
+    if not len(corpus):
+        return []
+    src_rows, tgt_rows = [], []
+    for s in corpus:
+        src_rows.append(provider.embed_side(s, "source", s.error_positions).vectors)
+        tgt_rows.append(provider.embed_side(s, "target", s.error_positions).vectors)
+    dim = src_rows[0].shape[1]
+    for s, u, v in zip(corpus, src_rows, tgt_rows):
+        if u.shape != (len(s.error_positions), dim) or v.shape != u.shape:
+            raise ShapeMismatch(f"sample {s.id!r}: embedding rows {u.shape} and {v.shape} for "
+                                f"{len(s.error_positions)} error positions of dimension {dim}")
+    owner = np.repeat(np.arange(len(corpus)), [len(s.error_positions) for s in corpus])
+    cos, zero = _row_cosines(np.concatenate(src_rows, dtype=np.float64),
+                             np.concatenate(tgt_rows, dtype=np.float64))
+    for i in np.flatnonzero(zero).tolist():
+        s = corpus.samples[owner[i]]
+        logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",
+                       s.id, s.error_positions[i - np.searchsorted(owner, owner[i])])
+    scores = np.zeros(len(corpus))
+    np.add.at(scores, owner, cos)
+    return [DifficultyRecord(sample_id=s.id, score=score, policy="contextual")
+            for s, score in zip(corpus, scores.tolist())]
 
 
 # --- difficulty file ---------------------------------------------------------

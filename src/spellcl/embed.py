@@ -126,6 +126,8 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
             vec = np.array([float(v) for v in vec_str.split(",")], dtype=np.float64)
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad position or vector")
+        if not np.isfinite(vec).all():
+            raise MalformedLine(f"line {line_no}: vector component is not finite")
         if vec.shape[0] != dim:
             raise DimMismatch(
                 f"line {line_no}: vector has {vec.shape[0]} components, header says {dim}"

@@ -163,6 +163,16 @@ def _codes(strings) -> np.ndarray:
     return np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
 
 
+def _rank(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in [0, size) by a
+    presence mask's running count, unless the range dwarfs the input."""
+    if size > 4 * len(codes) + 65_536:
+        return np.unique(codes, return_inverse=True)
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
+
+
 def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     samples = corpus.samples
     lens = np.fromiter((len(s.source) for s in samples), dtype=np.int64, count=len(samples))
@@ -217,9 +227,9 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     slot_cc[hidden_slots] = np.searchsorted(cand_chars, tgt[hidden])
     del entry
 
-    # Feature ids, one template column at a time: np.unique over a dense
-    # (context class, candidate class) code numbers each template's keys in
-    # key order, and the templates' key ranges follow each other.
+    # Feature ids, one template column at a time: a dense (context class,
+    # candidate class) code's rank among the column's codes numbers each
+    # template's keys in key order, and the templates' key ranges follow.
     n_cc = len(cand_chars)
     ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
     in_sample = np.arange(n, dtype=np.int64) - np.repeat(samp_pos_start[:-1], lens)
@@ -237,7 +247,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
             dense += slot_cc
         else:
             dense = slot_cc
-        uniq, inverse = np.unique(dense, return_inverse=True)
+        uniq, inverse = _rank(dense, len(ctx_codes) * n_cc if offset else n_cc)
         np.add(inverse, n_feat, out=slot_feats[:-1, template], casting="unsafe")
         del dense, inverse
         context = ctx_codes[uniq // n_cc] << _CODE_BITS if offset else 0

@@ -212,13 +212,53 @@ class TestScoreCorpus:
         provider = HashedEmbedder(window=window, dim=dim)
         got = score_corpus(corpus, "contextual", provider=provider)
         # the oracle scores full-length vectors through score_contextual
-        want = [
-            score_contextual(s, *(provider.embed_side(s, side, range(len(s.source)))
-                                  for side in ("source", "target")))
-            for s in corpus
-        ]
+        full = [[provider.embed_side(s, side, range(len(s.source)))
+                 for side in ("source", "target")] for s in corpus]
+        want = [score_contextual(s, *embs) for s, embs in zip(corpus, full)]
         assert [(r.sample_id, r.score.hex(), r.policy) for r in got] == \
             [(r.sample_id, r.score.hex(), r.policy) for r in want]
+        # hashed components are integers, so the loop's sums are exact too
+        assert [r.score.hex() for r in got] == [
+            oracle_score(s, src.vectors, tgt.vectors).hex() for s, (src, tgt) in zip(corpus, full)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_file_vectors_match_full_length_route_bitwise(self, data):
+        # non-integer components, so the order of every sum shows in the bits
+        dim = data.draw(st.integers(1, 8))
+        flips = data.draw(st.lists(st.lists(st.booleans(), min_size=1, max_size=8),
+                                   max_size=6))
+        corpus = Corpus(tuple(
+            Sample(id=f"s{i}", source="a" * len(row),
+                   target="".join("x" if flip else "a" for flip in row))
+            for i, row in enumerate(flips)
+        ))
+        component = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        table = {
+            (s.id, side): stub(s.id, side, data.draw(st.lists(
+                st.lists(component, min_size=dim, max_size=dim),
+                min_size=len(s.source), max_size=len(s.source))))
+            for s in corpus for side in ("source", "target")
+        }
+        got = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
+        want = [score_contextual(s, table[(s.id, "source")], table[(s.id, "target")])
+                for s in corpus]
+        assert [(r.sample_id, r.score.hex()) for r in got] == \
+            [(r.sample_id, r.score.hex()) for r in want]
+
+    def test_zero_norm_position_contributes_zero(self, caplog):
+        # errors at 1 and 3; the source row at 3 is zero, the cosine at 1 is 0.6
+        class Provider:
+            def embed_side(self, sample, side, positions):
+                rows = {"source": [[0.6, 0.8], [0.0, 0.0]], "target": [[1.0, 0.0], [1.0, 0.0]]}
+                return ContextualEmbedding(sample.id, side, np.array(rows[side]))
+
+        corpus = parse_corpus("s1\tABCD\tAXCY\n")
+        with caplog.at_level("WARNING"):
+            (rec,) = score_corpus(corpus, "contextual", provider=Provider())
+        assert rec.score == pytest.approx(0.6, abs=1e-15)
+        assert [r.getMessage() for r in caplog.records] == [
+            "zero-norm embedding at sample 's1' position 3; similarity taken as 0"]
 
     @pytest.mark.parametrize("n_vectors", [2, 4])
     def test_file_embedding_of_wrong_length(self, n_vectors):

@@ -228,6 +228,13 @@ class TestEmbeddingFile:
         with pytest.raises(MalformedLine):
             parse_embeddings("dim=1\ns1\tmiddle\t0\t1.0\n")
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_component_names_the_line(self, component):
+        # accepted, a "nan" made the sample's contextual score read -1.0
+        doc = f"dim=2\ns1\tsource\t0\t1.0,0.0\ns1\tsource\t1\t{component},1.0\n"
+        with pytest.raises(MalformedLine, match="^line 3: vector component is not finite$"):
+            parse_embeddings(doc)
+
     def test_duplicate_position(self):
         doc = "dim=1\ns1\tsource\t0\t1.0\ns1\tsource\t0\t2.0\n"
         with pytest.raises(MalformedLine):

@@ -31,6 +31,7 @@ from spellcl.model import (
     SLOT_WIDTH,
     CorrectorModel,
     Prediction,
+    _rank,
     candidate_set,
     encode_corpus,
     feature_names,
@@ -258,10 +259,26 @@ LONE_SURROGATE = (Corpus(samples=(Sample(id="s", source="a\ud800", target="a\udf
                   ConfusionSet({"\ud800": {"a"}}))
 
 
+# 300 distinct characters in 3 samples: a context template's code range,
+# ~302 x 300, is wider than 4 x its ~300 slots + 65,536, so its feature ids
+# come from the sorting fallback; the candidate template's 300 take the
+# counting rank.
+_WIDE = [chr(0x4E00 + i) for i in range(300)]
+WIDE_ALPHABET = (
+    Corpus(samples=tuple(
+        Sample(id=f"w{i}", source="".join(_WIDE[100 * i:100 * i + 100]),
+               target="".join(_WIDE[100 * i:100 * i + 100]).replace(_WIDE[100 * i + 7], "Z"))
+        for i in range(3)
+    )),
+    ConfusionSet({_WIDE[0]: {_WIDE[1]}, _WIDE[150]: {_WIDE[5], _WIDE[299]}, _WIDE[107]: {"Z"}}),
+)
+
+
 class TestEncoding:
 
     @settings(max_examples=150, deadline=None)
     @example(LONE_SURROGATE)
+    @example(WIDE_ALPHABET)
     @given(spec_corpus())
     def test_slots_follow_the_spec(self, setup):
         corpus, confusion = setup
@@ -296,6 +313,29 @@ class TestEncoding:
         assert p == len(enc.pos_n_real)
         assert enc.slot_feats[-1].tolist() == [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)
         assert len(set(names)) == n_feat
+
+
+    def test_wide_alphabet_takes_the_sorting_fallback(self):
+        with mock.patch("spellcl.model._rank", wraps=_rank) as rank:
+            encode_corpus(*WIDE_ALPHABET)
+        sorted_ = [size > 4 * len(codes) + 65_536 for (codes, size), _ in rank.call_args_list]
+        assert sorted_ == [False, True, True, True, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rank_matches_np_unique(self, data):
+        n = data.draw(st.integers(0, 40))
+        threshold = 4 * n + 65_536  # the widest range ranked by counting
+        size = data.draw(st.one_of(st.integers(1, 200),
+                                   st.integers(threshold - 2, threshold + 2)))
+        codes = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)),
+                         dtype=data.draw(st.sampled_from([np.int32, np.int64])))
+        with mock.patch("numpy.unique", wraps=np.unique) as unique:
+            uniq, inverse = _rank(codes, size)
+        assert unique.called == (size > threshold)
+        want_uniq, want_inverse = np.unique(codes, return_inverse=True)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inverse, want_inverse)
 
 
 # ===========================================================================
