@@ -45,8 +45,6 @@ from .metrics import EvalReport, evaluate
 from .model import (
     CorrectorModel,
     Prediction,
-    candidate_set,
-    featurize,
     load_model,
     predict,
     predict_corpus,
@@ -66,6 +64,6 @@ __all__ = [
     "score_corpus",
     "ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder", "load_embeddings",
     "EvalReport", "evaluate",
-    "CorrectorModel", "Prediction", "candidate_set", "featurize", "load_model",
-    "predict", "predict_corpus", "save_model", "train",
+    "CorrectorModel", "Prediction", "load_model", "predict", "predict_corpus",
+    "save_model", "train",
 ]

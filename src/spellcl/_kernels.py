@@ -15,9 +15,10 @@ features gives:
   the first wrong one and resumes right after it.  That is exact in any
   summation order, because every training weight is an integer and every
   sum of them is held exactly in float64; ``argmax`` takes the first
-  maximum, which is the loop's strict ``>`` tie-break.  The averaged
-  weights are kept as a step-weighted sum (exact while T(T+1) < 2**53 for
-  T updates).
+  maximum, which is the loop's strict ``>`` tie-break.  An update is one
+  write to the weights and one entry in a log of (gold slot, predicted
+  slot) pairs; the averaging sum is one ``np.bincount`` over that log after
+  the pass (exact while T(T+1) < 2**53 for T updates).
 - ``predict_slots`` scores every position in one call.  Averaged (and
   loaded) weights are not integers, so it adds a slot's features in index
   order, as the loop does (``np.add.accumulate``; a pairwise sum or
@@ -99,12 +100,18 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # ``n_feat`` (a slot's missing KEEP) weighs 0.0 and id ``n_feat + 1`` (the
 # padding slot) weighs -inf, so a padding slot never beats a real one.
 #
+# An update adds +1 to the weights of its gold slot's features and -1 to
+# its predicted slot's in one fancy-index write: two candidates of one
+# position share no id but the missing-KEEP sentinel, reset after the write.
+#
 # Averaging (Daume III's step-weighted sum): update t adds +-1 to w[f] and
 # +-t to c[f] for every feature f it touches, so after T updates
 # ((T + 1) * w[f] - c[f]) is the integer sum of w[f] over the T weight
 # vectors the updates left, and dividing it by T gives the averaged weight.
-# |c[f]| <= T(T+1)/2 and |(T + 1) * w[f]| <= T(T+1), so every quantity is
-# an integer held exactly in float64 while T(T+1) < 2**53 (T < 9.4e7).
+# The pass only logs each update's two slots and builds c after the loop,
+# in one ``np.bincount``.  |c[f]| <= T(T+1)/2 and |(T + 1) * w[f]| <=
+# T(T+1), so every quantity is an integer held exactly in float64, in any
+# summation order, while T(T+1) < 2**53 (T < 9.4e7).
 
 # Positions scored per step of ``train_pass``; an update restarts the block
 # right after the position it corrected.
@@ -125,35 +132,41 @@ def train_pass(order, enc, n_feat) -> tuple[np.ndarray, np.ndarray, int]:
     starts = enc.samp_pos_start[order]
     lens = enc.samp_pos_start[order + 1] - starts
     visits = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    gold = enc.pos_gold_slot[visits]
+    # the gold slot's column in its position's row: a hidden gold slot's is
+    # at least the row's real count, which argmax never reaches
+    gcol = (enc.pos_gold_slot - pos_slots[:, 0]).astype(np.int32)[visits]
     w = _extend(np.zeros(n_feat))
-    c = np.zeros(n_feat + 2)
-    rows = np.arange(_BLOCK)
     ones = np.ones(slot_feats.shape[1])
-    t = 0
+    up_down = np.array([[1.0], [-1.0]])
+    log = []  # (gold slot, predicted slot) of every update, in order
     i = 0
     while i < visits.shape[0]:
         cand = pos_slots.take(visits[i:i + _BLOCK], axis=0)
         # "@ ones" is sum(-1), faster on a short axis; every weight is an
         # integer, so any summation order gives the same scores
-        score = w.take(slot_feats.take(cand, axis=0)) @ ones
-        best = cand[rows[:cand.shape[0]], score.argmax(1)]
-        wrong = np.flatnonzero(best != gold[i:i + _BLOCK])
-        if wrong.shape[0] == 0:
+        best = (w.take(slot_feats.take(cand, axis=0)) @ ones).argmax(1)
+        wrong = best != gcol[i:i + _BLOCK]
+        k = wrong.argmax()
+        if not wrong[k]:
             i += cand.shape[0]
             continue
-        k = wrong[0]
-        t += 1
-        up, down = slot_feats[gold[i + k]], slot_feats[best[k]]
-        w[up] += 1.0
-        w[down] -= 1.0
-        c[up] += t
-        c[down] -= t
+        pair = (cand[k, 0] + gcol[i + k], cand[k, best[k]])
+        w[slot_feats.take(pair, axis=0)] += up_down
         w[n_feat] = 0.0  # the missing-KEEP sentinel stays weightless
+        log.append(pair)
         i += k + 1
+    t = len(log)
     w = w[:n_feat]
+    feats = slot_feats.take(np.asarray(log, dtype=np.intp).reshape(t, 2), axis=0)
+    del visits, gcol, log
+    steps = np.arange(1.0, t + 1.0)[:, None, None] * up_down * ones  # shaped as feats
+    c = np.bincount(feats.ravel(), steps.ravel(), minlength=n_feat + 2)
+    del feats, steps
+    avg = w * (t + 1)
+    avg -= c[:n_feat]
     # with no update, w and c are all zero and so is the average
-    return w, ((t + 1) * w - c[:n_feat]) / max(t, 1), t
+    avg /= max(t, 1)
+    return w, avg, t
 
 
 def predict_slots(enc, weights) -> np.ndarray:

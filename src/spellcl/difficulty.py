@@ -12,6 +12,7 @@ positions.  Error-free samples score exactly 0 under both policies.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,17 +129,23 @@ def records_to_tsv(records: list[DifficultyRecord]) -> str:
 
 
 def parse_records(text: str) -> list[DifficultyRecord]:
-    records = []
+    """One record per sample ID.  A NaN score has no place in ascending
+    order and is rejected; +-inf sorts first or last."""
+    records: dict[str, DifficultyRecord] = {}
     for line_no, line in numbered_lines(text):
         fields = line.split("\t")
         if len(fields) != 3 or fields[2] not in POLICIES:
             raise MalformedLine(f"line {line_no}: expected 'id<TAB>score<TAB>policy'")
         try:
             score = float(fields[1])
+            if math.isnan(score):
+                raise ValueError
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad score {fields[1]!r}")
-        records.append(DifficultyRecord(sample_id=fields[0], score=score, policy=fields[2]))
-    return records
+        if fields[0] in records:
+            raise MalformedLine(f"line {line_no}: repeated sample ID {fields[0]!r}")
+        records[fields[0]] = DifficultyRecord(sample_id=fields[0], score=score, policy=fields[2])
+    return list(records.values())
 
 
 def load_records(path) -> list[DifficultyRecord]:

@@ -17,13 +17,13 @@ this module turns a manifest into a visiting order and averaged weights
 into predictions.
 The encoder works on code points with numpy and never builds a feature
 name: a feature is an integer key, and each encoding numbers the keys of
-its own corpus in ascending order.  ``feature_names`` turns keys into the
-``featurize`` names only where a name is read, the model's weight map
-(``train`` for the non-zero averaged weights, ``predict_corpus`` for the
-corpus's own features).  A model's averaged weights are copied into an
+its own corpus in ascending order.  ``feature_names`` turns keys into
+names such as ``L|<BOS>|a`` only where a name is read, the model's weight
+map (``train`` for the non-zero averaged weights, ``predict_corpus`` for
+the corpus's own features).  A model's averaged weights are copied into an
 encoding's numbering (0.0 for a feature the model lacks), so the kernels
-never meet an unknown feature.  ``candidate_set`` and ``featurize`` are
-the spec the encoding is tested against.
+never meet an unknown feature.  The test suite holds the per-position
+candidate and feature lists that the encoding is tested against.
 The encoding is the only prediction path (``predict`` runs it on a
 one-sample corpus); the test suite's dict-based predictor is the oracle it
 must agree with exactly.
@@ -65,34 +65,10 @@ class CorrectorModel:
     confusion: ConfusionSet
 
 
-def candidate_set(source: str, j: int, confusion: ConfusionSet) -> list[str]:
-    """Observed character first, then its confusables in code-point order."""
-    return [source[j]] + sorted(confusion.candidates(source[j]))
-
-
-def featurize(sequence: str, j: int, candidate: str) -> list[str]:
-    """Feature keys for choosing ``candidate`` at position j of ``sequence``."""
-    n = len(sequence)
-    left = sequence[j - 1] if j >= 1 else BOS
-    ll = sequence[j - 2] if j >= 2 else BOS
-    right = sequence[j + 1] if j + 1 < n else EOS
-    rr = sequence[j + 2] if j + 2 < n else EOS
-    keys = [
-        f"C|{candidate}",
-        f"L|{left}|{candidate}",
-        f"R|{right}|{candidate}",
-        f"LL|{ll}|{candidate}",
-        f"RR|{rr}|{candidate}",
-    ]
-    if candidate == sequence[j]:
-        keys.append("KEEP")
-    return keys
-
-
 # --- corpus encoding ----------------------------------------------------------
 #
 # A feature is an int64 key: template << 42 | context code << 21 | candidate
-# code, with the templates numbered in ``featurize`` order (C, L, R, LL, RR)
+# code, with the templates numbered in slot order (C, L, R, LL, RR)
 # and KEEP the single key of template 5.  Code points fit in 21 bits; BOS and
 # EOS take the two codes past the last one, so a key sorts by template, then
 # context, then candidate.
@@ -118,7 +94,7 @@ def _feature_name(key: int) -> str:
 
 
 def feature_names(keys: np.ndarray) -> list[str]:
-    """The ``featurize`` name of each feature key."""
+    """The name of each feature key, such as ``L|<BOS>|a``."""
     return [_feature_name(key) for key in keys.tolist()]
 
 
@@ -132,11 +108,11 @@ class CorpusEncoding:
     candidate.  Ids index the encoding's own feature table,
     ``feature_index``: the sorted int64 keys of the corpus's features (see
     above), so every id is known; ``feature_names`` decodes keys to the
-    ``featurize`` names where a name is needed (a model's weight map).  A
+    feature names where a name is needed (a model's weight map).  A
     model's weights reach an encoding by being copied into its numbering.
 
     The kernels read two int32 tables.  ``slot_feats`` has one row of
-    ``SLOT_WIDTH`` feature ids per slot, in ``featurize`` order; a slot
+    ``SLOT_WIDTH`` feature ids per slot (C, L, R, LL, RR, KEEP); a slot
     without KEEP holds the sentinel id ``n_feat`` (``len(feature_index)``)
     in its last column, which the kernels weigh 0.0.  Its last row is a
     padding slot whose first id is ``n_feat + 1``, weighed -inf.

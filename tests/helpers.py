@@ -6,6 +6,34 @@ import numpy as np
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample
 from spellcl.embed import SIDES, ContextualEmbedding
+from spellcl.model import BOS, EOS
+
+
+# The corrector's spec, per position: the encoding (model.encode_corpus) must
+# give every position these candidates and every candidate these features.
+
+def candidate_set(source: str, j: int, confusion: ConfusionSet) -> list[str]:
+    """Observed character first, then its confusables in code-point order."""
+    return [source[j]] + sorted(confusion.candidates(source[j]))
+
+
+def featurize(sequence: str, j: int, candidate: str) -> list[str]:
+    """Feature names for choosing ``candidate`` at position j of ``sequence``."""
+    n = len(sequence)
+    left = sequence[j - 1] if j >= 1 else BOS
+    ll = sequence[j - 2] if j >= 2 else BOS
+    right = sequence[j + 1] if j + 1 < n else EOS
+    rr = sequence[j + 2] if j + 2 < n else EOS
+    keys = [
+        f"C|{candidate}",
+        f"L|{left}|{candidate}",
+        f"R|{right}|{candidate}",
+        f"LL|{ll}|{candidate}",
+        f"RR|{rr}|{candidate}",
+    ]
+    if candidate == sequence[j]:
+        keys.append("KEEP")
+    return keys
 
 
 def make_vocab(n: int = 50) -> list[str]:

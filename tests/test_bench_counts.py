@@ -14,9 +14,9 @@ import pytest
 
 from spellcl.corpus import ConfusionSet
 from spellcl.curriculum import arrange_shuffled_baseline
-from spellcl.model import candidate_set, encode_corpus, featurize, train_encoded
+from spellcl.model import encode_corpus, train_encoded
 
-from helpers import overfit_fixture
+from helpers import candidate_set, featurize, overfit_fixture
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -161,6 +161,15 @@ class TestArrange:
         assert len(lines) == 2
         assert json.loads(lines[1])["ids"] == [f"id{i}" for i in range(9)]
 
+    def test_repeated_score_id_is_a_data_error(self, workdir, capsys):
+        path = workdir["root"] / "scores.tsv"
+        path.write_text("a\t0.1\tcontextual\nb\t0.2\tcontextual\n"
+                        "a\t0.3\tcontextual\nc\t0.0\tcontextual\n", encoding="utf-8")
+        out = workdir["root"] / "so"
+        assert run("arrange", "--scores", path, "--policy", "sorted_only", "--out", out) == 1
+        assert "line 3: repeated sample ID 'a'" in capsys.readouterr().err
+        assert not (out / "manifest.jsonl").exists()
+
     def test_baseline_from_corpus_ids(self, workdir):
         out = workdir["root"] / "bl"
         assert run("arrange", "--train", workdir["train"], "--policy",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample, parse_corpus
+from spellcl.curriculum import arrange_sorted_only
 from spellcl.difficulty import (
     POLICIES,
     DifficultyRecord,
@@ -302,6 +303,26 @@ class TestDifficultyFile:
         with pytest.raises(MalformedLine):
             parse_records("s1\t0.5\tbogus_policy\n")
 
+    def test_repeated_sample_id_names_the_line(self):
+        # arranged, the repeat would land twice in one stage, which the
+        # manifest reader rejects only later, in train
+        with pytest.raises(MalformedLine, match="^line 3: repeated sample ID 'a'$"):
+            parse_records("a\t0.1\tcontextual\nb\t0.2\tcontextual\n"
+                          "a\t0.3\tcontextual\nc\t0.0\tcontextual\n")
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
+    def test_nan_score_names_the_line(self, text):
+        # NaN compares false both ways, so its place in ascending order would
+        # follow the line order
+        with pytest.raises(MalformedLine, match=f"^line 2: bad score '{text}'$"):
+            parse_records(f"b\t0.5\tcontextual\na\t{text}\tcontextual\n")
+
+    def test_infinite_scores_sort_at_the_ends(self):
+        text = "b\tinf\tcontextual\na\t0.500000000\tcontextual\nc\t-inf\tcontextual\n"
+        records = parse_records(text)
+        assert records_to_tsv(records) == text
+        assert arrange_sorted_only(records, seed=0).stages == (("c", "a", "b"),)
+
     def test_byte_order_mark_names_the_cause(self):
         # without the check, the first ID would silently read '\ufeffs1'
         with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
@@ -311,13 +332,14 @@ class TestDifficultyFile:
         with pytest.raises(MalformedLine, match="line 2: CRLF line ending"):
             parse_records("s1\t0.5\tcontextual\ns2\t0.5\tcontextual\r\n")
 
-    # A byte-order mark is rejected when an ID starting with one comes first.
+    # A byte-order mark is rejected when an ID starting with one comes first,
+    # and a repeated ID wherever it comes.
     @given(st.lists(st.builds(
         DifficultyRecord,
         st.text(alphabet=st.characters(exclude_characters="\t\n\ufeff"), max_size=6),
         st.floats(-1e6, 1e6),
         st.sampled_from(POLICIES),
-    ), max_size=8))
+    ), max_size=8, unique_by=lambda r: r.sample_id))
     def test_text_roundtrip_random(self, records):
         # scores are written at 9 decimals, so the text is the fixpoint
         text = records_to_tsv(records)

@@ -32,11 +32,10 @@ from spellcl.model import (
     CorrectorModel,
     Prediction,
     _rank,
-    candidate_set,
     encode_corpus,
     feature_names,
-    featurize,
     load_model,
+    manifest_order,
     model_to_tsv,
     parse_model,
     predict,
@@ -48,6 +47,8 @@ from spellcl.model import (
 )
 
 from helpers import (
+    candidate_set,
+    featurize,
     make_clean_corpus,
     make_symmetric_confusion,
     make_vocab,
@@ -94,6 +95,20 @@ def final_weights(manifest, corpus, confusion):
     w, _, _ = train_encoded(enc, manifest)
     names = feature_names(enc.feature_index)
     return {name: float(w[i]) for i, name in enumerate(names) if w[i] != 0.0}
+
+
+def assert_kernel_matches_trace(corpus, confusion, manifest):
+    """``train_encoded``'s full returned arrays equal the trace oracle's, laid
+    out in the encoding's feature numbering; returns the update count."""
+    enc = encode_corpus(corpus, confusion)
+    w, averaged, t = train_encoded(enc, manifest)
+    final, trace_avg, n_updates = trace_train(manifest, corpus, confusion)
+    names = feature_names(enc.feature_index)
+    assert set(final) | set(trace_avg) <= set(names)
+    assert t == n_updates
+    assert np.array_equal(w, [final.get(name, 0.0) for name in names])
+    assert np.array_equal(averaged, [trace_avg.get(name, 0.0) for name in names])
+    return t
 
 
 def reference_predict(model, sample):
@@ -185,6 +200,32 @@ EVERY_POSITION_WRONG = (
     Corpus(samples=(Sample(id="long", source="ab" * 40, target="ba" * 40),)),
     ConfusionSet(),
     arrange_shuffled_baseline(["long"], seed=0),
+)
+
+# Every gold character is the observed one, which wins every zero-weight
+# tie: the pass makes no update.
+NO_UPDATE = (
+    Corpus(samples=(Sample(id="s", source="abca", target="abca"),)),
+    ConfusionSet({"a": {"b"}}),
+    arrange_shuffled_baseline(["s"], seed=0),
+)
+
+# Position 0 ("a", candidates a and b) is the widest, so its real slots fill
+# the whole pos_slots row, and its gold "z" is no candidate: the hidden gold
+# slot's column equals the row width.
+HIDDEN_GOLD_AT_FULL_WIDTH = (
+    Corpus(samples=(Sample(id="s", source="ab", target="zb"),)),
+    ConfusionSet({"a": {"b"}}),
+    arrange_shuffled_baseline(["s"], seed=0),
+)
+
+# One block of clean positions, then a short final block of three whose
+# last position is the only mistake.
+LAST_OF_SHORT_BLOCK = (
+    Corpus(samples=(Sample(id="s", source="a" * (_kernels._BLOCK + 3),
+                           target="a" * (_kernels._BLOCK + 2) + "b"),)),
+    ConfusionSet({"a": {"b"}}),
+    arrange_shuffled_baseline(["s"], seed=0),
 )
 
 
@@ -403,6 +444,9 @@ class TestTrain:
     @pytest.mark.parametrize("block", [1, 2, 3, _kernels._BLOCK])
     @settings(max_examples=30, deadline=None)
     @example(EVERY_POSITION_WRONG)
+    @example(NO_UPDATE)
+    @example(HIDDEN_GOLD_AT_FULL_WIDTH)
+    @example(LAST_OF_SHORT_BLOCK)
     @given(random_setup(long_sample=True))
     def test_every_block_size_matches_trace_oracle(self, block, setup):
         corpus, confusion, manifest = setup
@@ -410,6 +454,7 @@ class TestTrain:
         with mock.patch.object(_kernels, "_BLOCK", block):
             model = train(manifest, corpus, confusion)
             assert final_weights(manifest, corpus, confusion) == final
+            assert_kernel_matches_trace(corpus, confusion, manifest)
         assert model.updates_seen == n_updates
         assert model.averaged_weights == {k: v for k, v in averaged.items() if v != 0.0}
 
@@ -417,6 +462,27 @@ class TestTrain:
         corpus, confusion, manifest = EVERY_POSITION_WRONG
         _, _, t = train_encoded(encode_corpus(corpus, confusion), manifest)
         assert t == len(corpus.samples[0].source) > 2 * _kernels._BLOCK
+
+    def test_pass_without_updates_returns_zeros(self):
+        corpus, confusion, manifest = NO_UPDATE
+        enc = encode_corpus(corpus, confusion)
+        n_feat = len(enc.feature_index)
+        for order in (manifest_order(manifest, enc), np.zeros(0, dtype=np.int64)):
+            w, averaged, t = _kernels.train_pass(order, enc, n_feat)
+            assert t == 0
+            assert np.array_equal(w, np.zeros(n_feat))
+            assert np.array_equal(averaged, np.zeros(n_feat))
+
+    def test_hidden_gold_slot_at_full_row_width(self):
+        corpus, confusion, manifest = HIDDEN_GOLD_AT_FULL_WIDTH
+        enc = encode_corpus(corpus, confusion)
+        assert enc.pos_gold_slot[0] - enc.pos_slots[0, 0] == enc.pos_slots.shape[1] == 2
+        assert assert_kernel_matches_trace(corpus, confusion, manifest) == 1
+
+    def test_mistake_on_the_last_position_of_a_short_final_block(self):
+        corpus, confusion, manifest = LAST_OF_SHORT_BLOCK
+        assert len(corpus.samples[0].source) % _kernels._BLOCK == 3
+        assert assert_kernel_matches_trace(corpus, confusion, manifest) == 1
 
     def test_unknown_sample_id(self):
         corpus, confusion = small_noisy_setup(n_sentences=3)
