@@ -14,6 +14,12 @@ record holds exactly the command's options that have a value, plus
 ``command``, so passing it back with ``--config`` reruns the command; a
 config key that belongs to another command is ignored.  Exit codes: 0
 success, 1 internal/data error, 2 usage/config error.
+
+Start-up: no module-level import in ``spellcl/__init__``, ``cli``, ``corpus``,
+``curriculum``, ``difficulty``, ``rng`` or ``errors`` may load numpy, so
+``inject`` and ``arrange`` never load it.  Commands import ``model``,
+``metrics``, ``embed`` and numpy where they use them, and call library
+functions through module attributes (``mod.train_encoded``) at call time.
 """
 
 from __future__ import annotations
@@ -24,14 +30,9 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import curriculum as cur
 from . import difficulty as diff
-from . import metrics as met
-from . import model as mod
-from .embed import HashedEmbedder, load_embeddings
 from .errors import ConfigError, EmptyInput, KTooLarge, SpellclError
 
 # ablation mode -> (arrangement policy, difficulty policy it reads or None)
@@ -168,6 +169,7 @@ def _write_resolved(cfg: dict, command: str) -> None:
 
 
 def build_provider(cfg: dict):
+    from .embed import HashedEmbedder, load_embeddings
     if cfg["provider"] == "hashed":
         return HashedEmbedder(window=cfg["window"], dim=cfg["dim"])
     if cfg["provider"] == "file":
@@ -235,6 +237,7 @@ def cmd_arrange(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
+    from . import model as mod
     manifest = cur.load_manifest(cfg["manifest"])
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
@@ -246,6 +249,8 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    from . import metrics as met
+    from . import model as mod
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
     model = mod.load_model(cfg["model"], confusion)
     test_corpus = corpus_mod.load_corpus(cfg["test"])
@@ -262,6 +267,7 @@ def cmd_evaluate(cfg: dict) -> int:
 def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     """``{(mode, k, seed): (detection F1, correction F1)}`` for the given keys;
     scores the training corpus only under the difficulty policies the modes read."""
+    from . import model as mod
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     test_corpus = corpus_mod.load_corpus(cfg["test"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
@@ -291,6 +297,7 @@ def _test_rows(train_keys: np.ndarray, test_keys: np.ndarray) -> np.ndarray:
     """Training row of each test feature key, or ``len(train_keys)`` for a
     feature training never saw: the row of the 0.0 that ``_run_one`` appends.
     Both key tables are ascending (``CorpusEncoding.feature_index``)."""
+    import numpy as np
     rows = np.searchsorted(train_keys, test_keys)
     rows[np.append(train_keys, -1)[rows] != test_keys] = len(train_keys)
     return rows
@@ -299,6 +306,9 @@ def _test_rows(train_keys: np.ndarray, test_keys: np.ndarray) -> np.ndarray:
 def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, float]:
     # Its own frame, so one run's weights and predictions are freed before
     # the next run trains: peak memory stays that of a single run.
+    import numpy as np
+    from . import metrics as met
+    from . import model as mod
     _, averaged, _ = mod.train_encoded(enc_train, manifest)
     preds = mod.predict_encoded(enc_test, test_corpus, np.append(averaged, 0.0)[rows])
     det = met.evaluate(preds, test_corpus, "detection")
@@ -307,6 +317,7 @@ def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, f
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
+    import numpy as np
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0

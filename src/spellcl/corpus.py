@@ -140,8 +140,8 @@ def parse_corpus(text: str, name: str = "") -> Corpus:
     """Parse a TSV document into a Corpus; line order is preserved.
 
     Raises MalformedLine for a leading byte-order mark, a CRLF line ending
-    or a wrong field count, LengthMismatch when the two sides differ in
-    length, DuplicateId for repeated IDs.
+    a wrong field count or an empty ID, LengthMismatch when the two sides
+    differ in length, DuplicateId for repeated IDs.
     """
     samples = []
     seen: set[str] = set()
@@ -152,6 +152,8 @@ def parse_corpus(text: str, name: str = "") -> Corpus:
                 f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}"
             )
         sample_id, source, target = fields
+        if not sample_id:
+            raise MalformedLine(f"line {line_no}: empty sample ID")
         if len(source) != len(target):
             raise LengthMismatch(
                 f"line {line_no}: source has {len(source)} characters, "

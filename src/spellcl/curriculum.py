@@ -59,15 +59,9 @@ class CurriculumManifest:
 
 def balanced_split(items: list, k: int) -> list[list]:
     """Split into k contiguous parts, sizes as equal as possible, extras first."""
-    n = len(items)
-    base, extra = divmod(n, k)
-    parts = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        parts.append(items[start:start + size])
-        start += size
-    return parts
+    base, extra = divmod(len(items), k)
+    bounds = [i * base + min(i, extra) for i in range(k + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _sorted_ids(records: list[DifficultyRecord]) -> list[str]:

@@ -14,12 +14,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import ConfusionSet, Corpus, Sample, numbered_lines, read_text, write_text
-from .embed import ContextualEmbedding, FileEmbeddingProvider
 from .errors import MalformedLine, ShapeMismatch, ZeroNormVector
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .embed import ContextualEmbedding
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +41,7 @@ def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of those pairs.  Each sum of products is ``np.add.reduce`` along its row,
     so a row gets the same bits in any batch; hashed rows hold small
     integers, whose sums are exact in any order."""
+    import numpy as np
     norms = np.sqrt(np.add.reduce(u * u, axis=1)) * np.sqrt(np.add.reduce(v * v, axis=1))
     zero = norms == 0.0
     cos = np.divide(np.add.reduce(u * v, axis=1), norms, out=np.zeros(len(norms)), where=~zero)
@@ -51,6 +54,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     Raises ZeroNormVector for degenerate inputs; the contextual score maps
     that case to similarity 0.
     """
+    import numpy as np
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
@@ -65,6 +69,7 @@ def score_contextual(sample: Sample, emb_src: ContextualEmbedding,
                      emb_tgt: ContextualEmbedding) -> DifficultyRecord:
     """Sum of per-error-position cosines between the two sides' full-length
     vectors: ``score_corpus`` of a one-sample corpus over those vectors."""
+    from .embed import FileEmbeddingProvider
     table = {(sample.id, "source"): emb_src, (sample.id, "target"): emb_tgt}
     return score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))[0]
 
@@ -99,6 +104,7 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
         raise ValueError("contextual scoring needs an embedding provider")
     if not len(corpus):
         return []
+    import numpy as np
     src_rows, tgt_rows = [], []
     for s in corpus:
         src_rows.append(provider.embed_side(s, "source", s.error_positions).vectors)
@@ -129,7 +135,7 @@ def records_to_tsv(records: list[DifficultyRecord]) -> str:
 
 
 def parse_records(text: str) -> list[DifficultyRecord]:
-    """One record per sample ID.  A NaN score has no place in ascending
+    """One record per non-empty sample ID.  A NaN score has no place in ascending
     order and is rejected; +-inf sorts first or last."""
     records: dict[str, DifficultyRecord] = {}
     for line_no, line in numbered_lines(text):
@@ -142,6 +148,8 @@ def parse_records(text: str) -> list[DifficultyRecord]:
                 raise ValueError
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad score {fields[1]!r}")
+        if not fields[0]:
+            raise MalformedLine(f"line {line_no}: empty sample ID")
         if fields[0] in records:
             raise MalformedLine(f"line {line_no}: repeated sample ID {fields[0]!r}")
         records[fields[0]] = DifficultyRecord(sample_id=fields[0], score=score, policy=fields[2])

@@ -18,10 +18,13 @@ as both FP and FN.  Zero-denominator precision/recall are defined as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus
 from .errors import IdMismatch
-from .model import Prediction
+
+if TYPE_CHECKING:
+    from .model import Prediction
 
 LEVELS = ("detection", "correction")
 

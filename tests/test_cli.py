@@ -170,6 +170,14 @@ class TestArrange:
         assert "line 3: repeated sample ID 'a'" in capsys.readouterr().err
         assert not (out / "manifest.jsonl").exists()
 
+    def test_empty_score_id_is_a_data_error(self, workdir, capsys):
+        path = workdir["root"] / "scores.tsv"
+        path.write_text("\t0.1\tcontextual\nb\t0.2\tcontextual\n", encoding="utf-8")
+        out = workdir["root"] / "so"
+        assert run("arrange", "--scores", path, "--policy", "sorted_only", "--out", out) == 1
+        assert "line 1: empty sample ID" in capsys.readouterr().err
+        assert not (out / "manifest.jsonl").exists()
+
     def test_baseline_from_corpus_ids(self, workdir):
         out = workdir["root"] / "bl"
         assert run("arrange", "--train", workdir["train"], "--policy",

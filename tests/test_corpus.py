@@ -76,6 +76,11 @@ class TestParseCorpus:
         with pytest.raises(DuplicateId):
             parse_corpus("a\tX\tX\nb\tY\tY\na\tZ\tZ\n")
 
+    def test_empty_id_names_the_line(self):
+        # the sample would train under an ID no manifest can name apart
+        with pytest.raises(MalformedLine, match="^line 2: empty sample ID$"):
+            parse_corpus("a\tX\tX\n\tY\tZ\n")
+
     def test_malformed_line(self):
         with pytest.raises(MalformedLine):
             parse_corpus("only-two-fields\tX\n")

@@ -310,6 +310,11 @@ class TestDifficultyFile:
             parse_records("a\t0.1\tcontextual\nb\t0.2\tcontextual\n"
                           "a\t0.3\tcontextual\nc\t0.0\tcontextual\n")
 
+    def test_empty_sample_id_names_the_line(self):
+        # arranged, it would become an empty ID in the manifest's first stage
+        with pytest.raises(MalformedLine, match="^line 1: empty sample ID$"):
+            parse_records("\t0.1\tcontextual\nb\t0.2\tcontextual\n")
+
     @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
     def test_nan_score_names_the_line(self, text):
         # NaN compares false both ways, so its place in ascending order would
@@ -333,10 +338,11 @@ class TestDifficultyFile:
             parse_records("s1\t0.5\tcontextual\ns2\t0.5\tcontextual\r\n")
 
     # A byte-order mark is rejected when an ID starting with one comes first,
-    # and a repeated ID wherever it comes.
+    # and an empty or repeated ID wherever it comes.
     @given(st.lists(st.builds(
         DifficultyRecord,
-        st.text(alphabet=st.characters(exclude_characters="\t\n\ufeff"), max_size=6),
+        st.text(alphabet=st.characters(exclude_characters="\t\n\ufeff"), min_size=1,
+                max_size=6),
         st.floats(-1e6, 1e6),
         st.sampled_from(POLICIES),
     ), max_size=8, unique_by=lambda r: r.sample_id))
