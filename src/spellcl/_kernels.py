@@ -13,12 +13,15 @@ features gives:
   update changes the scores of every later position.  It scores the next
   ``_BLOCK`` positions of the visiting order at once, applies the update of
   the first wrong one and resumes right after it.  That is exact in any
-  summation order, because every training weight is an integer and every
-  sum of them is held exactly in float64; ``argmax`` takes the first
-  maximum, which is the loop's strict ``>`` tie-break.  An update is one
-  write to the weights and one entry in a log of (gold slot, predicted
-  slot) pairs; the averaging sum is one ``np.bincount`` over that log after
-  the pass (exact while T(T+1) < 2**53 for T updates).
+  summation order, BLAS's ``np.dot`` included, because every training
+  weight is an integer (the padding -inf aside, summed only with zeros, so
+  no NaN arises) and every sum of them is held exactly in float64;
+  ``argmax`` takes the first maximum, which is the loop's strict ``>``
+  tie-break.  The feature ids of ``_CHUNK`` visits are gathered at once,
+  so a block is a slice of that table and stops at the chunk's end.  An
+  update is one write to the weights and one entry in a log of (gold slot,
+  predicted slot) pairs; the averaging sum is one ``np.bincount`` over that
+  log after the pass (exact while T(T+1) < 2**53 for T updates).
 - ``predict_slots`` scores every position in one call.  Averaged (and
   loaded) weights are not integers, so it adds a slot's features in index
   order, as the loop does (``np.add.accumulate``; a pairwise sum or
@@ -101,8 +104,16 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # padding slot) weighs -inf, so a padding slot never beats a real one.
 #
 # An update adds +1 to the weights of its gold slot's features and -1 to
-# its predicted slot's in one fancy-index write: two candidates of one
-# position share no id but the missing-KEEP sentinel, reset after the write.
+# its predicted slot's in one fancy-index write of 2 * SLOT_WIDTH flat ids:
+# two candidates of one position share no id but the missing-KEEP sentinel,
+# reset after the write.
+#
+# Index arrays are intp: numpy casts an int32 index array to intp on every
+# call, a large part of the cost of a gather or write this small.
+# ``slot_feats`` stays int32 in the encoding (as intp it would double its
+# memory), so the pass casts one chunk of gathered ids at a time (~0.5-0.8 MB
+# on the benchmark's corpora, whatever the corpus size), and an update's
+# gold ids join the chunk's intp predicted ids.
 #
 # Averaging (Daume III's step-weighted sum): update t adds +-1 to w[f] and
 # +-t to c[f] for every feature f it touches, so after T updates
@@ -116,6 +127,8 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # Positions scored per step of ``train_pass``; an update restarts the block
 # right after the position it corrected.
 _BLOCK = 32
+# Visits whose feature ids ``train_pass`` gathers into one intp table.
+_CHUNK = 1024
 
 
 def _extend(weights: np.ndarray) -> np.ndarray:
@@ -132,34 +145,41 @@ def train_pass(order, enc, n_feat) -> tuple[np.ndarray, np.ndarray, int]:
     starts = enc.samp_pos_start[order]
     lens = enc.samp_pos_start[order + 1] - starts
     visits = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    # the gold slot's column in its position's row: a hidden gold slot's is
-    # at least the row's real count, which argmax never reaches
-    gcol = (enc.pos_gold_slot - pos_slots[:, 0]).astype(np.int32)[visits]
+    width = pos_slots.shape[1]
     w = _extend(np.zeros(n_feat))
     ones = np.ones(slot_feats.shape[1])
-    up_down = np.array([[1.0], [-1.0]])
+    signs = np.repeat([1.0, -1.0], slot_feats.shape[1])  # gold ids, then predicted
+    block, chunk = _BLOCK, _CHUNK
     log = []  # (gold slot, predicted slot) of every update, in order
-    i = 0
-    while i < visits.shape[0]:
-        cand = pos_slots.take(visits[i:i + _BLOCK], axis=0)
-        # "@ ones" is sum(-1), faster on a short axis; every weight is an
-        # integer, so any summation order gives the same scores
-        best = (w.take(slot_feats.take(cand, axis=0)) @ ones).argmax(1)
-        wrong = best != gcol[i:i + _BLOCK]
-        k = wrong.argmax()
-        if not wrong[k]:
-            i += cand.shape[0]
-            continue
-        pair = (cand[k, 0] + gcol[i + k], cand[k, best[k]])
-        w[slot_feats.take(pair, axis=0)] += up_down
-        w[n_feat] = 0.0  # the missing-KEEP sentinel stays weightless
-        log.append(pair)
-        i += k + 1
+    for lo in range(0, visits.shape[0], chunk):
+        cand = pos_slots.take(visits[lo:lo + chunk], axis=0)
+        gold = enc.pos_gold_slot.take(visits[lo:lo + chunk])
+        # the gold slot's column in its position's row: a hidden gold slot's
+        # is at least the row's real count, which argmax never reaches
+        gcol = gold - cand[:, 0]
+        # row r * width + c holds the ids of slot c of the chunk's visit r
+        feats = slot_feats.take(cand.ravel(), axis=0).astype(np.intp)
+        i = 0
+        while i < cand.shape[0]:
+            # a block that would cross the chunk's end is cut short there
+            scores = np.dot(w.take(feats[i * width:(i + block) * width]), ones)
+            best = scores.reshape(-1, width).argmax(1)
+            wrong = best != gcol[i:i + block]
+            k = int(wrong.argmax())
+            if not wrong[k]:
+                i += block
+                continue
+            i += k
+            p = int(best[k])
+            w[np.concatenate((slot_feats[gold[i]], feats[i * width + p]))] += signs
+            w[n_feat] = 0.0  # the missing-KEEP sentinel stays weightless
+            log.append((gold[i], cand[i, p]))
+            i += 1
     t = len(log)
     w = w[:n_feat]
     feats = slot_feats.take(np.asarray(log, dtype=np.intp).reshape(t, 2), axis=0)
-    del visits, gcol, log
-    steps = np.arange(1.0, t + 1.0)[:, None, None] * up_down * ones  # shaped as feats
+    del visits, log
+    steps = np.arange(1.0, t + 1.0)[:, None] * signs  # shaped as feats.reshape(t, -1)
     c = np.bincount(feats.ravel(), steps.ravel(), minlength=n_feat + 2)
     del feats, steps
     avg = w * (t + 1)

@@ -93,8 +93,9 @@ def _help(name: str) -> str:
 
 
 def _convert(name: str, value):
-    """``value`` as the option's type, within its bounds, an existing file for
-    input-file options; ConfigError naming the flag otherwise."""
+    """``value`` as the option's type, within its bounds, a list option's
+    values distinct, an input file existing; ConfigError naming the flag
+    otherwise."""
     opt = OPTIONS[name]
     try:
         if opt.type is list:
@@ -108,6 +109,9 @@ def _convert(name: str, value):
     except (TypeError, ValueError):
         kind = "comma-separated integers" if opt.type is list else opt.type.__name__
         raise ConfigError(f"{_flag(name)}: expected {kind}, got {value!r}")
+    if opt.type is list and len(set(value)) != len(value):
+        # a repeated seed or k would run the same grid cell twice
+        raise ConfigError(f"{_flag(name)}: repeated value in {value}")
     for v in value if opt.type is list else [value]:
         if not ((opt.lo is None or v >= opt.lo) and (opt.hi is None or v <= opt.hi)):
             bounds = f">= {opt.lo}" if opt.hi is None else f"in [{opt.lo}, {opt.hi}]"
@@ -348,8 +352,6 @@ def cmd_ablate(cfg: dict) -> int:
 
 def cmd_sweep_k(cfg: dict) -> int:
     seeds, k_values = cfg["seeds"], cfg["k_values"]
-    if len(set(k_values)) != len(k_values):
-        raise ConfigError(f"sweep-k: duplicate k values in {k_values}")
     mode = "annealing_contextual"
     grid = _run_grid(cfg, [(mode, k, seed) for k in k_values for seed in seeds])
 

@@ -178,6 +178,8 @@ def parse_manifest(text: str) -> CurriculumManifest:
         meta = json.loads(meta_line)
     except json.JSONDecodeError as exc:
         raise MalformedManifest(f"line {meta_line_no}: {exc}")
+    if not isinstance(meta, dict):
+        raise MalformedManifest(f"line {meta_line_no}: expected a JSON object")
     for key in ("policy", "k", "seed", "corpus"):
         if key not in meta:
             raise MalformedManifest(f"metadata missing {key!r}")
@@ -190,6 +192,8 @@ def parse_manifest(text: str) -> CurriculumManifest:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedManifest(f"line {line_no}: {exc}")
+        if not isinstance(obj, dict):
+            raise MalformedManifest(f"line {line_no}: expected a JSON object")
         if "stage" not in obj or "ids" not in obj:
             raise MalformedManifest(f"line {line_no}: expected 'stage' and 'ids'")
         if obj["stage"] != len(stages) + 1:
@@ -197,6 +201,8 @@ def parse_manifest(text: str) -> CurriculumManifest:
                 f"line {line_no}: expected stage {len(stages) + 1}, got {obj['stage']}"
             )
         ids = obj["ids"]
+        if not (isinstance(ids, list) and all(isinstance(i, str) and i for i in ids)):
+            raise MalformedManifest(f"line {line_no}: 'ids' must be a list of non-empty strings")
         if len(set(ids)) != len(ids):
             raise MalformedManifest(f"line {line_no}: duplicate ID within stage")
         stages.append(tuple(ids))

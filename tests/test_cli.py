@@ -245,6 +245,17 @@ class TestTrainEvaluate:
         assert corr[0] == "correction"
         assert corr[4] == "1.0000"
 
+    @pytest.mark.parametrize("stage", ['{"stage": 1, "ids": [["s1"]]}', "7"])
+    def test_malformed_manifest_is_a_data_error(self, workdir, capsys, stage):
+        manifest = workdir["root"] / "bad.jsonl"
+        manifest.write_text('{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
+                            + stage + "\n", encoding="utf-8")
+        out = workdir["root"] / "bad"
+        assert run("train", "--manifest", manifest, "--train", workdir["train"],
+                   "--confusion", workdir["confusion"], "--out", out) == 1
+        assert "error: line 2: " in capsys.readouterr().err
+        assert not (out / "model.tsv").exists()
+
     def test_nan_scoring_model_evaluates_without_warning(self, tmp_path):
         # C|a inf plus L|<BOS>|a -inf makes the observed slot score NaN; the
         # argmax's NaN rule decides it, and no numpy warning reaches stderr
@@ -439,6 +450,27 @@ class TestConfig:
                    "--test", workdir["test"], "--confusion", workdir["confusion"],
                    "--out", workdir["root"] / "x") == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [
+        ("ablate", "seeds"), ("sweep-k", "seeds"), ("sweep-k", "k_values")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_list_value_is_usage_error(self, workdir, capsys, command, name, source):
+        # a repeated seed would train the same run twice and report a zero sd
+        flag = "--" + name.replace("_", "-")
+        out = workdir["root"] / "rep"
+        argv = [command, "--train", workdir["train"], "--test", workdir["test"],
+                "--confusion", workdir["confusion"], "--out", out]
+        if command == "sweep-k" and name != "k_values":
+            argv += ["--k-values", "1,2"]
+        if source == "flag":
+            argv += [flag, "3,3"]
+        else:
+            cfg_path = workdir["root"] / "rep.json"
+            cfg_path.write_text(json.dumps({name: [3, 3]}), encoding="utf-8")
+            argv += ["--config", cfg_path]
+        assert run(*argv) == 2
+        assert f"error: {flag}: repeated value in [3, 3]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag(self, workdir):
         assert run("score", "--out", workdir["root"] / "x") == 2

@@ -263,6 +263,23 @@ class TestManifestFile:
         with pytest.raises(MalformedManifest):
             parse_manifest("not json at all\n")
 
+    META = '{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
+
+    def test_metadata_line_not_an_object_names_the_line(self):
+        with pytest.raises(MalformedManifest, match="line 1: expected a JSON object"):
+            parse_manifest('5\n{"stage": 1, "ids": ["s1"]}\n')
+
+    def test_stage_line_not_an_object_names_the_line(self):
+        with pytest.raises(MalformedManifest, match="line 2: expected a JSON object"):
+            parse_manifest(self.META + "7\n")
+
+    @pytest.mark.parametrize("ids", ['[["s1"]]', "5", '"s1"', '["s1", 2]', '[""]', "null"])
+    def test_ids_not_a_list_of_non_empty_strings_names_the_line(self, ids):
+        doc = self.META + '{"stage": 1, "ids": ["s0"]}\n{"stage": 2, "ids": ' + ids + "}\n"
+        with pytest.raises(MalformedManifest,
+                           match="line 3: 'ids' must be a list of non-empty strings"):
+            parse_manifest(doc)
+
     def test_byte_order_mark_names_the_cause(self):
         doc = '\ufeff{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
         with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
@@ -288,7 +305,8 @@ class TestManifestFile:
         policy=st.sampled_from(ARRANGEMENTS),
         k=st.integers(1, 64),
         seed=st.integers(0, 2**64 - 1),
-        stages=st.lists(st.lists(st.text(max_size=5), unique=True, max_size=5).map(tuple),
+        stages=st.lists(st.lists(st.text(min_size=1, max_size=5), unique=True,
+                                 max_size=5).map(tuple),
                         min_size=1, max_size=5).map(tuple),
         source_corpus=st.text(max_size=8),
     ))

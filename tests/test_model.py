@@ -228,6 +228,34 @@ LAST_OF_SHORT_BLOCK = (
     arrange_shuffled_baseline(["s"], seed=0),
 )
 
+# Chunk fixtures: one sample of "a"s, the only candidate and the gold
+# character, except at each marked visit, which holds a distinct character
+# with one confusable (its upper case) and gold "z", a hidden slot.  So
+# every mark is a mistake and no other visit is.  The chunk sizes tested are
+# 1, 2, 3 and ODD_CHUNK, which ``_BLOCK`` does not divide.
+ODD_CHUNK = _kernels._BLOCK + 5
+CHUNKS = (1, 2, 3, ODD_CHUNK)
+
+
+def marked(length, marks):
+    chars = dict(zip(marks, "bcdefg"))
+    source = "".join(chars.get(j, "a") for j in range(length))
+    target = "".join("z" if j in chars else "a" for j in range(length))
+    return (Corpus(samples=(Sample(id="s", source=source, target=target),)),
+            ConfusionSet({c: {c.upper()} for c in chars.values()}),
+            arrange_shuffled_baseline(["s"], seed=0))
+
+
+# a mistake on the last visit of a chunk of 2, of 3 and of ODD_CHUNK, then
+# one in the next chunk
+MISTAKE_AT_CHUNK_END = marked(ODD_CHUNK + 3, (1, 2, ODD_CHUNK - 1, ODD_CHUNK + 1))
+# with ODD_CHUNK, the second block is cut short by the chunk's end, holds a
+# mistake, and the restart after it is cut short again; the next chunk's
+# first visit is a mistake that a block reading past the chunk would take
+BLOCK_CUT_AT_CHUNK_END = marked(ODD_CHUNK + 3, (ODD_CHUNK - 3, ODD_CHUNK))
+# 6 * ODD_CHUNK visits, a multiple of every chunk size, the last a mistake
+EXACT_CHUNK_MULTIPLE = marked(6 * ODD_CHUNK, (3 * ODD_CHUNK, 6 * ODD_CHUNK - 1))
+
 
 # ===========================================================================
 # candidate_set / featurize
@@ -457,6 +485,52 @@ class TestTrain:
             assert_kernel_matches_trace(corpus, confusion, manifest)
         assert model.updates_seen == n_updates
         assert model.averaged_weights == {k: v for k, v in averaged.items() if v != 0.0}
+
+    @pytest.mark.parametrize("block", [1, 2, 3, _kernels._BLOCK])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=20, deadline=None)
+    @example(MISTAKE_AT_CHUNK_END)
+    @example(BLOCK_CUT_AT_CHUNK_END)
+    @example(EXACT_CHUNK_MULTIPLE)
+    @example(EVERY_POSITION_WRONG)
+    @given(random_setup(long_sample=True))
+    def test_every_chunk_size_matches_trace_oracle(self, chunk, block, setup):
+        corpus, confusion, manifest = setup
+        with mock.patch.object(_kernels, "_CHUNK", chunk), \
+                mock.patch.object(_kernels, "_BLOCK", block):
+            assert_kernel_matches_trace(corpus, confusion, manifest)
+
+    @pytest.mark.parametrize("fixture", [
+        MISTAKE_AT_CHUNK_END, BLOCK_CUT_AT_CHUNK_END, EXACT_CHUNK_MULTIPLE])
+    def test_every_mark_of_a_chunk_fixture_is_one_update(self, fixture):
+        corpus, confusion, manifest = fixture
+        marks = sum(c != "a" for c in corpus.samples[0].source)
+        with mock.patch.object(_kernels, "_CHUNK", ODD_CHUNK):
+            assert assert_kernel_matches_trace(corpus, confusion, manifest) == marks
+
+    def test_weights_are_indexed_with_intp_ids(self):
+        # int32 index arrays take numpy's slow casting path; the kernel casts
+        # each chunk's ids and each update's once, so the weights never see one
+        class IntpOnly(np.ndarray):
+            def _check(self, ids):
+                assert not isinstance(ids, np.ndarray) or ids.dtype == np.intp, ids.dtype
+
+            def take(self, ids, *args, **kwargs):
+                self._check(ids)
+                return np.asarray(self).take(ids, *args, **kwargs)
+
+            def __getitem__(self, ids):
+                self._check(ids)
+                return super().__getitem__(ids)
+
+            def __setitem__(self, ids, value):
+                self._check(ids)
+                super().__setitem__(ids, value)
+
+        extend = _kernels._extend
+        corpus, confusion, manifest = EVERY_POSITION_WRONG
+        with mock.patch.object(_kernels, "_extend", lambda w: extend(w).view(IntpOnly)):
+            assert assert_kernel_matches_trace(corpus, confusion, manifest) == 80
 
     def test_every_position_wrong_updates_at_every_position(self):
         corpus, confusion, manifest = EVERY_POSITION_WRONG
