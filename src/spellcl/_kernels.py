@@ -136,11 +136,11 @@ def _extend(weights: np.ndarray) -> np.ndarray:
     return np.concatenate([weights, [0.0, -np.inf]])
 
 
-def train_pass(order, enc, n_feat) -> tuple[np.ndarray, np.ndarray, int]:
+def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     """One sequential training pass over the samples in ``order``, from zero
-    weights over ``n_feat`` features; returns (final weights, averaged
+    weights over the encoding's features; returns (final weights, averaged
     weights, update count)."""
-    pos_slots, slot_feats = enc.pos_slots, enc.slot_feats
+    pos_slots, slot_feats, n_feat = enc.pos_slots, enc.slot_feats, len(enc.feature_index)
     # every position of every visited sample, in visiting order
     starts = enc.samp_pos_start[order]
     lens = enc.samp_pos_start[order + 1] - starts

@@ -248,7 +248,7 @@ def cmd_train(cfg: dict) -> int:
     model = mod.train(manifest, train_corpus, confusion)
     mod.save_model(model, os.path.join(cfg["out"], "model.tsv"))
     print(f"trained: {model.updates_seen} updates, "
-          f"{len(model.averaged_weights)} features -> {os.path.join(cfg['out'], 'model.tsv')}")
+          f"{len(model.keys)} features -> {os.path.join(cfg['out'], 'model.tsv')}")
     return 0
 
 
@@ -287,7 +287,7 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     }
     enc_train = mod.encode_corpus(train_corpus, confusion)
     enc_test = mod.encode_corpus(test_corpus, confusion)
-    rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+    rows = mod.feature_rows(enc_train.feature_index, enc_test)
     ids = train_corpus.ids()
     results = {}
     for mode, k, seed in keys:
@@ -297,24 +297,13 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     return results
 
 
-def _test_rows(train_keys: np.ndarray, test_keys: np.ndarray) -> np.ndarray:
-    """Training row of each test feature key, or ``len(train_keys)`` for a
-    feature training never saw: the row of the 0.0 that ``_run_one`` appends.
-    Both key tables are ascending (``CorpusEncoding.feature_index``)."""
-    import numpy as np
-    rows = np.searchsorted(train_keys, test_keys)
-    rows[np.append(train_keys, -1)[rows] != test_keys] = len(train_keys)
-    return rows
-
-
 def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, float]:
     # Its own frame, so one run's weights and predictions are freed before
     # the next run trains: peak memory stays that of a single run.
-    import numpy as np
     from . import metrics as met
     from . import model as mod
     _, averaged, _ = mod.train_encoded(enc_train, manifest)
-    preds = mod.predict_encoded(enc_test, test_corpus, np.append(averaged, 0.0)[rows])
+    preds = mod.predict_encoded(enc_test, test_corpus, averaged, rows)
     det = met.evaluate(preds, test_corpus, "detection")
     corr = met.evaluate(preds, test_corpus, "correction")
     return det.f1, corr.f1

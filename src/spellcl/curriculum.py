@@ -169,6 +169,11 @@ def manifest_to_jsonl(manifest: CurriculumManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_manifest(text: str) -> CurriculumManifest:
     lines = list(numbered_lines(text))
     if not lines:
@@ -182,9 +187,15 @@ def parse_manifest(text: str) -> CurriculumManifest:
         raise MalformedManifest(f"line {meta_line_no}: expected a JSON object")
     for key in ("policy", "k", "seed", "corpus"):
         if key not in meta:
-            raise MalformedManifest(f"metadata missing {key!r}")
+            raise MalformedManifest(f"line {meta_line_no}: metadata missing {key!r}")
     if meta["policy"] not in ARRANGEMENTS:
-        raise MalformedManifest(f"unknown policy {meta['policy']!r}")
+        raise MalformedManifest(f"line {meta_line_no}: unknown policy {meta['policy']!r}")
+    for key, kind, valid in (("k", "an integer >= 1", _is_int(meta["k"]) and meta["k"] >= 1),
+                             ("seed", "an integer", _is_int(meta["seed"])),
+                             ("corpus", "a string", isinstance(meta["corpus"], str))):
+        if not valid:
+            raise MalformedManifest(f"line {meta_line_no}: {key!r} must be {kind}, "
+                                    f"got {meta[key]!r}")
 
     stages = []
     for line_no, line in lines[1:]:
@@ -196,9 +207,9 @@ def parse_manifest(text: str) -> CurriculumManifest:
             raise MalformedManifest(f"line {line_no}: expected a JSON object")
         if "stage" not in obj or "ids" not in obj:
             raise MalformedManifest(f"line {line_no}: expected 'stage' and 'ids'")
-        if obj["stage"] != len(stages) + 1:
+        if not _is_int(obj["stage"]) or obj["stage"] != len(stages) + 1:
             raise MalformedManifest(
-                f"line {line_no}: expected stage {len(stages) + 1}, got {obj['stage']}"
+                f"line {line_no}: expected stage {len(stages) + 1}, got {obj['stage']!r}"
             )
         ids = obj["ids"]
         if not (isinstance(ids, list) and all(isinstance(i, str) and i for i in ids)):

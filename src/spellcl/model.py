@@ -17,13 +17,13 @@ this module turns a manifest into a visiting order and averaged weights
 into predictions.
 The encoder works on code points with numpy and never builds a feature
 name: a feature is an integer key, and each encoding numbers the keys of
-its own corpus in ascending order.  ``feature_names`` turns keys into
-names such as ``L|<BOS>|a`` only where a name is read, the model's weight
-map (``train`` for the non-zero averaged weights, ``predict_corpus`` for
-the corpus's own features).  A model's averaged weights are copied into an
-encoding's numbering (0.0 for a feature the model lacks), so the kernels
-never meet an unknown feature.  The test suite holds the per-position
-candidate and feature lists that the encoding is tested against.
+its own corpus in ascending order.  A model holds ascending keys and the
+non-zero averaged weights; ``feature_rows`` copies them into an encoding's
+numbering (0.0 for a feature the model lacks), so the kernels never meet
+an unknown feature.  Names such as ``L|<BOS>|a`` exist only in the model
+file, written by ``model_to_tsv`` and read back into keys by
+``parse_model``.  The test suite holds the per-position candidate and
+feature lists that the encoding is tested against.
 The encoding is the only prediction path (``predict`` runs it on a
 one-sample corpus); the test suite's dict-based predictor is the oracle it
 must agree with exactly.
@@ -60,7 +60,8 @@ class Prediction:
 
 @dataclass
 class CorrectorModel:
-    averaged_weights: dict[str, float]
+    keys: np.ndarray      # int64 feature keys, ascending
+    weights: np.ndarray   # float64 averaged weight per key
     updates_seen: int
     confusion: ConfusionSet
 
@@ -79,6 +80,7 @@ _CODE_BITS = 21
 _CODE_MASK = (1 << _CODE_BITS) - 1
 _BOS_CODE, _EOS_CODE = 0x110000, 0x110001
 _CONTEXT_NAMES = {_BOS_CODE: BOS, _EOS_CODE: EOS}
+_CONTEXT_CODES = {BOS: _BOS_CODE, EOS: _EOS_CODE}
 _KEEP_KEY = len(_TEMPLATES) << 2 * _CODE_BITS
 
 
@@ -91,6 +93,22 @@ def _feature_name(key: int) -> str:
         return f"C|{cand}"
     ctx = key >> _CODE_BITS & _CODE_MASK
     return f"{_TEMPLATES[template]}|{_CONTEXT_NAMES.get(ctx) or chr(ctx)}|{cand}"
+
+
+def _feature_key(name: str) -> int | None:
+    """The key that ``_feature_name`` names ``name``, or None if none does.
+    The candidate is the last code point, so ``L|||a`` reads one way."""
+    if name == "KEEP":
+        return _KEEP_KEY
+    template, _, ctx = name[:-2].partition("|")
+    if template not in _TEMPLATES:
+        return None
+    number = _TEMPLATES.index(template)
+    context = _CONTEXT_CODES.get(ctx, ord(ctx) if len(ctx) == 1 else -1) if number else 0
+    if context < 0:
+        return None
+    key = number << 2 * _CODE_BITS | context << _CODE_BITS | ord(name[-1])
+    return key if _feature_name(key) == name else None
 
 
 def feature_names(keys: np.ndarray) -> list[str]:
@@ -107,9 +125,8 @@ class CorpusEncoding:
     gold character's features whenever the gold character is not a
     candidate.  Ids index the encoding's own feature table,
     ``feature_index``: the sorted int64 keys of the corpus's features (see
-    above), so every id is known; ``feature_names`` decodes keys to the
-    feature names where a name is needed (a model's weight map).  A
-    model's weights reach an encoding by being copied into its numbering.
+    above), so every id is known.  A model's weights reach an encoding by
+    being copied into its numbering through ``feature_rows``.
 
     The kernels read two int32 tables.  ``slot_feats`` has one row of
     ``SLOT_WIDTH`` feature ids per slot (C, L, R, LL, RR, KEEP); a slot
@@ -118,9 +135,8 @@ class CorpusEncoding:
     padding slot whose first id is ``n_feat + 1``, weighed -inf.
     ``pos_slots`` holds each position's real slots, then the padding slot
     up to the widest position; a hidden gold slot is never in it, so it can
-    never be chosen.  ``feat_ids`` (the ids of every slot without the
-    sentinels, flattened) and ``slot_char`` keep the corpus's sizes for the
-    benchmark's counts.
+    never be chosen.  ``slot_char`` and ``feat_ids``, computed on read,
+    give the corpus's sizes for the benchmark's counts.
     """
 
     id_to_idx: dict[str, int]
@@ -130,8 +146,11 @@ class CorpusEncoding:
     pos_slots: np.ndarray        # int32, (n_positions, max pos_n_real)
     slot_feats: np.ndarray       # int32, (n_slots+1, SLOT_WIDTH)
     slot_char: np.ndarray        # int32, candidate code point per slot
-    feat_ids: np.ndarray         # int32, flattened feature ids
     feature_index: np.ndarray    # int64, feature key per id, ascending
+
+    @property
+    def feat_ids(self) -> np.ndarray:  # every slot's ids but the sentinels, flattened
+        return self.slot_feats[:-1][self.slot_feats[:-1] < len(self.feature_index)]
 
 
 def _codes(strings) -> np.ndarray:
@@ -250,7 +269,6 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
         pos_slots=pos_slots,
         slot_feats=slot_feats,
         slot_char=slot_char,
-        feat_ids=slot_feats[:-1][slot_feats[:-1] < n_feat],
         feature_index=np.concatenate(feature_keys, dtype=np.int64),
     )
 
@@ -272,7 +290,7 @@ def manifest_order(manifest: CurriculumManifest, enc: CorpusEncoding) -> np.ndar
 def train_encoded(enc: CorpusEncoding,
                   manifest: CurriculumManifest) -> tuple[np.ndarray, np.ndarray, int]:
     """Train over an encoding; returns (final weights, averaged weights, updates)."""
-    return _kernels.train_pass(manifest_order(manifest, enc), enc, len(enc.feature_index))
+    return _kernels.train_pass(manifest_order(manifest, enc), enc)
 
 
 def train(manifest: CurriculumManifest, corpus: Corpus,
@@ -285,8 +303,7 @@ def train(manifest: CurriculumManifest, corpus: Corpus,
     enc = encode_corpus(corpus, confusion)
     _, averaged, t = train_encoded(enc, manifest)
     kept = np.flatnonzero(averaged)
-    averaged_weights = dict(zip(feature_names(enc.feature_index[kept]), averaged[kept].tolist()))
-    return CorrectorModel(averaged_weights=averaged_weights, updates_seen=t,
+    return CorrectorModel(keys=enc.feature_index[kept], weights=averaged[kept], updates_seen=t,
                           confusion=confusion)
 
 
@@ -297,9 +314,19 @@ def predict(model: CorrectorModel, sample: Sample) -> Prediction:
     return predict_corpus(model, Corpus((sample,)))[0]
 
 
-def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
-                    weights: np.ndarray) -> list[Prediction]:
-    """Kernel-backed prediction for every sample of the encoded ``corpus``."""
+def feature_rows(keys: np.ndarray, enc: CorpusEncoding) -> np.ndarray:
+    """Row of each of ``enc``'s features in the ascending key table ``keys``
+    (a model's or another encoding's), or ``len(keys)`` for a feature the
+    table lacks: the row of the 0.0 that ``predict_encoded`` appends."""
+    rows = np.searchsorted(keys, enc.feature_index)
+    rows[np.append(keys, -1)[rows] != enc.feature_index] = len(keys)
+    return rows
+
+
+def predict_encoded(enc: CorpusEncoding, corpus: Corpus, weights: np.ndarray,
+                    rows: np.ndarray) -> list[Prediction]:
+    """Kernel-backed prediction for the encoded ``corpus``; see ``feature_rows``."""
+    weights = np.append(weights, 0.0)[rows]
     chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, weights)].tolist()))
     preds = []
     k = 0
@@ -316,23 +343,20 @@ def predict_encoded(enc: CorpusEncoding, corpus: Corpus,
 def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
     """Bulk prediction for a free-standing model (e.g. loaded from disk).
 
-    Looks up only the corpus's own features, so the cost follows the
-    corpus, not the model's size; a feature the model lacks weighs 0.0.
+    Looks up only the corpus's own features, one binary search each in the
+    model's keys; a feature the model lacks weighs 0.0.
     """
     enc = encode_corpus(corpus, model.confusion)
-    aw = model.averaged_weights
-    weights = np.array([aw.get(name, 0.0) for name in feature_names(enc.feature_index)],
-                       dtype=np.float64)
-    return predict_encoded(enc, corpus, weights)
+    return predict_encoded(enc, corpus, model.weights, feature_rows(model.keys, enc))
 
 
 # --- model file -----------------------------------------------------------------
 
 def model_to_tsv(model: CorrectorModel) -> str:
-    """Header with window and schema version, then sorted feature/weight rows."""
+    """Header with window and schema version, then rows sorted by feature name."""
     lines = [f"# spellcl-model schema={FEATURE_SCHEMA} window={WINDOW}\n"]
-    for key in sorted(model.averaged_weights):
-        lines.append(f"{key}\t{repr(model.averaged_weights[key])}\n")
+    for name, weight in sorted(zip(feature_names(model.keys), model.weights.tolist())):
+        lines.append(f"{name}\t{weight!r}\n")
     return "".join(lines)
 
 
@@ -355,7 +379,7 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
         raise MalformedLine(
             f"line 1: model was trained with window={window}; features use window={WINDOW}"
         )
-    averaged: dict[str, float] = {}
+    averaged: dict[int, float] = {}
     for line_no, line in lines:
         fields = line.split("\t")
         if len(fields) != 2:
@@ -366,10 +390,15 @@ def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
                 raise ValueError
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad weight {fields[1]!r}")
-        if fields[0] in averaged:
+        key = _feature_key(fields[0])
+        if key is None:
+            raise MalformedLine(f"line {line_no}: unknown feature {fields[0]!r}")
+        if key in averaged:
             raise MalformedLine(f"line {line_no}: repeated feature {fields[0]!r}")
-        averaged[fields[0]] = weight
-    return CorrectorModel(averaged_weights=averaged, updates_seen=0, confusion=confusion)
+        averaged[key] = weight
+    keys = np.array(sorted(averaged), dtype=np.int64)
+    weights = np.array([averaged[k] for k in keys.tolist()], dtype=np.float64)
+    return CorrectorModel(keys=keys, weights=weights, updates_seen=0, confusion=confusion)
 
 
 def save_model(model: CorrectorModel, path) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample
 from spellcl.embed import SIDES, ContextualEmbedding
-from spellcl.model import BOS, EOS
+from spellcl.model import BOS, EOS, CorrectorModel, _feature_key, feature_names
 
 
 # The corrector's spec, per position: the encoding (model.encode_corpus) must
@@ -34,6 +34,20 @@ def featurize(sequence: str, j: int, candidate: str) -> list[str]:
     if candidate == sequence[j]:
         keys.append("KEEP")
     return keys
+
+
+def model_from_weights(weights: dict[str, float], confusion: ConfusionSet,
+                       updates_seen: int = 0) -> CorrectorModel:
+    """A model holding a name -> averaged weight dict."""
+    names = sorted(weights, key=_feature_key)
+    return CorrectorModel(keys=np.array([_feature_key(n) for n in names], dtype=np.int64),
+                          weights=np.array([weights[n] for n in names], dtype=np.float64),
+                          updates_seen=updates_seen, confusion=confusion)
+
+
+def weights_by_name(model: CorrectorModel) -> dict[str, float]:
+    """The model's averaged weights by feature name."""
+    return dict(zip(feature_names(model.keys), model.weights.tolist()))
 
 
 def make_vocab(n: int = 50) -> list[str]:

@@ -256,6 +256,29 @@ class TestTrainEvaluate:
         assert "error: line 2: " in capsys.readouterr().err
         assert not (out / "model.tsv").exists()
 
+    def test_manifest_metadata_of_the_wrong_type_is_a_data_error(self, workdir, capsys):
+        # before, train exited 0 on it and wrote a model
+        manifest = workdir["root"] / "typed.jsonl"
+        manifest.write_text('{"policy": "annealing", "k": "many", "seed": [1], "corpus": 5}\n'
+                            '{"stage": true, "ids": ["s1"]}\n', encoding="utf-8")
+        out = workdir["root"] / "typed"
+        assert run("train", "--manifest", manifest, "--train", workdir["train"],
+                   "--confusion", workdir["confusion"], "--out", out) == 1
+        assert "error: line 1: 'k' must be an integer >= 1, got 'many'" in capsys.readouterr().err
+        assert not (out / "model.tsv").exists()
+
+    def test_unknown_model_feature_is_a_data_error(self, tmp_path, capsys):
+        # before, the row loaded silently and was never read
+        model = tmp_path / "model.tsv"
+        model.write_text("# spellcl-model schema=1 window=2\nC|a\t1.0\nC|ab\t2.0\n",
+                         encoding="utf-8")
+        (tmp_path / "test.tsv").write_text("t1\tab\tab\n", encoding="utf-8")
+        (tmp_path / "conf.tsv").write_text("a\tb\n", encoding="utf-8")
+        assert run("evaluate", "--model", model, "--test", tmp_path / "test.tsv",
+                   "--confusion", tmp_path / "conf.tsv", "--out", tmp_path / "out") == 1
+        assert "error: line 3: unknown feature 'C|ab'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.tsv").exists()
+
     def test_nan_scoring_model_evaluates_without_warning(self, tmp_path):
         # C|a inf plus L|<BOS>|a -inf makes the observed slot score NaN; the
         # argmax's NaN rule decides it, and no numpy warning reaches stderr

@@ -280,6 +280,25 @@ class TestManifestFile:
                            match="line 3: 'ids' must be a list of non-empty strings"):
             parse_manifest(doc)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("k", '"many"', "an integer >= 1"), ("k", "0", "an integer >= 1"),
+        ("k", "true", "an integer >= 1"), ("k", "2.0", "an integer >= 1"),
+        ("k", "null", "an integer >= 1"), ("seed", "[1]", "an integer"),
+        ("seed", "false", "an integer"), ("seed", "1.5", "an integer"),
+        ("corpus", "5", "a string"), ("corpus", "null", "a string"),
+    ])
+    def test_metadata_of_the_wrong_type_names_the_line(self, key, value, kind):
+        # before, each loaded as given and train ran on it
+        meta = {"policy": '"annealing"', "k": "1", "seed": "0", "corpus": '""', key: value}
+        doc = "{" + ", ".join(f'"{k}": {v}' for k, v in meta.items()) + "}\n"
+        with pytest.raises(MalformedManifest, match=f"line 1: '{key}' must be {kind}, got "):
+            parse_manifest(doc + '{"stage": 1, "ids": ["s1"]}\n')
+
+    @pytest.mark.parametrize("stage", ["true", "1.0"])
+    def test_stage_that_is_not_an_integer_names_the_line(self, stage):
+        with pytest.raises(MalformedManifest, match="line 2: expected stage 1, got "):
+            parse_manifest(self.META + '{"stage": ' + stage + ', "ids": ["s1"]}\n')
+
     def test_byte_order_mark_names_the_cause(self):
         doc = '\ufeff{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
         with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):

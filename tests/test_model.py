@@ -1,5 +1,6 @@
 """Averaged-perceptron corrector: features, training, prediction, model file."""
 
+import re
 from collections import defaultdict
 from unittest import mock
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spellcl import _kernels
-from spellcl.cli import _test_rows
 from spellcl.corpus import (
     ConfusionSet,
     Corpus,
@@ -34,6 +34,7 @@ from spellcl.model import (
     _rank,
     encode_corpus,
     feature_names,
+    feature_rows,
     load_model,
     manifest_order,
     model_to_tsv,
@@ -52,7 +53,9 @@ from helpers import (
     make_clean_corpus,
     make_symmetric_confusion,
     make_vocab,
+    model_from_weights,
     overfit_fixture,
+    weights_by_name,
 )
 
 
@@ -113,7 +116,7 @@ def assert_kernel_matches_trace(corpus, confusion, manifest):
 
 def reference_predict(model, sample):
     """Independent dict-based prediction from the averaged weight map."""
-    aw = model.averaged_weights
+    aw = weights_by_name(model)
     src = sample.source
     out = []
     for j in range(len(src)):
@@ -132,6 +135,15 @@ def reference_predict(model, sample):
         sample_id=sample.id, predicted=predicted,
         detected_positions=derive_error_positions(src, predicted),
     )
+
+
+def same_model(a, b, updates=True):
+    """Equal key and weight arrays, bit for bit and dtype for dtype (a
+    dataclass ``==`` on array fields raises), and equal update counts."""
+    return (a.keys.dtype == b.keys.dtype == np.int64 and a.keys.tobytes() == b.keys.tobytes()
+            and a.weights.dtype == b.weights.dtype == np.float64
+            and a.weights.tobytes() == b.weights.tobytes()
+            and (not updates or a.updates_seen == b.updates_seen))
 
 
 def small_noisy_setup(n_sentences=30, seed=0):
@@ -323,6 +335,16 @@ def spec_corpus(draw):
     return Corpus(samples=tuple(samples)), confusion
 
 
+# Valid feature names over any character a corpus field can hold
+_NAME_CHARS = st.characters(exclude_characters="\t\n\r")
+FEATURE_NAMES = st.one_of(
+    st.just("KEEP"),
+    st.builds("C|{}".format, _NAME_CHARS),
+    st.builds("{}|{}|{}".format, st.sampled_from(["L", "R", "LL", "RR"]),
+              st.one_of(_NAME_CHARS, st.sampled_from([BOS, EOS])), _NAME_CHARS),
+)
+
+
 # a lone surrogate cannot be encoded as plain UTF-32 but is a valid str
 LONE_SURROGATE = (Corpus(samples=(Sample(id="s", source="a\ud800", target="a\udfff"),)),
                   ConfusionSet({"\ud800": {"a"}}))
@@ -415,7 +437,7 @@ class TestTrain:
 
     def test_zero_weight_model_keeps_everything(self):
         _, confusion = overfit_fixture()
-        model = CorrectorModel(averaged_weights={}, updates_seen=0, confusion=confusion)
+        model = model_from_weights({}, confusion)
         sample = Sample(id="x", source="abcde", target="abcde")
         pred = predict(model, sample)
         assert pred.predicted == "abcde"
@@ -442,8 +464,7 @@ class TestTrain:
         b = train(manifest, corpus, confusion)
         assert final_weights(manifest, corpus, confusion) == final_weights(
             manifest, corpus, confusion)
-        assert a.averaged_weights == b.averaged_weights
-        assert a.updates_seen == b.updates_seen
+        assert same_model(a, b)
 
     def test_matches_trace_oracle(self):
         corpus, confusion = small_noisy_setup()
@@ -454,7 +475,7 @@ class TestTrain:
         assert n_updates >= 10
         assert final_weights(manifest, corpus, confusion) == final
         # the oracle's mean is an exact integer sum divided by T, as the kernel's is
-        assert model.averaged_weights == averaged
+        assert weights_by_name(model) == averaged
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup())
@@ -466,8 +487,7 @@ class TestTrain:
         assert final_weights(manifest, corpus, confusion) == final
         # the model stores only non-zero averages; an update and its reversal
         # can leave a feature's average at exactly 0 in the trace
-        for k in set(model.averaged_weights) | set(averaged):
-            assert model.averaged_weights.get(k, 0.0) == averaged.get(k, 0.0)
+        assert weights_by_name(model) == {k: v for k, v in averaged.items() if v != 0.0}
 
     @pytest.mark.parametrize("block", [1, 2, 3, _kernels._BLOCK])
     @settings(max_examples=30, deadline=None)
@@ -484,7 +504,7 @@ class TestTrain:
             assert final_weights(manifest, corpus, confusion) == final
             assert_kernel_matches_trace(corpus, confusion, manifest)
         assert model.updates_seen == n_updates
-        assert model.averaged_weights == {k: v for k, v in averaged.items() if v != 0.0}
+        assert weights_by_name(model) == {k: v for k, v in averaged.items() if v != 0.0}
 
     @pytest.mark.parametrize("block", [1, 2, 3, _kernels._BLOCK])
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -542,7 +562,7 @@ class TestTrain:
         enc = encode_corpus(corpus, confusion)
         n_feat = len(enc.feature_index)
         for order in (manifest_order(manifest, enc), np.zeros(0, dtype=np.int64)):
-            w, averaged, t = _kernels.train_pass(order, enc, n_feat)
+            w, averaged, t = _kernels.train_pass(order, enc)
             assert t == 0
             assert np.array_equal(w, np.zeros(n_feat))
             assert np.array_equal(averaged, np.zeros(n_feat))
@@ -629,20 +649,25 @@ class TestPredict:
         assert bulk == [reference_predict(model, sample) for sample in test_corpus]
 
     def test_predict_reads_only_the_samples_features(self):
-        # the weight lookup follows the sample, not the model: a weight map
-        # that cannot be iterated still predicts as the oracle does
-        class LookupOnly(dict):
-            def __iter__(self):
-                raise AssertionError("predict walked the model's whole weight map")
-            keys = values = items = __iter__
-
+        # the weight lookup follows the sample, not the model: it names no
+        # feature and takes one weight row per feature of the sample, from a
+        # model that holds many more
         corpus, confusion = small_noisy_setup(n_sentences=40, seed=9)
         model = train(arrange_shuffled_baseline(corpus.ids(), seed=3), corpus, confusion)
-        lookup_only = CorrectorModel(averaged_weights=LookupOnly(model.averaged_weights),
-                                     updates_seen=model.updates_seen, confusion=confusion)
-        preds = [predict(lookup_only, sample) for sample in corpus]
+        taken = []
+        real_rows = feature_rows
+
+        def rows(keys, enc):
+            taken.append((len(keys), len(enc.feature_index)))
+            return real_rows(keys, enc)
+
+        with mock.patch("spellcl.model._feature_name",
+                        side_effect=AssertionError("predict named a feature")), \
+                mock.patch("spellcl.model.feature_rows", rows):
+            preds = [predict(model, sample) for sample in corpus]
         assert preds == [reference_predict(model, sample) for sample in corpus]
         assert any(p.detected_positions for p in preds)
+        assert all(n_model == len(model.keys) > n_sample for n_model, n_sample in taken)
 
     @settings(max_examples=60, deadline=None)
     @given(random_corpus(prefix="t"), CONFUSIONS, st.data())
@@ -653,7 +678,7 @@ class TestPredict:
         # some of the corpus's features are left out of the model
         weights = {name: data.draw(st.sampled_from(NON_ASSOCIATIVE)) for name in names
                    if data.draw(st.booleans())}
-        model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
+        model = model_from_weights(weights, confusion)
         preds = predict_corpus(model, corpus)
         assert preds == [reference_predict(model, s) for s in corpus]
 
@@ -665,9 +690,9 @@ class TestPredict:
         corpus, confusion, manifest = setup
         enc_train = encode_corpus(corpus, confusion)
         enc_test = encode_corpus(test_corpus, confusion)
-        rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+        rows = feature_rows(enc_train.feature_index, enc_test)
         _, averaged, _ = train_encoded(enc_train, manifest)
-        preds = predict_encoded(enc_test, test_corpus, np.append(averaged, 0.0)[rows])
+        preds = predict_encoded(enc_test, test_corpus, averaged, rows)
         model = train(manifest, corpus, confusion)
         assert preds == [reference_predict(model, s) for s in test_corpus]
 
@@ -675,7 +700,7 @@ class TestPredict:
         corpus, confusion = overfit_fixture()
         enc_test = encode_corpus(corpus, confusion)
         enc_train = encode_corpus(Corpus(samples=()), confusion)
-        rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+        rows = feature_rows(enc_train.feature_index, enc_test)
         assert len(rows) == len(enc_test.feature_index) > 0
         assert (rows == 0).all()
 
@@ -683,7 +708,7 @@ class TestPredict:
         confusion = ConfusionSet({"a": {"b"}})
         enc_train = encode_corpus(parse_corpus("s1\tab\tbb\n"), confusion)
         enc_test = encode_corpus(parse_corpus("t1\tax\tax\n"), confusion)
-        rows = _test_rows(enc_train.feature_index, enc_test.feature_index)
+        rows = feature_rows(enc_train.feature_index, enc_test)
         train_names = feature_names(enc_train.feature_index)
         for name, row in zip(feature_names(enc_test.feature_index), rows):
             if name in train_names:
@@ -700,7 +725,7 @@ class TestPredict:
 
     def predicts(self, weights, confusion, source="a"):
         """The predicted string, checked against the dict-based oracle."""
-        model = CorrectorModel(averaged_weights=weights, updates_seen=0, confusion=confusion)
+        model = model_from_weights(weights, confusion)
         sample = Sample(id="x", source=source, target=source)
         got = predict(model, sample)
         assert got == reference_predict(model, sample)
@@ -736,8 +761,7 @@ class TestPredict:
         # so the row of "a" is padded where its hidden slot would follow
         confusion = ConfusionSet({"a": {"b"}, "c": {"d", "e"}})
         corpus = parse_corpus("t1\tac\tzc\n")
-        model = CorrectorModel(averaged_weights={"C|z": 100.0}, updates_seen=0,
-                               confusion=confusion)
+        model = model_from_weights({"C|z": 100.0}, confusion)
         assert predict_corpus(model, corpus)[0].predicted == "ac"
         manifest = arrange_shuffled_baseline(["t1"], seed=0)
         final = final_weights(manifest, corpus, confusion)
@@ -771,7 +795,7 @@ class TestModelFile:
         path = tmp_path / "model.tsv"
         save_model(model, path)
         loaded = load_model(path, confusion)
-        assert loaded.averaged_weights == model.averaged_weights
+        assert same_model(loaded, model, updates=False)
         for sample in corpus:
             assert predict(loaded, sample) == predict(model, sample)
 
@@ -784,8 +808,7 @@ class TestModelFile:
 
     def test_header_carries_window_and_schema(self):
         _, confusion = overfit_fixture()
-        model = CorrectorModel(averaged_weights={"KEEP": -1.0}, updates_seen=1,
-                               confusion=confusion)
+        model = model_from_weights({"KEEP": -1.0}, confusion, updates_seen=1)
         header = model_to_tsv(model).splitlines()[0]
         assert "schema=1" in header and "window=2" in header
 
@@ -804,6 +827,18 @@ class TestModelFile:
         # before, the later row silently won
         with pytest.raises(MalformedLine, match="line 3: repeated feature 'KEEP'"):
             parse_model("# spellcl-model schema=1 window=2\nKEEP\t1.0\nKEEP\t-2.0\n",
+                        ConfusionSet())
+        with pytest.raises(MalformedLine, match=r"line 4: repeated feature 'L\|\|\|a'"):
+            parse_model("# spellcl-model schema=1 window=2\nL|||a\t1.0\nC|a\t0.5\n"
+                        "L|||a\t-2.0\n", ConfusionSet())
+
+    @pytest.mark.parametrize("name", ["C|ab", "X|a", "L|ab|c", "bogus", "C|", "L|a", "",
+                                      "C|<BOS>", f"C|{BOS}|a", "KEEP|a", "LL|<BOS|a"])
+    def test_unknown_feature_names_the_line(self, name):
+        # before, such a row loaded silently and was never read; read as a
+        # key, a loosely parsed name could weigh a real feature
+        with pytest.raises(MalformedLine, match=f"line 3: unknown feature '{re.escape(name)}'"):
+            parse_model(f"# spellcl-model schema=1 window=2\nKEEP\t1.0\n{name}\t-2.0\n",
                         ConfusionSet())
 
     def test_nan_weight_names_the_line(self):
@@ -826,12 +861,24 @@ class TestModelFile:
         with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
             parse_model("# spellcl-model schema=1 window=2\r\nKEEP\t-1.0\r\n", ConfusionSet())
 
-    @given(st.dictionaries(st.text(alphabet=st.characters(exclude_characters="\t\n")),
-                           st.floats(allow_nan=False), max_size=8))
+    @given(st.dictionaries(FEATURE_NAMES, st.floats(allow_nan=False), max_size=8))
     def test_roundtrip_random(self, averaged):
         confusion = ConfusionSet()
-        model = CorrectorModel(averaged_weights=averaged, updates_seen=0, confusion=confusion)
+        model = model_from_weights(averaged, confusion)
         text = model_to_tsv(model)
         loaded = parse_model(text, confusion)
-        assert loaded.averaged_weights == averaged
+        assert weights_by_name(loaded) == averaged
+        assert same_model(loaded, model)
         assert model_to_tsv(loaded) == text
+
+    @settings(max_examples=150, deadline=None)
+    @example(LONE_SURROGATE)
+    @example(WIDE_ALPHABET)
+    @given(spec_corpus())
+    def test_every_key_of_an_encoding_roundtrips(self, setup):
+        corpus, confusion = setup
+        keys = encode_corpus(corpus, confusion).feature_index
+        model = CorrectorModel(keys=keys, weights=np.arange(len(keys), dtype=np.float64),
+                               updates_seen=0, confusion=confusion)
+        loaded = parse_model(model_to_tsv(model), confusion)
+        assert same_model(loaded, model)

@@ -1,10 +1,12 @@
-"""The benchmark's grid outputs against its pinned digests.
+"""The benchmark's outputs against their pinned digests.
 
 ``perfbench/digests.json`` pins the sha256 of every seed-0 output the
 benchmark checks.  This test writes the seed-0 inputs with
-``perfbench/gen.py`` and runs the ``ablate`` and ``sweep-k`` commands of
-``perfbench/run.py``, argv for argv, in process, so a change that moves an
-output byte fails here and not only in a benchmark run.  Both perfbench
+``perfbench/gen.py`` and runs each workload's commands of
+``perfbench/run.py`` (``ablate``, the five pipeline commands from
+``inject`` to ``evaluate``, ``sweep-k``), argv for argv, in process, so a
+change that moves an output byte fails here and not only in a benchmark
+run.  Both perfbench
 files are loaded by path and only read.
 """
 
@@ -33,7 +35,7 @@ def load(name: str, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", ["desk_ablate", "dense_sweep"])
+@pytest.mark.parametrize("workload", ["desk_ablate", "pipeline_x10", "dense_sweep"])
 def test_grid_outputs_match_pinned_digests(workload, tmp_path, monkeypatch, capsys):
     gen, _, run = (load(name, monkeypatch) for name in ("gen", "spans", "run"))
     shape, scale, inject_train, make_steps = run.WORKLOADS[workload]
