@@ -58,7 +58,7 @@ class Prediction:
     detected_positions: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: a dataclass == on array fields raises
 class CorrectorModel:
     keys: np.ndarray      # int64 feature keys, ascending
     weights: np.ndarray   # float64 averaged weight per key
@@ -104,9 +104,9 @@ def _feature_key(name: str) -> int | None:
     if template not in _TEMPLATES:
         return None
     number = _TEMPLATES.index(template)
-    context = _CONTEXT_CODES.get(ctx, ord(ctx) if len(ctx) == 1 else -1) if number else 0
-    if context < 0:
-        return None
+    context = _CONTEXT_CODES.get(ctx, ord(ctx) if len(ctx) == 1 else 0)
+    if context == (_EOS_CODE if _OFFSETS[number] < 0 else _BOS_CODE):
+        return None  # a left context is never EOS, a right one never BOS
     key = number << 2 * _CODE_BITS | context << _CODE_BITS | ord(name[-1])
     return key if _feature_name(key) == name else None
 
@@ -316,18 +316,21 @@ def predict(model: CorrectorModel, sample: Sample) -> Prediction:
 
 def feature_rows(keys: np.ndarray, enc: CorpusEncoding) -> np.ndarray:
     """Row of each of ``enc``'s features in the ascending key table ``keys``
-    (a model's or another encoding's), or ``len(keys)`` for a feature the
-    table lacks: the row of the 0.0 that ``predict_encoded`` appends."""
+    (a model's or an encoding's), or ``len(keys)``, weighed 0.0, for one it
+    lacks.  The work follows ``enc``'s features, not the table's size."""
     rows = np.searchsorted(keys, enc.feature_index)
-    rows[np.append(keys, -1)[rows] != enc.feature_index] = len(keys)
+    if len(keys):
+        rows[keys.take(rows, mode="clip") != enc.feature_index] = len(keys)
     return rows
 
 
 def predict_encoded(enc: CorpusEncoding, corpus: Corpus, weights: np.ndarray,
                     rows: np.ndarray) -> list[Prediction]:
     """Kernel-backed prediction for the encoded ``corpus``; see ``feature_rows``."""
-    weights = np.append(weights, 0.0)[rows]
-    chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, weights)].tolist()))
+    found = rows < len(weights)
+    taken = np.zeros(len(rows))
+    taken[found] = weights[rows[found]]
+    chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, taken)].tolist()))
     preds = []
     k = 0
     for sample in corpus:
