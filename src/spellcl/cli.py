@@ -64,10 +64,9 @@ OPTIONS = {
     "scores": Option("difficulty TSV from 'score'", is_file=True),
     "manifest": Option("manifest JSONL from 'arrange'", is_file=True),
     "model": Option("model TSV from 'train'", is_file=True),
-    "embeddings": Option("embedding file for provider 'file'", is_file=True),
-    "provider": Option("embedding provider: hashed or file", default="hashed"),
-    "window": Option("hashed provider context window", int, 0, 127, default=2),
-    "dim": Option("hashed provider dimension", int, 2, default=64),
+    "embeddings": Option("vectors of an external encoder, used in place of hashing", is_file=True),
+    "window": Option("hashing context window; unused with --embeddings", int, 0, 127, default=2),
+    "dim": Option("hashing dimension; unused with --embeddings", int, 2, default=64),
     "policy": Option("score: " + ", ".join(diff.POLICIES)
                      + "; arrange: " + ", ".join(cur.ARRANGEMENTS)),
     "k": Option("number of subsets/stages", int, 1, default=4),
@@ -173,14 +172,11 @@ def _write_resolved(cfg: dict, command: str) -> None:
 
 
 def build_provider(cfg: dict):
+    """The vectors of ``--embeddings`` when it is given, else the hashed provider."""
     from .embed import HashedEmbedder, load_embeddings
-    if cfg["provider"] == "hashed":
-        return HashedEmbedder(window=cfg["window"], dim=cfg["dim"])
-    if cfg["provider"] == "file":
-        if not cfg.get("embeddings"):
-            raise ConfigError("provider 'file' needs --embeddings")
+    if "embeddings" in cfg:
         return load_embeddings(cfg["embeddings"])
-    raise ConfigError(f"unknown provider {cfg['provider']!r} (expected 'hashed' or 'file')")
+    return HashedEmbedder(window=cfg["window"], dim=cfg["dim"])
 
 
 # --- commands --------------------------------------------------------------------
@@ -194,21 +190,17 @@ def cmd_inject(cfg: dict) -> int:
     return 0
 
 
-def _score_records(cfg: dict, train_corpus: corpus_mod.Corpus,
-                   policy: str) -> list[diff.DifficultyRecord]:
-    if policy == "contextual":
-        return diff.score_corpus(train_corpus, "contextual", provider=build_provider(cfg))
-    if policy == "char_similarity":
+def cmd_score(cfg: dict) -> int:
+    train_corpus = corpus_mod.load_corpus(cfg["train"])
+    if cfg["policy"] == "contextual":
+        records = diff.score_corpus(train_corpus, "contextual", provider=build_provider(cfg))
+    elif cfg["policy"] == "char_similarity":
         if not cfg.get("confusion"):
             raise ConfigError("char_similarity scoring needs --confusion")
         confusion = corpus_mod.load_confusion_set(cfg["confusion"])
-        return diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
-    raise ConfigError(f"unknown scoring policy {policy!r} for --policy")
-
-
-def cmd_score(cfg: dict) -> int:
-    train_corpus = corpus_mod.load_corpus(cfg["train"])
-    records = _score_records(cfg, train_corpus, cfg["policy"])
+        records = diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
+    else:
+        raise ConfigError(f"unknown scoring policy {cfg['policy']!r} for --policy")
     diff.save_records(records, os.path.join(cfg["out"], "difficulty.tsv"))
     print(f"scored {len(records)} samples -> {os.path.join(cfg['out'], 'difficulty.tsv')}")
     return 0
@@ -356,7 +348,7 @@ def cmd_sweep_k(cfg: dict) -> int:
 
 # --- command table and argument parsing ----------------------------------------------
 
-_PROVIDER = ("provider", "window", "dim", "embeddings")
+_PROVIDER = ("embeddings", "window", "dim")
 
 # command -> (function, help, required options, other options)
 COMMANDS = {

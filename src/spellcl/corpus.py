@@ -13,7 +13,8 @@ concatenated.  Self-entries are dropped and repeated heads are merged.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import ne
 
@@ -23,12 +24,11 @@ from .rng import XorShift64Star
 
 @dataclass(frozen=True)
 class Sample:
-    """One (wrong, correct) sentence pair with derived error positions."""
+    """One (wrong, correct) sentence pair; its error positions are derived on first read."""
 
     id: str
     source: str
     target: str
-    error_positions: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if len(self.source) != len(self.target):
@@ -36,9 +36,10 @@ class Sample:
                 f"sample {self.id!r}: source has {len(self.source)} characters, "
                 f"target has {len(self.target)}"
             )
-        object.__setattr__(
-            self, "error_positions", derive_error_positions(self.source, self.target)
-        )
+
+    @cached_property
+    def error_positions(self) -> tuple[int, ...]:
+        return derive_error_positions(self.source, self.target)
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,6 @@ class Corpus:
 
     def ids(self) -> list[str]:
         return [s.id for s in self.samples]
-
-    def by_id(self) -> dict[str, Sample]:
-        return {s.id: s for s in self.samples}
 
 
 def derive_error_positions(source: str, target: str) -> tuple[int, ...]:

@@ -16,13 +16,13 @@ when every subset has fewer samples than its index.  Example: n=4, k=3
 gives subsets {a,b}, {c}, {d} (ascending scores 0..3) and stages {a,c,d},
 {b}, {} - means 1.67 then 1.00.
 
-Every stage is shuffled with the package PRNG seeded by (seed, stage
-index), which keeps manifests byte-identical across runs and platforms.
+Annealing shuffles stage i (i <= k) under (seed, stream i) with the package
+PRNG, so manifests are byte-identical across runs and platforms.
 
-Ablation arrangements: ``sorted_only`` (one stage, ascending difficulty,
-no shuffle), ``random_stages`` (random balanced stages plus the full-set
-stage), and ``shuffled_baseline`` (one shuffled stage, i.e. conventional
-training).
+Ablation arrangements: ``random_stages`` cuts one stream-0 shuffle of the
+IDs into k stages and, like annealing, ends with the full set (stream
+k+1), so both visit every sample twice; ``sorted_only`` (ascending) and
+``shuffled_baseline`` (stream 0) have one stage and visit each sample once.
 
 Balanced splits put the remainder up front: splitting n into k parts gives
 the first n mod k parts one extra element, and the same rule recurses into
@@ -68,17 +68,26 @@ def _sorted_ids(records: list[DifficultyRecord]) -> list[str]:
     return [r.sample_id for r in sorted(records, key=lambda r: (r.score, r.sample_id))]
 
 
+def _check(items: list, k: int, what: str) -> None:
+    if not items:
+        raise EmptyInput(f"cannot arrange an empty {what} list")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > len(items):
+        raise KTooLarge(f"k={k} exceeds the number of samples ({len(items)})")
+
+
+def _with_full_set(policy: str, stages: list[tuple[str, ...]], ordered: list[str], k: int,
+                   seed: int, source_corpus: str) -> CurriculumManifest:
+    full_set = tuple(shuffled(ordered, seed, stream=k + 1))
+    return CurriculumManifest(policy=policy, k=k, seed=seed, stages=(*stages, full_set),
+                              source_corpus=source_corpus)
+
+
 def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int,
                       source_corpus: str = "") -> CurriculumManifest:
     """The k+1-stage annealing arrangement described above."""
-    n = len(records)
-    if n == 0:
-        raise EmptyInput("cannot arrange an empty record list")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise KTooLarge(f"k={k} exceeds the number of samples ({n})")
-
+    _check(records, k, "record")
     ordered = _sorted_ids(records)
     subsets = balanced_split(ordered, k)
     parts = [balanced_split(subset, k) for subset in subsets]
@@ -87,18 +96,13 @@ def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int,
     for i in range(k):
         stage = [sid for subset_parts in parts for sid in subset_parts[i]]
         stages.append(tuple(shuffled(stage, seed, stream=i + 1)))
-    stages.append(tuple(shuffled(ordered, seed, stream=k + 1)))
-    return CurriculumManifest(
-        policy="annealing", k=k, seed=seed, stages=tuple(stages),
-        source_corpus=source_corpus,
-    )
+    return _with_full_set("annealing", stages, ordered, k, seed, source_corpus)
 
 
 def arrange_sorted_only(records: list[DifficultyRecord], seed: int,
                         source_corpus: str = "") -> CurriculumManifest:
     """Single stage in ascending difficulty order; no shuffling."""
-    if not records:
-        raise EmptyInput("cannot arrange an empty record list")
+    _check(records, 1, "record")
     return CurriculumManifest(
         policy="sorted_only", k=1, seed=seed,
         stages=(tuple(_sorted_ids(records)),), source_corpus=source_corpus,
@@ -108,30 +112,19 @@ def arrange_sorted_only(records: list[DifficultyRecord], seed: int,
 def arrange_random_stages(ids: list[str], k: int, seed: int,
                           source_corpus: str = "") -> CurriculumManifest:
     """Random balanced stages (difficulty ignored) plus the full-set stage."""
-    n = len(ids)
-    if n == 0:
-        raise EmptyInput("cannot arrange an empty id list")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise KTooLarge(f"k={k} exceeds the number of samples ({n})")
-    pool = shuffled(list(ids), seed, stream=0)
+    _check(ids, k, "id")
+    pool = shuffled(ids, seed, stream=0)
     stages = [tuple(part) for part in balanced_split(pool, k)]
-    stages.append(tuple(shuffled(list(ids), seed, stream=k + 1)))
-    return CurriculumManifest(
-        policy="random_stages", k=k, seed=seed, stages=tuple(stages),
-        source_corpus=source_corpus,
-    )
+    return _with_full_set("random_stages", stages, ids, k, seed, source_corpus)
 
 
 def arrange_shuffled_baseline(ids: list[str], seed: int,
                               source_corpus: str = "") -> CurriculumManifest:
     """One full-set shuffled stage: the conventional-training control."""
-    if not ids:
-        raise EmptyInput("cannot arrange an empty id list")
+    _check(ids, 1, "id")
     return CurriculumManifest(
         policy="shuffled_baseline", k=1, seed=seed,
-        stages=(tuple(shuffled(list(ids), seed, stream=0)),),
+        stages=(tuple(shuffled(ids, seed, stream=0)),),
         source_corpus=source_corpus,
     )
 

@@ -39,8 +39,6 @@ class XorShift64Star:
         state = splitmix64(splitmix64(seed & _MASK64) ^ (stream & _MASK64))
         # xorshift64* state must be nonzero; the gamma is an arbitrary fixed fill-in.
         self._state = state if state != 0 else _SPLITMIX_GAMMA
-        self.seed = seed
-        self.stream = stream
 
     def next_u64(self) -> int:
         x = self._state

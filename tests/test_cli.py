@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from spellcl.cli import main
-from spellcl.corpus import confusion_to_tsv, corpus_to_tsv, inject_errors, load_corpus
+from spellcl.corpus import Corpus, confusion_to_tsv, corpus_to_tsv, inject_errors, load_corpus
 
 from helpers import (
     embed_corpus,
@@ -517,8 +517,7 @@ class TestConfig:
         assert run("score", "--train", workdir["train"], "--policy", "contextual",
                    "--out", out) == 0
         resolved = json.loads((out / "score_config.json").read_text(encoding="utf-8"))
-        assert set(resolved) == {"command", "train", "policy", "provider", "window",
-                                 "dim", "out"}
+        assert set(resolved) == {"command", "train", "policy", "window", "dim", "out"}
         assert not {"k", "rate", "seed", "seeds"} & set(resolved)
 
     def _pipeline(self, workdir, root):
@@ -564,7 +563,6 @@ class TestConfig:
         assert "--window" in self._usage_error(capsys, *score, "--window", "200")
         assert "--policy" in self._usage_error(capsys, "score", "--train", workdir["train"],
                                                "--policy", "bogus", "--out", x)
-        assert "provider" in self._usage_error(capsys, *score, "--provider", "bogus")
         # an optional input file is checked when it is given
         assert "--confusion" in self._usage_error(capsys, *score, "--confusion",
                                                   workdir["root"] / "nope.tsv")
@@ -656,8 +654,7 @@ class TestFileProvider:
         assert run("score", "--train", workdir["train"], "--policy", "contextual",
                    "--out", out_hashed) == 0
         assert run("score", "--train", workdir["train"], "--policy", "contextual",
-                   "--provider", "file", "--embeddings", emb_path,
-                   "--out", out_file) == 0
+                   "--embeddings", emb_path, "--out", out_file) == 0
         assert ((out_hashed / "difficulty.tsv").read_bytes()
                 == (out_file / "difficulty.tsv").read_bytes())
 
@@ -671,14 +668,60 @@ class TestFileProvider:
         emb_path = tmp_path / "vectors.tsv"
         emb_path.write_text("".join(rows), encoding="utf-8")
         capsys.readouterr()
-        assert run("score", "--train", train, "--policy", "contextual", "--provider", "file",
+        assert run("score", "--train", train, "--policy", "contextual",
                    "--embeddings", emb_path, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err == f"error: sample 's1' side source: {3 + extra} vectors for 3 characters\n"
 
-    def test_file_provider_without_embeddings_flag(self, workdir):
-        assert run("score", "--train", workdir["train"], "--policy", "contextual",
-                   "--provider", "file", "--out", workdir["root"] / "x") == 2
+    def test_embeddings_alone_score_with_the_files_vectors(self, tmp_path):
+        # no other flag: the file's vectors, equal on both sides at the error,
+        # give 1.0, where the hashed provider gives 0.8
+        train = tmp_path / "train.tsv"
+        train.write_text("s1\tABC\tAXC\n", encoding="utf-8")
+        emb_path = tmp_path / "vectors.tsv"
+        emb_path.write_text("dim=2\n" + "".join(f"s1\t{side}\t{j}\t1.0,{j}.0\n"
+                                                for side in ("source", "target")
+                                                for j in range(3)), encoding="utf-8")
+        for out, extra, score in (("file", ("--embeddings", emb_path), "1.000000000"),
+                                  ("hashed", (), "0.800000000")):
+            assert run("score", "--train", train, "--policy", "contextual", *extra,
+                       "--out", tmp_path / out) == 0
+            assert ((tmp_path / out / "difficulty.tsv").read_text(encoding="utf-8")
+                    == f"s1\t{score}\tcontextual\n")
+
+    @pytest.mark.parametrize("command, options", [
+        ("ablate", ("--k", "2")), ("sweep-k", ("--k-values", "2")),
+    ])
+    def test_experiment_drivers_read_the_embeddings(self, workdir, capsys, command, options):
+        # a file that holds only the first sample's vectors fails on the second
+        from spellcl.embed import HashedEmbedder, embeddings_to_text
+
+        corpus = load_corpus(workdir["train"])
+        table = embed_corpus(Corpus(corpus.samples[:1]), HashedEmbedder(window=2, dim=64))
+        emb_path = workdir["root"] / "vectors.tsv"
+        emb_path.write_text(embeddings_to_text(table, dim=64), encoding="utf-8")
+        capsys.readouterr()
+        out = workdir["root"] / "out"
+        assert run(command, "--train", workdir["train"], "--test", workdir["test"],
+                   "--confusion", workdir["confusion"], *options, "--embeddings", emb_path,
+                   "--out", out) == 1
+        second = corpus.samples[1].id
+        assert capsys.readouterr().err == (f"error: no embedding for sample {second!r} "
+                                           "side 'source'\n")
+
+    def test_provider_flag_is_rejected(self, workdir, capsys):
+        # the provider follows from --embeddings: the flag is gone, and a
+        # config record that still holds it is rejected as an unknown key
+        score = ("score", "--train", workdir["train"], "--policy", "contextual",
+                 "--out", workdir["root"] / "x")
+        assert run(*score, "--provider", "hashed") == 2
+        assert "unrecognized arguments: --provider" in capsys.readouterr().err
+        cfg_path = workdir["root"] / "old.json"
+        cfg_path.write_text(json.dumps({"command": "score", "provider": "hashed"}),
+                            encoding="utf-8")
+        assert run(*score, "--config", cfg_path) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['provider']\n"
+        assert not (workdir["root"] / "x").exists()
 
 
 # ===========================================================================
@@ -690,15 +733,14 @@ class TestSurface:
 
     FLAGS = {
         "inject": {"--input", "--confusion", "--rate", "--seed"},
-        "score": {"--train", "--policy", "--confusion", "--provider", "--window", "--dim",
-                  "--embeddings"},
+        "score": {"--train", "--policy", "--confusion", "--window", "--dim", "--embeddings"},
         "arrange": {"--scores", "--train", "--policy", "--k", "--seed"},
         "train": {"--manifest", "--train", "--confusion"},
         "evaluate": {"--model", "--test", "--confusion"},
-        "ablate": {"--train", "--test", "--confusion", "--k", "--seeds", "--provider",
-                   "--window", "--dim", "--embeddings"},
-        "sweep-k": {"--train", "--test", "--confusion", "--k-values", "--seeds",
-                    "--provider", "--window", "--dim", "--embeddings"},
+        "ablate": {"--train", "--test", "--confusion", "--k", "--seeds", "--window", "--dim",
+                   "--embeddings"},
+        "sweep-k": {"--train", "--test", "--confusion", "--k-values", "--seeds", "--window",
+                    "--dim", "--embeddings"},
     }
 
     def test_flags_per_subcommand(self):
@@ -716,7 +758,7 @@ class TestSurface:
 
         assert set(OPTIONS) == {
             "train", "test", "confusion", "input", "scores", "manifest", "model",
-            "embeddings", "provider", "window", "dim", "policy", "k", "k_values",
+            "embeddings", "window", "dim", "policy", "k", "k_values",
             "seed", "seeds", "rate", "out",
         }
 
@@ -725,7 +767,7 @@ class TestSurface:
 
         defaults = {name: opt.default for name, opt in OPTIONS.items()
                     if opt.default is not None}
-        assert defaults == {"provider": "hashed", "window": 2, "dim": 64, "k": 4,
+        assert defaults == {"window": 2, "dim": 64, "k": 4,
                             "seed": 0, "seeds": [0], "rate": 0.1}
         # the help text shows each default as the flag would take it
         assert _help("seeds").endswith("(default 0)")

@@ -1,5 +1,7 @@
 """Corpus parsing, error-position derivation, confusion sets, injection."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +53,34 @@ class TestDeriveErrorPositions:
         got = derive_error_positions(src, tgt)
         assert got == tuple(j for j in range(len(src)) if src[j] != tgt[j])
         assert list(got) == sorted(got)
+
+
+# ===========================================================================
+# Sample
+# ===========================================================================
+
+class TestSample:
+
+    def test_holds_only_its_three_strings(self):
+        # the error positions are derived on first read and cached; they are
+        # no field, so repr and == leave them out
+        sample = Sample("s1", "AXCY", "ABCD")
+        assert repr(sample) == "Sample(id='s1', source='AXCY', target='ABCD')"
+        assert sample.error_positions == (1, 3)
+        assert sample.error_positions is sample.error_positions
+        twin = Sample("s1", "AXCY", "ABCD")
+        assert sample == twin and hash(sample) == hash(twin)
+        assert twin.error_positions == sample.error_positions
+        assert sample != Sample("s1", "AXCY", "AXCD")
+
+    def test_is_frozen(self):
+        sample = Sample("s1", "AB", "AC")
+        with pytest.raises(FrozenInstanceError):
+            sample.source = "AC"
+
+    def test_length_mismatch_names_the_sample(self):
+        with pytest.raises(LengthMismatch, match="sample 's1': source has 3 characters"):
+            Sample("s1", "ABC", "AB")
 
 
 # ===========================================================================

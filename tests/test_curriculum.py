@@ -1,5 +1,7 @@
 """Stage arrangements and the manifest file format."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from spellcl.curriculum import (
 )
 from spellcl.difficulty import DifficultyRecord
 from spellcl.errors import EmptyInput, KTooLarge, MalformedLine, MalformedManifest
+from spellcl.rng import shuffled
 
 
 def recs(scores: dict[str, float]) -> list[DifficultyRecord]:
@@ -186,6 +189,43 @@ class TestRandomStages:
             arrange_random_stages(["a"], k=3, seed=0)
 
 
+class TestStagedArrangements:
+    """What annealing and random_stages share: k stages that partition the
+    IDs, then the full set shuffled under stream k+1."""
+
+    @given(policy=st.sampled_from(["annealing", "random_stages"]),
+           scores=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           data=st.data(), seed=st.integers(0, 2**64 - 1))
+    def test_k_partitioning_stages_then_the_full_set(self, policy, scores, data, seed):
+        n = len(scores)
+        k = data.draw(st.integers(1, n), label="k")
+        order = data.draw(st.permutations(range(n)), label="input order")
+        records = recs({f"s{i:02d}": float(scores[i]) for i in order})
+        ids = [r.sample_id for r in records]
+        m = arrange(policy, ids, records, k, seed)
+        assert len(m.stages) == k + 1
+        first = [i for stage in m.stages[:-1] for i in stage]
+        assert len(first) == n and set(first) == set(ids)
+        # annealing's order is ascending difficulty, random_stages' the input's
+        if policy == "annealing":
+            ids = sorted(ids, key=lambda i: (scores[int(i[1:])], i))
+        assert list(m.stages[-1]) == shuffled(ids, seed, k + 1)
+
+    @pytest.mark.parametrize("policy", ARRANGEMENTS)
+    def test_every_policy_rejects_empty_input(self, policy):
+        with pytest.raises(EmptyInput, match="cannot arrange an empty"):
+            arrange(policy, [], [], 1, 0)
+
+    @pytest.mark.parametrize("policy", ["annealing", "random_stages"])
+    def test_k_outside_one_to_n(self, policy):
+        records = recs({"a": 0.0, "b": 1.0})
+        ids = [r.sample_id for r in records]
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            arrange(policy, ids, records, 0, 0)
+        with pytest.raises(KTooLarge, match=r"k=3 exceeds the number of samples \(2\)"):
+            arrange(policy, ids, records, 3, 0)
+
+
 class TestShuffledBaseline:
 
     def test_empty(self):
@@ -224,6 +264,26 @@ class TestArrange:
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown arrangement policy 'bogus'"):
             arrange("bogus", ["a"], recs({"a": 0.0}), 1, 0)
+
+    # sha256 of manifest_to_jsonl for each policy on PIN_RECORDS, k=3, seed=7:
+    # the arrangements' exact output, which a refactor must keep byte for byte
+    PIN_RECORDS = recs({f"s{i:02d}": (i % 4) / 4 for i in (7, 3, 12, 0, 9, 5, 1, 11, 4, 10,
+                                                            2, 8, 6)})
+    PINNED = {
+        "annealing": "ec05d4d1edcef34bf22d27bb77ac91d0d0a586965aafb9f0c6cfc6e76db77e44",
+        "sorted_only": "d044432066b6e31a412aca9d9e10b87a2e39ce4c7d76526b7dd922a242d7350f",
+        "random_stages": "4d0167ea143ae8b39c2f60aba9241da9fbd808137ed7fa88a3b9960144e443a4",
+        "shuffled_baseline":
+            "084375107a3167dda2452a4ff7e15e7bc5bbf9b338af11eeb9ede1ed20f2c917",
+    }
+
+    @pytest.mark.parametrize("policy", ARRANGEMENTS)
+    def test_pinned_manifest(self, policy):
+        # 13 records in no sorted order, four distinct scores, so ties abound
+        ids = [r.sample_id for r in self.PIN_RECORDS]
+        manifest = arrange(policy, ids, self.PIN_RECORDS, 3, 7, "pin")
+        digest = hashlib.sha256(manifest_to_jsonl(manifest).encode("utf-8")).hexdigest()
+        assert digest == self.PINNED[policy]
 
 
 # ===========================================================================

@@ -76,6 +76,17 @@ def test_inject_loads_no_numpy(tmp_path):
     assert (tmp_path / "injected.tsv").exists()
 
 
+def test_char_similarity_score_loads_no_numpy(tmp_path):
+    # only contextual scoring builds an embedding provider
+    corpus, confusion = overfit_fixture()
+    (tmp_path / "train.tsv").write_text(corpus_to_tsv(corpus), encoding="utf-8")
+    (tmp_path / "conf.tsv").write_text(confusion_to_tsv(confusion), encoding="utf-8")
+    _run_command_without_numpy("score", "--train", tmp_path / "train.tsv", "--policy",
+                               "char_similarity", "--confusion", tmp_path / "conf.tsv",
+                               "--out", tmp_path)
+    assert (tmp_path / "difficulty.tsv").exists()
+
+
 def test_arrange_loads_no_numpy(tmp_path):
     scores = tmp_path / "difficulty.tsv"
     scores.write_text("".join(f"s{i}\t{i / 10:.9f}\tcontextual\n" for i in range(6)),

@@ -63,7 +63,7 @@ def trace_train(manifest, corpus, confusion):
     """Independent dict-based training trace capturing a snapshot per update."""
     w = defaultdict(float)
     snapshots = []
-    by_id = corpus.by_id()
+    by_id = {s.id: s for s in corpus}
     for stage in manifest.stages:
         for sid in stage:
             s = by_id[sid]
