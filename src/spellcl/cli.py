@@ -1,19 +1,19 @@
 """Command-line pipeline: inject -> score -> arrange -> train -> evaluate,
 plus the ablation and k-sweep experiment drivers.
 
-Two tables drive the command line: ``OPTIONS`` declares every option once
-(type, bounds, default, help, whether it names an input file) and
-``COMMANDS`` lists each subcommand's function, help, required options and
-other options.  The parser and its help, the config file, defaults, type
-and bound checks, file checks and the resolved-config record are all
-derived from them.
+Three tables drive the command line: ``OPTIONS`` declares every option once
+(type, bounds, default, help, whether it names an input file), ``COMMANDS``
+lists each subcommand's function, help and options, and ``POLICY_OPTIONS``
+the options each ``score`` and ``arrange`` policy reads.  The parser and
+its help, the config file, defaults, checks and the resolved-config record
+are all derived from them.
 
 Every command reads an optional JSON config file, applies flag overrides,
 validates, and writes ``<command>_config.json`` next to its outputs.  The
-record holds exactly the command's options that have a value, plus
-``command``, so passing it back with ``--config`` reruns the command; a
-config key that belongs to another command is ignored.  Exit codes: 0
-success, 1 internal/data error, 2 usage/config error.
+record holds ``command`` and exactly the options read, so passing it back
+with ``--config`` reruns the command.  A flag that is not read is a usage
+error; a config key that is not read is ignored.  Exit codes: 0 success,
+1 internal/data error, 2 usage/config error.
 
 Start-up: no module-level import in ``spellcl/__init__``, ``cli``, ``corpus``,
 ``curriculum``, ``difficulty``, ``rng`` or ``errors`` may load numpy, so
@@ -58,15 +58,15 @@ class Option(NamedTuple):
 
 OPTIONS = {
     "input": Option("clean corpus TSV (source == target)", is_file=True),
-    "train": Option("training corpus TSV; arrange reads its sample ids", is_file=True),
+    "train": Option("training corpus TSV; ids for random_stages/shuffled_baseline", is_file=True),
     "test": Option("test corpus TSV", is_file=True),
     "confusion": Option("confusion set TSV", is_file=True),
     "scores": Option("difficulty TSV from 'score'", is_file=True),
     "manifest": Option("manifest JSONL from 'arrange'", is_file=True),
     "model": Option("model TSV from 'train'", is_file=True),
     "embeddings": Option("vectors of an external encoder, used in place of hashing", is_file=True),
-    "window": Option("hashing context window; unused with --embeddings", int, 0, 127, default=2),
-    "dim": Option("hashing dimension; unused with --embeddings", int, 2, default=64),
+    "window": Option("hashing context window; rejected with --embeddings", int, 0, 127, default=2),
+    "dim": Option("hashing dimension; rejected with --embeddings", int, 2, default=64),
     "policy": Option("score: " + ", ".join(diff.POLICIES)
                      + "; arrange: " + ", ".join(cur.ARRANGEMENTS)),
     "k": Option("number of subsets/stages", int, 1, default=4),
@@ -134,8 +134,8 @@ def _load_config(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """The command's options: defaults, then the config file, then flags;
-    converted, bound-checked, required options present, input files existing."""
+    """The options the command and its policy read: defaults, then the config file,
+    then flags; required ones present, no unread flag, checked, files existing."""
     command = args.command
     _, _, required, optional = COMMANDS[command]
     names = required + optional
@@ -148,12 +148,28 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 f"config file {args.config} is for command {loaded['command']!r}, not {command!r}"
             )
         cfg.update((name, loaded[name]) for name in names if loaded.get(name) is not None)
-    cfg.update((name, getattr(args, name)) for name in names
-               if getattr(args, name) is not None)
+    flags = [name for name in names if getattr(args, name) is not None]
+    cfg.update((name, getattr(args, name)) for name in flags)
+    policies = POLICY_OPTIONS.get(command, {})
+    by_policy = names
+    if policies and cfg.get("policy", "") != "":
+        policy = cfg["policy"] = _convert("policy", cfg["policy"])
+        if policy not in policies:
+            raise ConfigError(f"--policy: unknown {command} policy {policy!r} "
+                              f"(expected one of {', '.join(policies)})")
+        needs, takes = policies[policy]
+        required, by_policy = required + needs, required + needs + takes
     missing = [_flag(name) for name in required if cfg.get(name, "") == ""]
     if missing:
         raise ConfigError(f"{command}: missing required option(s): {', '.join(missing)}")
-    cfg = {name: _convert(name, value) for name, value in cfg.items()}
+    # the hashing options are not read when the vectors come from a file
+    read = [name for name in by_policy
+            if not (name in ("window", "dim") and "embeddings" in cfg)]
+    unread = [name for name in flags if name not in read]
+    if unread:
+        why = f"--policy {cfg['policy']}" if unread[0] not in by_policy else "--embeddings"
+        raise ConfigError(f"{command}: {_flag(unread[0])} is not read with {why}")
+    cfg = {name: _convert(name, cfg[name]) for name in read if name in cfg}
     # the nearest existing ancestor of --out must be a directory, or the
     # first write would fail after all the work is done
     out = cfg["out"]
@@ -194,37 +210,21 @@ def cmd_score(cfg: dict) -> int:
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     if cfg["policy"] == "contextual":
         records = diff.score_corpus(train_corpus, "contextual", provider=build_provider(cfg))
-    elif cfg["policy"] == "char_similarity":
-        if not cfg.get("confusion"):
-            raise ConfigError("char_similarity scoring needs --confusion")
+    else:
         confusion = corpus_mod.load_confusion_set(cfg["confusion"])
         records = diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
-    else:
-        raise ConfigError(f"unknown scoring policy {cfg['policy']!r} for --policy")
     diff.save_records(records, os.path.join(cfg["out"], "difficulty.tsv"))
     print(f"scored {len(records)} samples -> {os.path.join(cfg['out'], 'difficulty.tsv')}")
     return 0
 
 
 def cmd_arrange(cfg: dict) -> int:
-    policy = cfg["policy"]
-    if policy not in cur.ARRANGEMENTS:
-        raise ConfigError(
-            f"unknown arrangement policy {policy!r} (expected one of {cur.ARRANGEMENTS})"
-        )
-    records = None
-    if policy in cur.SCORED and not cfg.get("scores"):
-        raise ConfigError(f"arrange: policy {policy!r} needs --scores")
-    if cfg.get("scores"):
-        records = diff.load_records(cfg["scores"])
-        ids = [r.sample_id for r in records]
-        name = cfg["scores"]
-    elif cfg.get("train"):
-        ids = corpus_mod.load_corpus(cfg["train"]).ids()
-        name = cfg["train"]
+    if "scores" in cfg:
+        records, ids, name = diff.load_records(cfg["scores"]), None, cfg["scores"]
     else:
-        raise ConfigError("arrange: need --scores or --train as the sample-id source")
-    manifest = cur.arrange(policy, ids, records, cfg["k"], cfg["seed"], name)
+        records, ids, name = None, corpus_mod.load_corpus(cfg["train"]).ids(), cfg["train"]
+    # sorted_only and shuffled_baseline take no --k: they have one stage
+    manifest = cur.arrange(cfg["policy"], ids, records, cfg.get("k", 1), cfg["seed"], name)
 
     cur.save_manifest(manifest, os.path.join(cfg["out"], "manifest.jsonl"))
     print(f"arranged {len(manifest.stages)} stages -> "
@@ -349,6 +349,15 @@ def cmd_sweep_k(cfg: dict) -> int:
 # --- command table and argument parsing ----------------------------------------------
 
 _PROVIDER = ("embeddings", "window", "dim")
+
+# command -> policy -> (options it needs, other options it reads)
+POLICY_OPTIONS = {
+    "score": {"contextual": ((), _PROVIDER), "char_similarity": (("confusion",), ())},
+    "arrange": {"annealing": (("scores",), ("k", "seed")),
+                "sorted_only": (("scores",), ("seed",)),
+                "random_stages": (("train",), ("k", "seed")),
+                "shuffled_baseline": (("train",), ("seed",))},
+}
 
 # command -> (function, help, required options, other options)
 COMMANDS = {

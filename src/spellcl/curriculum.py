@@ -41,8 +41,6 @@ from .errors import EmptyInput, KTooLarge, MalformedManifest
 from .rng import shuffled
 
 ARRANGEMENTS = ("annealing", "sorted_only", "random_stages", "shuffled_baseline")
-# Arrangements that read difficulty records; the others read sample IDs.
-SCORED = ("annealing", "sorted_only")
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,8 @@ def arrange_shuffled_baseline(ids: list[str], seed: int,
 
 def arrange(policy: str, ids: list[str] | None, records: list[DifficultyRecord] | None,
             k: int, seed: int, source_corpus: str = "") -> CurriculumManifest:
-    """Arrange with the named policy: ``SCORED`` ones read ``records``, the rest ``ids``."""
+    """Arrange with the named policy: ``annealing`` and ``sorted_only`` read
+    ``records``, ``random_stages`` and ``shuffled_baseline`` read ``ids``."""
     # Looked up by global name at call time, so wrappers set on this module
     # (the benchmark's span tracer) see every call.
     if policy == "annealing":

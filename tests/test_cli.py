@@ -502,15 +502,78 @@ class TestConfig:
         assert run("frobnicate") == 2
 
     def test_keys_of_other_commands_are_ignored(self, workdir):
-        # one shared pipeline config serves every command that reads it
+        # one shared pipeline config serves every command that reads it; a key
+        # the command's policy does not read is ignored, not checked: --scores
+        # names the file that score has yet to write
+        out = workdir["root"] / "shared"
         cfg = {"train": str(workdir["train"]), "test": str(workdir["test"]),
-               "policy": "contextual", "k": 3, "seeds": [0, 1], "rate": 0.5}
+               "confusion": str(workdir["confusion"]), "scores": str(out / "difficulty.tsv"),
+               "policy": "contextual", "k": 3, "window": 3, "seeds": [0, 1], "rate": 0.5}
         cfg_path = workdir["root"] / "shared.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        out = workdir["root"] / "shared"
+        assert run("arrange", "--config", cfg_path, "--policy", "random_stages",
+                   "--out", out) == 0
         assert run("score", "--config", cfg_path, "--out", out) == 0
         resolved = json.loads((out / "score_config.json").read_text(encoding="utf-8"))
-        assert not {"test", "k", "seeds", "rate"} & set(resolved)
+        assert set(resolved) == {"command", "train", "policy", "window", "dim", "out"}
+        assert resolved["window"] == 3
+        resolved = json.loads((out / "arrange_config.json").read_text(encoding="utf-8"))
+        assert set(resolved) == {"command", "train", "policy", "k", "seed", "out"}
+        assert resolved["k"] == 3
+
+    @pytest.mark.parametrize("argv, flag, why", [
+        (("score", "--policy", "char_similarity", "--confusion", "confusion",
+          "--embeddings", "vectors"), "--embeddings", "--policy char_similarity"),
+        (("score", "--policy", "char_similarity", "--confusion", "confusion", "--window", "5"),
+         "--window", "--policy char_similarity"),
+        (("score", "--policy", "contextual", "--confusion", "confusion"),
+         "--confusion", "--policy contextual"),
+        (("score", "--policy", "contextual", "--embeddings", "vectors", "--window", "5"),
+         "--window", "--embeddings"),
+        (("score", "--policy", "contextual", "--embeddings", "vectors", "--dim", "8"),
+         "--dim", "--embeddings"),
+        (("ablate", "--test", "test", "--confusion", "confusion", "--embeddings", "vectors",
+          "--window", "5"), "--window", "--embeddings"),
+        (("sweep-k", "--test", "test", "--confusion", "confusion", "--k-values", "2",
+          "--embeddings", "vectors", "--dim", "8"), "--dim", "--embeddings"),
+        (("arrange", "--policy", "sorted_only", "--scores", "scores", "--k", "3"),
+         "--k", "--policy sorted_only"),
+        (("arrange", "--policy", "random_stages", "--train", "train", "--scores", "scores"),
+         "--scores", "--policy random_stages"),
+        (("arrange", "--policy", "annealing", "--scores", "scores", "--train", "train"),
+         "--train", "--policy annealing"),
+    ], ids=["char_similarity-embeddings", "char_similarity-window", "contextual-confusion",
+            "score-embeddings-window", "score-embeddings-dim", "ablate-embeddings-window",
+            "sweep-k-embeddings-dim", "sorted_only-k", "random_stages-scores",
+            "annealing-train"])
+    def test_flag_not_read_is_usage_error(self, workdir, capsys, argv, flag, why):
+        # the record of a run names only the inputs it read, so a flag that
+        # would not be read is refused rather than recorded
+        workdir["vectors"] = workdir["root"] / "vectors.tsv"
+        workdir["vectors"].write_text("dim=2\n", encoding="utf-8")
+        workdir["scores"] = workdir["root"] / "scores.tsv"
+        workdir["scores"].write_text("a\t0.5\tcontextual\n", encoding="utf-8")
+        out = workdir["root"] / "unread"
+        if argv[0] != "arrange":
+            argv += ("--train", "train")
+        err = self._usage_error(capsys, *(workdir.get(a, a) for a in argv), "--out", out)
+        assert err == f"error: {argv[0]}: {flag} is not read with {why}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy, source", [
+        ("sorted_only", "scores"), ("shuffled_baseline", "train")])
+    def test_one_stage_records_hold_no_k(self, workdir, policy, source):
+        # neither policy reads --k; the record reruns the command as it ran
+        scores = workdir["root"] / "scores.tsv"
+        scores.write_text("a\t0.5\tcontextual\nb\t0.1\tcontextual\n", encoding="utf-8")
+        first, again = workdir["root"] / "first", workdir["root"] / "again"
+        assert run("arrange", "--policy", policy, f"--{source}",
+                   scores if source == "scores" else workdir["train"], "--out", first) == 0
+        resolved = json.loads((first / "arrange_config.json").read_text(encoding="utf-8"))
+        assert set(resolved) == {"command", "policy", source, "seed", "out"}
+        assert run("arrange", "--config", first / "arrange_config.json", "--out", again) == 0
+        assert ((again / "manifest.jsonl").read_bytes()
+                == (first / "manifest.jsonl").read_bytes())
 
     def test_score_record_holds_only_score_options(self, workdir):
         out = workdir["root"] / "rec"
@@ -563,9 +626,13 @@ class TestConfig:
         assert "--window" in self._usage_error(capsys, *score, "--window", "200")
         assert "--policy" in self._usage_error(capsys, "score", "--train", workdir["train"],
                                                "--policy", "bogus", "--out", x)
-        # an optional input file is checked when it is given
-        assert "--confusion" in self._usage_error(capsys, *score, "--confusion",
-                                                  workdir["root"] / "nope.tsv")
+        # an input file is checked when it is given, whether optional or not
+        nope = workdir["root"] / "nope.tsv"
+        assert "file not found for --embeddings" in self._usage_error(
+            capsys, *score, "--embeddings", nope)
+        assert "file not found for --confusion" in self._usage_error(
+            capsys, "score", "--train", workdir["train"], "--policy", "char_similarity",
+            "--confusion", nope, "--out", x)
 
     def test_bad_config_values_are_usage_errors(self, workdir, capsys):
         x = workdir["root"] / "x"
@@ -761,6 +828,18 @@ class TestSurface:
             "embeddings", "window", "dim", "policy", "k", "k_values",
             "seed", "seeds", "rate", "out",
         }
+
+    def test_policy_options_name_each_policy_and_options_of_its_command(self):
+        from spellcl import curriculum as cur, difficulty as diff
+        from spellcl.cli import COMMANDS, POLICY_OPTIONS
+
+        assert set(POLICY_OPTIONS) == {"score", "arrange"}
+        assert tuple(POLICY_OPTIONS["score"]) == diff.POLICIES
+        assert tuple(POLICY_OPTIONS["arrange"]) == cur.ARRANGEMENTS
+        for command, policies in POLICY_OPTIONS.items():
+            _, _, required, optional = COMMANDS[command]
+            for needs, takes in policies.values():
+                assert set(needs) | set(takes) <= set(required + optional), command
 
     def test_defaults(self):
         from spellcl.cli import OPTIONS, _help
