@@ -58,7 +58,7 @@ class Option(NamedTuple):
 
 OPTIONS = {
     "input": Option("clean corpus TSV (source == target)", is_file=True),
-    "train": Option("training corpus TSV; ids for random_stages/shuffled_baseline", is_file=True),
+    "train": Option("training corpus TSV", is_file=True),
     "test": Option("test corpus TSV", is_file=True),
     "confusion": Option("confusion set TSV", is_file=True),
     "scores": Option("difficulty TSV from 'score'", is_file=True),
@@ -67,8 +67,7 @@ OPTIONS = {
     "embeddings": Option("vectors of an external encoder, used in place of hashing", is_file=True),
     "window": Option("hashing context window; rejected with --embeddings", int, 0, 127, default=2),
     "dim": Option("hashing dimension; rejected with --embeddings", int, 2, default=64),
-    "policy": Option("score: " + ", ".join(diff.POLICIES)
-                     + "; arrange: " + ", ".join(cur.ARRANGEMENTS)),
+    "policy": Option("one of"),  # the command's policies follow
     "k": Option("number of subsets/stages", int, 1, default=4),
     "k_values": Option("comma-separated k values, e.g. 1,2,4,8", list, 1),
     "seed": Option("PRNG seed", int, default=0),
@@ -99,9 +98,10 @@ def _convert(name: str, value):
     try:
         if opt.type is list:
             items = value.split(",") if isinstance(value, str) else value
-            value = [int(str(v)) for v in items if str(v) != ""]
-            if not value:
+            ints = [int(str(v)) for v in items if str(v) != ""]
+            if not ints:  # the message names the value as given
                 raise ValueError
+            value = ints
         else:
             # str() first, so a JSON true or 2.5 is rejected, not read as 1 or 2
             value = opt.type(str(value))
@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, required, optional) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in required + optional:
-            p.add_argument(_flag(name), dest=name, help=_help(name))
+            listed = ": " + ", ".join(POLICY_OPTIONS[command]) if name == "policy" else ""
+            p.add_argument(_flag(name), dest=name, help=_help(name) + listed)
         p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 

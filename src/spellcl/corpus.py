@@ -45,13 +45,12 @@ class Sample:
 @dataclass(frozen=True)
 class Corpus:
     samples: tuple[Sample, ...]
-    name: str = ""
 
     def __post_init__(self):
         seen = set()
         for s in self.samples:
             if s.id in seen:
-                raise DuplicateId(f"duplicate sample id {s.id!r} in corpus {self.name!r}")
+                raise DuplicateId(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
 
     def __len__(self) -> int:
@@ -103,8 +102,8 @@ class ConfusionSet:
 # --- text files ----------------------------------------------------------------
 
 def read_text(path) -> str:
-    """A whole artifact as text; text-mode reading turns CRLF line endings into LF."""
-    with open(path, encoding="utf-8") as fh:
+    """A whole artifact as text, line endings as in the file, so a parser sees a CRLF."""
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -134,7 +133,7 @@ def numbered_lines(text: str):
 
 # --- parsing and serialization ---------------------------------------------
 
-def parse_corpus(text: str, name: str = "") -> Corpus:
+def parse_corpus(text: str) -> Corpus:
     """Parse a TSV document into a Corpus; line order is preserved.
 
     Raises MalformedLine for a leading byte-order mark, a CRLF line ending
@@ -161,7 +160,7 @@ def parse_corpus(text: str, name: str = "") -> Corpus:
             raise DuplicateId(f"line {line_no}: duplicate sample id {sample_id!r}")
         seen.add(sample_id)
         samples.append(Sample(id=sample_id, source=source, target=target))
-    return Corpus(samples=tuple(samples), name=name)
+    return Corpus(samples=tuple(samples))
 
 
 def corpus_to_tsv(corpus: Corpus) -> str:
@@ -169,8 +168,8 @@ def corpus_to_tsv(corpus: Corpus) -> str:
     return "".join(f"{s.id}\t{s.source}\t{s.target}\n" for s in corpus.samples)
 
 
-def load_corpus(path, name: str | None = None) -> Corpus:
-    return parse_corpus(read_text(path), name=name if name is not None else str(path))
+def load_corpus(path) -> Corpus:
+    return parse_corpus(read_text(path))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -233,4 +232,4 @@ def inject_errors(corpus: Corpus, confusion: ConfusionSet, rate: float, seed: in
                 if cands:
                     chars[j] = cands[rng.below(len(cands))]
         out.append(Sample(id=s.id, source="".join(chars), target=s.target))
-    return Corpus(samples=tuple(out), name=corpus.name)
+    return Corpus(samples=tuple(out))

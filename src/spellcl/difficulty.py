@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .corpus import ConfusionSet, Corpus, Sample, numbered_lines, read_text, write_text
-from .errors import MalformedLine, ShapeMismatch, ZeroNormVector
+from .errors import MalformedLine, ShapeMismatch
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,23 +46,6 @@ def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = norms == 0.0
     cos = np.divide(np.add.reduce(u * v, axis=1), norms, out=np.zeros(len(norms)), where=~zero)
     return np.clip(cos, -1.0, 1.0, out=cos), zero
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1].
-
-    Raises ZeroNormVector for degenerate inputs; the contextual score maps
-    that case to similarity 0.
-    """
-    import numpy as np
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeMismatch(f"vector shapes differ: {u.shape} vs {v.shape}")
-    (cos,), (zero,) = _row_cosines(u.reshape(1, -1), v.reshape(1, -1))
-    if zero:
-        raise ZeroNormVector("cosine undefined for zero-norm vector")
-    return float(cos)
 
 
 def score_contextual(sample: Sample, emb_src: ContextualEmbedding,

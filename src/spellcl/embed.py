@@ -47,10 +47,6 @@ class ContextualEmbedding:
     side: str
     vectors: np.ndarray  # shape (rows, dim), float64
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
     def __len__(self) -> int:
         return self.vectors.shape[0]
 

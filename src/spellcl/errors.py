@@ -37,10 +37,6 @@ class MissingEmbedding(SpellclError):
     """A file-backed provider has no vectors for a requested (sample, side)."""
 
 
-class ZeroNormVector(SpellclError):
-    """Cosine similarity is undefined for a zero-norm vector."""
-
-
 class ShapeMismatch(SpellclError):
     """Embedding shape does not match the sample it is paired with."""
 

@@ -86,7 +86,7 @@ def make_clean_corpus(vocab: list[str], n_sentences: int, seed: int,
         chars = [vocab[int(c)] for c in rng.integers(0, len(vocab), size=length)]
         text = "".join(chars)
         samples.append(Sample(id=f"{prefix}{i:05d}", source=text, target=text))
-    return Corpus(samples=tuple(samples), name=f"synthetic-{seed}")
+    return Corpus(samples=tuple(samples))
 
 
 def make_markov_corpus(vocab: list[str], n_sentences: int, seed: int,
@@ -118,7 +118,7 @@ def make_markov_corpus(vocab: list[str], n_sentences: int, seed: int,
             chars.append(vocab[state])
         text = "".join(chars)
         samples.append(Sample(id=f"{prefix}{i:05d}", source=text, target=text))
-    return Corpus(samples=tuple(samples), name=f"markov-{seed}")
+    return Corpus(samples=tuple(samples))
 
 
 def overfit_fixture() -> tuple[Corpus, ConfusionSet]:
@@ -143,10 +143,7 @@ def overfit_fixture() -> tuple[Corpus, ConfusionSet]:
         "s": {"S"}, "S": {"s"},
         "y": {"Y"}, "Y": {"y"},
     })
-    corpus = Corpus(
-        samples=tuple(Sample(id=i, source=s, target=t) for i, s, t in rows),
-        name="overfit",
-    )
+    corpus = Corpus(samples=tuple(Sample(id=i, source=s, target=t) for i, s, t in rows))
     return corpus, confusion
 
 

@@ -121,6 +121,18 @@ class TestScore:
                    "--out", workdir["root"] / "x")
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag", [("score", "--train"), ("inject", "--input")])
+    def test_crlf_input_file_is_a_data_error(self, workdir, capsys, command, flag):
+        crlf = workdir["root"] / "crlf.tsv"
+        crlf.write_bytes(workdir["clean"].read_bytes().replace(b"\n", b"\r\n"))
+        out = workdir["root"] / "x"
+        options = ("--policy", "contextual") if command == "score" else (
+            "--confusion", workdir["confusion"])
+        assert run(command, flag, crlf, *options, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: CRLF line ending; the format requires LF line endings\n")
+        assert not out.exists()
+
     def test_char_similarity(self, workdir):
         out = workdir["root"] / "cs"
         assert run("score", "--train", workdir["train"], "--policy", "char_similarity",
@@ -328,6 +340,17 @@ class TestAblate:
         assert modes == ["shuffled_baseline", "sorted_only", "random_stages",
                          "annealing_char_similarity", "annealing_contextual"]
         assert lines[1].split("\t")[-1] == "+0.0000"  # baseline delta
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_empty_corpus_is_usage_error(self, workdir, capsys, which):
+        empty = workdir["root"] / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        corpora = {"train": workdir["train"], "test": workdir["test"], which: empty}
+        out = workdir["root"] / "x"
+        assert run("ablate", "--train", corpora["train"], "--test", corpora["test"],
+                   "--confusion", workdir["confusion"], "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {which} corpus is empty\n"
+        assert not out.exists()
 
     def test_no_errors_anywhere_all_modes_identical(self, workdir):
         out = workdir["root"] / "degen"
@@ -626,6 +649,10 @@ class TestConfig:
         assert "--window" in self._usage_error(capsys, *score, "--window", "200")
         assert "--policy" in self._usage_error(capsys, "score", "--train", workdir["train"],
                                                "--policy", "bogus", "--out", x)
+        assert self._usage_error(capsys, "ablate", "--train", workdir["train"], "--test",
+                                 workdir["test"], "--confusion", workdir["confusion"],
+                                 "--seeds", "", "--out", x) == (
+            "error: --seeds: expected comma-separated integers, got ''\n")
         # an input file is checked when it is given, whether optional or not
         nope = workdir["root"] / "nope.tsv"
         assert "file not found for --embeddings" in self._usage_error(
@@ -653,6 +680,18 @@ class TestConfig:
         assert "JSON object" in self._usage_error(capsys, *score, "--config", not_object)
         assert "bad config file" in self._usage_error(capsys, *score, "--config",
                                                       workdir["root"] / "nope.json")
+
+    def test_crlf_config_file_loads(self, workdir):
+        # JSON reads a CR as whitespace, so a config saved with CRLF endings still loads
+        config = workdir["root"] / "crlf.json"
+        config.write_bytes(json.dumps({"policy": "contextual", "train": str(workdir["train"])},
+                                      indent=2).replace("\n", "\r\n").encode("utf-8"))
+        by_config, by_flags = workdir["root"] / "c", workdir["root"] / "f"
+        assert run("score", "--config", config, "--out", by_config) == 0
+        assert run("score", "--train", workdir["train"], "--policy", "contextual",
+                   "--out", by_flags) == 0
+        assert ((by_config / "difficulty.tsv").read_bytes()
+                == (by_flags / "difficulty.tsv").read_bytes())
 
     def test_config_of_another_command_is_usage_error(self, workdir, capsys):
         first = workdir["root"] / "first"
@@ -840,6 +879,18 @@ class TestSurface:
             _, _, required, optional = COMMANDS[command]
             for needs, takes in policies.values():
                 assert set(needs) | set(takes) <= set(required + optional), command
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_lists_only_the_commands_own_policies(self, capsys, command):
+        from spellcl.cli import POLICY_OPTIONS
+
+        assert run(command, "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+        own = POLICY_OPTIONS.get(command, {})
+        if own:
+            assert "--policy POLICY one of: " + ", ".join(own) in help_text
+        others = {p for policies in POLICY_OPTIONS.values() for p in policies} - set(own)
+        assert [p for p in sorted(others) if p in help_text] == []
 
     def test_defaults(self):
         from spellcl.cli import OPTIONS, _help

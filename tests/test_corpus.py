@@ -13,10 +13,16 @@ from spellcl.corpus import (
     corpus_to_tsv,
     derive_error_positions,
     inject_errors,
+    load_confusion_set,
+    load_corpus,
     parse_confusion_set,
     parse_corpus,
 )
+from spellcl.curriculum import load_manifest
+from spellcl.difficulty import load_records
+from spellcl.embed import load_embeddings
 from spellcl.errors import DuplicateId, LengthMismatch, MalformedLine
+from spellcl.model import load_model
 
 from helpers import make_clean_corpus, make_symmetric_confusion, make_vocab
 
@@ -106,6 +112,12 @@ class TestParseCorpus:
         with pytest.raises(DuplicateId):
             parse_corpus("a\tX\tX\nb\tY\tY\na\tZ\tZ\n")
 
+    def test_corpus_rejects_a_repeated_id(self):
+        # built directly, not parsed: no line to name
+        a = Sample(id="a", source="X", target="X")
+        with pytest.raises(DuplicateId, match="^duplicate sample id 'a'$"):
+            Corpus((a, Sample(id="b", source="Y", target="Y"), a))
+
     def test_empty_id_names_the_line(self):
         # the sample would train under an ID no manifest can name apart
         with pytest.raises(MalformedLine, match="^line 2: empty sample ID$"):
@@ -149,6 +161,37 @@ class TestParseCorpus:
             samples.append(Sample(id=f"r{i}", source=text, target="".join(tgt)))
         corpus = Corpus(samples=tuple(samples))
         assert parse_corpus(corpus_to_tsv(corpus)).samples == corpus.samples
+
+
+# ===========================================================================
+# files on disk
+# ===========================================================================
+
+# loader, a valid LF document
+LOADERS = {
+    "corpus": (load_corpus, "a\tAB\tAC\nb\tAB\tAB\n"),
+    "confusion": (load_confusion_set, "a\tb\nb\ta\n"),
+    "records": (load_records, "a\t0.5\tcontextual\nb\t0.1\tcontextual\n"),
+    "manifest": (load_manifest, '{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
+                                '{"stage": 1, "ids": ["a"]}\n'),
+    "model": (lambda path: load_model(path, ConfusionSet()),
+              "# spellcl-model schema=1 window=2\nKEEP\t-1.0\n"),
+    "embeddings": (load_embeddings, "dim=1\na\tsource\t0\t1.0\n"),
+}
+
+
+class TestFilesOnDisk:
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_crlf_file_names_its_line(self, tmp_path, kind):
+        # a file parses exactly as its text: reading turns no CRLF into LF
+        load, text = LOADERS[kind]
+        path = tmp_path / "f"
+        path.write_bytes(text.encode("utf-8"))
+        load(path)
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        with pytest.raises(MalformedLine, match="^line 1: CRLF line ending"):
+            load(path)
 
 
 # ===========================================================================

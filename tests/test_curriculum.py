@@ -1,6 +1,7 @@
 """Stage arrangements and the manifest file format."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -368,6 +369,18 @@ class TestManifestFile:
         doc = ('{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\r\n'
                '{"stage": 1, "ids": ["a"]}\r\n')
         with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
+            parse_manifest(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ("\n\n", "empty manifest document"),
+        (META.replace("annealing", "bogus") + '{"stage": 1, "ids": ["a"]}\n',
+         "line 1: unknown policy 'bogus'"),
+        (META + "stage 1: a\n", "line 2: Expecting value: line 1 column 1 (char 0)"),
+        (META + '{"stage": 1}\n', "line 2: expected 'stage' and 'ids'"),
+        (META, "manifest has no stages"),
+    ])
+    def test_malformed_names_the_cause(self, doc, message):
+        with pytest.raises(MalformedManifest, match=f"^{re.escape(message)}$"):
             parse_manifest(doc)
 
     def test_line_numbers_count_blank_lines(self):

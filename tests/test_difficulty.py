@@ -1,4 +1,4 @@
-"""Difficulty scoring: cosine, contextual sum, character-similarity ablation."""
+"""Difficulty scoring: contextual cosine sum, character-similarity ablation."""
 
 import math
 
@@ -11,7 +11,6 @@ from spellcl.curriculum import arrange_sorted_only
 from spellcl.difficulty import (
     POLICIES,
     DifficultyRecord,
-    cosine,
     load_records,
     parse_records,
     records_to_tsv,
@@ -26,7 +25,7 @@ from spellcl.embed import (
     HashedEmbedder,
     parse_embeddings,
 )
-from spellcl.errors import MalformedLine, ShapeMismatch, ZeroNormVector
+from spellcl.errors import MalformedLine, ShapeMismatch
 
 
 def oracle_score(sample: Sample, src_vecs, tgt_vecs) -> float:
@@ -48,34 +47,34 @@ def stub(sample_id, side, vectors) -> ContextualEmbedding:
 
 
 # ===========================================================================
-# cosine
+# the cosine behind each contextual score
 # ===========================================================================
+
+def one_error_score(u, v) -> float:
+    """``score_contextual`` of a one-character sample whose only position is
+    an error, with source row ``u`` and target row ``v``: their cosine."""
+    s = Sample(id="c", source="A", target="B")
+    return score_contextual(s, stub("c", "source", [u]), stub("c", "target", [v])).score
+
 
 class TestCosine:
 
     def test_identical_direction(self):
-        assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
+        assert one_error_score([1.0, 0.0], [1.0, 0.0]) == 1.0
 
     def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert one_error_score([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_formula_value(self):
         # direct evaluation: (1*1 + 1*0) / (sqrt(2) * 1) = 1/sqrt(2)
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-9)
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=5e-9)
-
-    def test_zero_norm_raises(self):
-        with pytest.raises(ZeroNormVector):
-            cosine([0.0, 0.0], [1.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            cosine([1.0], [1.0, 2.0])
+        assert one_error_score([1.0, 1.0], [1.0, 0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-9)
+        assert one_error_score([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=5e-9)
 
     def test_clamped(self):
+        # exactly the bounds of the [-1, 1] clamp, not merely within them
         v = np.full(64, 0.1)
-        assert -1.0 <= cosine(v, v) <= 1.0
-        assert cosine(v, -v) == -1.0
+        assert one_error_score(v, v) == 1.0
+        assert one_error_score(v, -v) == -1.0
 
 
 # ===========================================================================
@@ -274,6 +273,27 @@ class TestScoreCorpus:
     def test_missing_provider(self):
         with pytest.raises(ValueError):
             score_corpus(parse_corpus(""), "contextual")
+
+    @pytest.mark.parametrize("policy, message", [
+        ("bogus", "unknown difficulty policy 'bogus'"),
+        ("char_similarity", "char_similarity scoring needs a confusion set"),
+    ])
+    def test_policy_without_its_input(self, policy, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            score_corpus(parse_corpus("s1\tAB\tAC\n"), policy, provider=HashedEmbedder())
+
+    @pytest.mark.parametrize("n_src, n_tgt, dim_tgt", [(1, 1, 2), (2, 2, 3), (2, 1, 2)])
+    def test_rows_that_do_not_match_the_error_positions(self, n_src, n_tgt, dim_tgt):
+        # the sample has two error positions; every source row has dimension 2
+        class Provider:
+            def embed_side(self, sample, side, positions):
+                shape = (n_src, 2) if side == "source" else (n_tgt, dim_tgt)
+                return ContextualEmbedding(sample.id, side, np.ones(shape))
+
+        with pytest.raises(ShapeMismatch, match=rf"^sample 's1': embedding rows \({n_src}, 2\) "
+                                                rf"and \({n_tgt}, {dim_tgt}\) for 2 error "
+                                                r"positions of dimension 2$"):
+            score_corpus(parse_corpus("s1\tABC\tXBY\n"), "contextual", provider=Provider())
 
 
 # ===========================================================================

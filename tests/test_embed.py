@@ -166,7 +166,7 @@ class TestEmbedCorpus:
         table = embed_corpus(corpus, HashedEmbedder(window=2, dim=16))
         assert set(table) == {("s1", "source"), ("s1", "target")}
         assert len(table[("s1", "source")]) == 5
-        assert table[("s1", "target")].dim == 16
+        assert table[("s1", "target")].vectors.shape[1] == 16
 
     def test_deterministic(self):
         corpus = parse_corpus("s1\t他带着\t他戴着\n")
@@ -194,7 +194,7 @@ class TestEmbeddingFile:
     def test_parse(self):
         table = parse_embeddings(EMB_DOC)
         emb = table[("s1", "source")]
-        assert len(emb) == 2 and emb.dim == 2
+        assert len(emb) == 2 and emb.vectors.shape[1] == 2
         np.testing.assert_array_equal(emb.vectors[1], [0.5, -0.25])
 
     def test_position_gap(self):
@@ -223,6 +223,16 @@ class TestEmbeddingFile:
         # without the check, int() and float() strip the '\r' and the file loads
         with pytest.raises(MalformedLine, match="line 1: CRLF line ending"):
             parse_embeddings("dim=1\r\ns1\tsource\t0\t1.0\r\n")
+
+    @pytest.mark.parametrize("doc, message", [
+        ("dim=x\n", "line 1: bad dimension in header 'dim=x'"),
+        ("dim=0\n", "line 1: dimension must be positive, got 0"),
+        ("dim=1\ns1\tsource\t0\n", "line 2: expected 4 tab-separated fields"),
+        ("dim=2\ns1\tsource\t0\t1.0,abc\n", "line 2: bad position or vector"),
+    ])
+    def test_malformed_names_the_line(self, doc, message):
+        with pytest.raises(MalformedLine, match=f"^{message}$"):
+            parse_embeddings(doc)
 
     def test_bad_side(self):
         with pytest.raises(MalformedLine):

@@ -77,6 +77,10 @@ class TestEvaluate:
         assert (rep.precision, rep.recall, rep.f1) == (0.0, 0.0, 0.0)
         assert rep.accuracy == 1.0
 
+    def test_unknown_level(self):
+        with pytest.raises(ValueError, match="^unknown evaluation level 'sentence'$"):
+            evaluate(perfect(GOLD2), GOLD2, "sentence")
+
     def test_id_mismatch(self):
         with pytest.raises(IdMismatch):
             evaluate([pred_for(GOLD2.samples[0], "XB")], GOLD2, "detection")

@@ -862,6 +862,10 @@ class TestModelFile:
             parse_model("# spellcl-model schema=99 window=2\n", confusion)
         with pytest.raises(MalformedLine, match="window=5"):
             parse_model("# spellcl-model schema=1 window=5\nKEEP\t-1.0\n", confusion)
+        for header in ("schema=1", "schema=1 window=", "schema=1 window=two"):
+            with pytest.raises(MalformedLine,
+                               match="^line 1: header must carry schema=<int> window=<int>$"):
+                parse_model(f"# spellcl-model {header}\nKEEP\t-1.0\n", confusion)
 
     def test_repeated_feature_names_the_line(self):
         # before, the later row silently won

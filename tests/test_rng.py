@@ -1,5 +1,7 @@
 """The pinned PRNG: splitmix64 seeding, xorshift64*, Fisher-Yates."""
 
+import pytest
+
 from spellcl.rng import XorShift64Star, shuffled, splitmix64
 
 
@@ -40,6 +42,10 @@ class TestXorShift64Star:
     def test_below_range(self):
         rng = XorShift64Star(11)
         assert all(0 <= rng.below(7) < 7 for _ in range(200))
+
+    def test_below_needs_a_positive_bound(self):
+        with pytest.raises(ValueError, match="^below\\(\\) needs a positive bound$"):
+            XorShift64Star(11).below(0)
 
 
 class TestShuffle:
