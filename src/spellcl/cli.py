@@ -12,8 +12,8 @@ Every command reads an optional JSON config file, applies flag overrides,
 validates, and writes ``<command>_config.json`` next to its outputs.  The
 record holds ``command`` and exactly the options read, so passing it back
 with ``--config`` reruns the command.  A flag that is not read is a usage
-error; a config key that is not read is ignored.  Exit codes: 0 success,
-1 internal/data error, 2 usage/config error.
+error; a config key that is not read is ignored.  Exit codes: 0 on success,
+2 on a ConfigError (usage), 1 on any other SpellclError or an OSError.
 
 Start-up: no module-level import in ``spellcl/__init__``, ``cli``, ``corpus``,
 ``curriculum``, ``difficulty``, ``rng`` or ``errors`` may load numpy, so
@@ -33,7 +33,7 @@ from typing import NamedTuple
 from . import corpus as corpus_mod
 from . import curriculum as cur
 from . import difficulty as diff
-from .errors import ConfigError, EmptyInput, KTooLarge, SpellclError
+from .errors import ConfigError, MalformedLine, SpellclError
 
 # ablation mode -> (arrangement policy, difficulty policy it reads or None)
 ABLATION_MODES = {
@@ -123,7 +123,7 @@ def _convert(name: str, value):
 def _load_config(path: str) -> dict:
     try:
         loaded = json.loads(corpus_mod.read_text(path))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MalformedLine) as exc:
         raise ConfigError(f"bad config file {path}: {exc}")
     if not isinstance(loaded, dict):
         raise ConfigError(f"bad config file {path}: expected a JSON object")
@@ -405,10 +405,10 @@ def main(argv: list[str] | None = None) -> int:
         code = COMMANDS[args.command][0](cfg)
         _write_resolved(cfg, args.command)
         return code
-    except (ConfigError, KTooLarge, EmptyInput) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SpellclError as exc:
+    except (SpellclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

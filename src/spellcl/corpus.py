@@ -102,9 +102,15 @@ class ConfusionSet:
 # --- text files ----------------------------------------------------------------
 
 def read_text(path) -> str:
-    """A whole artifact as text, line endings as in the file, so a parser sees a CRLF."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
+    """A whole artifact as text, line endings as in the file, so a parser sees a CRLF;
+    MalformedLine naming the line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(f"line {line_no}: not UTF-8 (byte 0x{data[exc.start]:02x})")
 
 
 def write_text(path, text: str) -> None:
@@ -214,12 +220,13 @@ def inject_errors(corpus: Corpus, confusion: ConfusionSet, rate: float, seed: in
     uniformly chosen member of its confusion set; characters with no
     confusion entry are never touched.  Targets are preserved, so the
     result is a training-ready parallel corpus.  Deterministic in ``seed``.
+    A sample with errors raises MalformedLine: the input must be clean.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
     for s in corpus.samples:
         if s.source != s.target:
-            raise ValueError(
+            raise MalformedLine(
                 f"inject_errors expects an error-free corpus; sample {s.id!r} has errors"
             )
     rng = XorShift64Star(seed, stream=0)

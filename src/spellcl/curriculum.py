@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .corpus import numbered_lines, read_text, write_text
 from .difficulty import DifficultyRecord
-from .errors import EmptyInput, KTooLarge, MalformedManifest
+from .errors import ConfigError, MalformedLine
 from .rng import shuffled
 
 ARRANGEMENTS = ("annealing", "sorted_only", "random_stages", "shuffled_baseline")
@@ -68,11 +68,11 @@ def _sorted_ids(records: list[DifficultyRecord]) -> list[str]:
 
 def _check(items: list, k: int, what: str) -> None:
     if not items:
-        raise EmptyInput(f"cannot arrange an empty {what} list")
+        raise ConfigError(f"cannot arrange an empty {what} list")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > len(items):
-        raise KTooLarge(f"k={k} exceeds the number of samples ({len(items)})")
+        raise ConfigError(f"k={k} exceeds the number of samples ({len(items)})")
 
 
 def _with_full_set(policy: str, stages: list[tuple[str, ...]], ordered: list[str], k: int,
@@ -169,48 +169,47 @@ def _is_int(value) -> bool:
 def parse_manifest(text: str) -> CurriculumManifest:
     lines = list(numbered_lines(text))
     if not lines:
-        raise MalformedManifest("empty manifest document")
+        raise MalformedLine("empty manifest document")
     meta_line_no, meta_line = lines[0]
     try:
         meta = json.loads(meta_line)
     except json.JSONDecodeError as exc:
-        raise MalformedManifest(f"line {meta_line_no}: {exc}")
+        raise MalformedLine(f"line {meta_line_no}: {exc}")
     if not isinstance(meta, dict):
-        raise MalformedManifest(f"line {meta_line_no}: expected a JSON object")
+        raise MalformedLine(f"line {meta_line_no}: expected a JSON object")
     for key in ("policy", "k", "seed", "corpus"):
         if key not in meta:
-            raise MalformedManifest(f"line {meta_line_no}: metadata missing {key!r}")
+            raise MalformedLine(f"line {meta_line_no}: metadata missing {key!r}")
     if meta["policy"] not in ARRANGEMENTS:
-        raise MalformedManifest(f"line {meta_line_no}: unknown policy {meta['policy']!r}")
+        raise MalformedLine(f"line {meta_line_no}: unknown policy {meta['policy']!r}")
     for key, kind, valid in (("k", "an integer >= 1", _is_int(meta["k"]) and meta["k"] >= 1),
                              ("seed", "an integer", _is_int(meta["seed"])),
                              ("corpus", "a string", isinstance(meta["corpus"], str))):
         if not valid:
-            raise MalformedManifest(f"line {meta_line_no}: {key!r} must be {kind}, "
-                                    f"got {meta[key]!r}")
+            raise MalformedLine(f"line {meta_line_no}: {key!r} must be {kind}, got {meta[key]!r}")
 
     stages = []
     for line_no, line in lines[1:]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise MalformedManifest(f"line {line_no}: {exc}")
+            raise MalformedLine(f"line {line_no}: {exc}")
         if not isinstance(obj, dict):
-            raise MalformedManifest(f"line {line_no}: expected a JSON object")
+            raise MalformedLine(f"line {line_no}: expected a JSON object")
         if "stage" not in obj or "ids" not in obj:
-            raise MalformedManifest(f"line {line_no}: expected 'stage' and 'ids'")
+            raise MalformedLine(f"line {line_no}: expected 'stage' and 'ids'")
         if not _is_int(obj["stage"]) or obj["stage"] != len(stages) + 1:
-            raise MalformedManifest(
+            raise MalformedLine(
                 f"line {line_no}: expected stage {len(stages) + 1}, got {obj['stage']!r}"
             )
         ids = obj["ids"]
         if not (isinstance(ids, list) and all(isinstance(i, str) and i for i in ids)):
-            raise MalformedManifest(f"line {line_no}: 'ids' must be a list of non-empty strings")
+            raise MalformedLine(f"line {line_no}: 'ids' must be a list of non-empty strings")
         if len(set(ids)) != len(ids):
-            raise MalformedManifest(f"line {line_no}: duplicate ID within stage")
+            raise MalformedLine(f"line {line_no}: duplicate ID within stage")
         stages.append(tuple(ids))
     if not stages:
-        raise MalformedManifest("manifest has no stages")
+        raise MalformedLine("manifest has no stages")
     return CurriculumManifest(
         policy=meta["policy"], k=meta["k"], seed=meta["seed"],
         stages=tuple(stages), source_corpus=meta["corpus"],

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import hash_embed
 from .corpus import Sample, numbered_lines, read_text
-from .errors import DimMismatch, MalformedLine, MissingEmbedding, MissingPosition, ShapeMismatch
+from .errors import MalformedLine, ShapeMismatch
 
 SIDES = ("source", "target")
 
@@ -86,7 +86,7 @@ class FileEmbeddingProvider:
         try:
             emb = self._table[(sample.id, side)]
         except KeyError:
-            raise MissingEmbedding(f"no embedding for sample {sample.id!r} side {side!r}")
+            raise ShapeMismatch(f"no embedding for sample {sample.id!r} side {side!r}")
         if len(emb) != n_chars:
             raise ShapeMismatch(
                 f"sample {sample.id!r} side {side}: {len(emb)} vectors "
@@ -125,7 +125,7 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
         if not np.isfinite(vec).all():
             raise MalformedLine(f"line {line_no}: vector component is not finite")
         if vec.shape[0] != dim:
-            raise DimMismatch(
+            raise MalformedLine(
                 f"line {line_no}: vector has {vec.shape[0]} components, header says {dim}"
             )
         group = rows.setdefault((sample_id, side), {})
@@ -137,7 +137,7 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
     for (sample_id, side), group in rows.items():
         for j in range(len(group)):
             if j not in group:
-                raise MissingPosition(
+                raise MalformedLine(
                     f"sample {sample_id!r} side {side!r}: position {j} missing"
                 )
         vectors = np.stack([group[j] for j in range(len(group))])

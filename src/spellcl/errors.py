@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per kind of fault.
 
 Every error raised by spellcl derives from SpellclError so callers (and the
-CLI) can distinguish data/model errors from programming mistakes.
+CLI) can distinguish data/model errors from programming mistakes.  The CLI
+exits 2 on a ConfigError and 1 on any other SpellclError or an OSError.
 """
 
 
@@ -9,7 +10,10 @@ class SpellclError(Exception):
     """Base class for all spellcl errors."""
 
 
-# --- corpus ---------------------------------------------------------------
+class MalformedLine(SpellclError):
+    """An input document (corpus, confusion set, scores, manifest, model,
+    embeddings) breaks its format; the message names the line where one is at fault."""
+
 
 class LengthMismatch(SpellclError):
     """Source and target character counts differ (errors are substitution-only)."""
@@ -19,53 +23,14 @@ class DuplicateId(SpellclError):
     """A sample ID occurs more than once in a corpus."""
 
 
-class MalformedLine(SpellclError):
-    """A line of an input document does not match the expected layout."""
-
-
-# --- embeddings -----------------------------------------------------------
-
-class DimMismatch(SpellclError):
-    """A vector's dimension disagrees with the declared embedding dimension."""
-
-
-class MissingPosition(SpellclError):
-    """Embedding positions for a (sample, side) are not contiguous from 0."""
-
-
-class MissingEmbedding(SpellclError):
-    """A file-backed provider has no vectors for a requested (sample, side)."""
-
-
 class ShapeMismatch(SpellclError):
-    """Embedding shape does not match the sample it is paired with."""
-
-
-# --- curriculum -----------------------------------------------------------
-
-class KTooLarge(SpellclError):
-    """Requested more subsets than there are samples."""
-
-
-class EmptyInput(SpellclError):
-    """An arrangement was requested for zero samples."""
-
-
-class MalformedManifest(SpellclError):
-    """A manifest document violates the stage-file schema."""
-
-
-# --- model / metrics ------------------------------------------------------
-
-class UnknownSampleId(SpellclError):
-    """A manifest references a sample ID absent from the corpus."""
+    """Embedding vectors do not cover the sample they are paired with."""
 
 
 class IdMismatch(SpellclError):
-    """Prediction IDs do not biject onto gold corpus IDs."""
+    """Sample IDs (of a manifest or predictions) do not match the corpus."""
 
-
-# --- cli ------------------------------------------------------------------
 
 class ConfigError(SpellclError):
-    """Invalid or incomplete experiment configuration (usage error, exit 2)."""
+    """Invalid or incomplete experiment configuration, including an
+    arrangement of zero samples or more stages than samples (usage error)."""

@@ -41,7 +41,7 @@ from .corpus import (
     ConfusionSet, Corpus, Sample, derive_error_positions, numbered_lines, read_text, write_text,
 )
 from .curriculum import CurriculumManifest
-from .errors import MalformedLine, UnknownSampleId
+from .errors import IdMismatch, MalformedLine
 
 BOS = "<BOS>"
 EOS = "<EOS>"
@@ -280,7 +280,7 @@ def manifest_order(manifest: CurriculumManifest, enc: CorpusEncoding) -> np.ndar
         for sid in stage:
             idx = enc.id_to_idx.get(sid)
             if idx is None:
-                raise UnknownSampleId(f"manifest references unknown sample {sid!r}")
+                raise IdMismatch(f"manifest references unknown sample {sid!r}")
             order.append(idx)
     return np.asarray(order, dtype=np.int64)
 

@@ -680,6 +680,10 @@ class TestConfig:
         assert "JSON object" in self._usage_error(capsys, *score, "--config", not_object)
         assert "bad config file" in self._usage_error(capsys, *score, "--config",
                                                       workdir["root"] / "nope.json")
+        gbk = workdir["root"] / "gbk.json"
+        gbk.write_bytes('{"seed": "错"}'.encode("gbk"))
+        assert self._usage_error(capsys, *score, "--config", gbk) == (
+            f"error: bad config file {gbk}: line 1: not UTF-8 (byte 0xb4)\n")
 
     def test_crlf_config_file_loads(self, workdir):
         # JSON reads a CR as whitespace, so a config saved with CRLF endings still loads
@@ -741,6 +745,53 @@ class TestConfig:
         bad.write_text("x\tABC\tAB\n", encoding="utf-8")
         assert run("score", "--train", bad, "--policy", "contextual",
                    "--out", workdir["root"] / "x") == 1
+
+    def test_non_utf8_input_file_is_a_data_error(self, workdir, capsys):
+        # Chinese corpora often come as GBK; the error names the line, not a byte offset
+        gbk = workdir["root"] / "gbk.tsv"
+        gbk.write_bytes("a\t正字\t正字\n".encode("utf-8") + "b\t错字\t错字\n".encode("gbk"))
+        out = workdir["root"] / "x"
+        assert run("inject", "--input", gbk, "--confusion", workdir["confusion"],
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "error: line 2: not UTF-8 (byte 0xb4)\n"
+        assert not out.exists()
+
+    def test_io_error_is_a_data_error(self, workdir, capsys):
+        # a directory passes the existence check, so the read itself fails
+        assert run("score", "--train", workdir["root"], "--policy", "contextual",
+                   "--out", workdir["root"] / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Is a directory" in err
+
+    @pytest.mark.parametrize("files, argv, code, message", [
+        ({"scores.tsv": ""}, ("arrange", "--scores", "scores.tsv", "--policy", "annealing"),
+         2, "cannot arrange an empty record list"),
+        ({"m.jsonl": '{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
+                     '{"stage": 1, "ids": ["ghost"]}\n',
+          "train.tsv": "s1\tAB\tAX\n", "conf.tsv": "B\tX\n"},
+         ("train", "--manifest", "m.jsonl", "--train", "train.tsv", "--confusion", "conf.tsv"),
+         1, "manifest references unknown sample 'ghost'"),
+        ({"train.tsv": "s1\tAB\tAX\n", "v.tsv": "dim=2\ns1\tsource\t0\t1.0\n"},
+         ("score", "--train", "train.tsv", "--policy", "contextual", "--embeddings", "v.tsv"),
+         1, "line 2: vector has 1 components, header says 2"),
+        ({"train.tsv": "s1\tAB\tAX\n",
+          "v.tsv": "dim=1\ns1\tsource\t0\t1.0\ns1\tsource\t2\t1.0\n"},
+         ("score", "--train", "train.tsv", "--policy", "contextual", "--embeddings", "v.tsv"),
+         1, "sample 's1' side 'source': position 1 missing"),
+        ({"noisy.tsv": "s1\tAB\tAX\n", "conf.tsv": "B\tX\n"},
+         ("inject", "--input", "noisy.tsv", "--confusion", "conf.tsv"),
+         1, "inject_errors expects an error-free corpus; sample 's1' has errors"),
+    ], ids=["empty_scores", "unknown_manifest_id", "short_vector", "position_gap",
+            "errored_inject_input"])
+    def test_exit_code_of_each_fault(self, tmp_path, monkeypatch, capsys, files, argv, code,
+                                     message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert run(*argv, "--out", "out") == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestFileProvider:

@@ -184,14 +184,20 @@ class TestFilesOnDisk:
 
     @pytest.mark.parametrize("kind", LOADERS)
     def test_crlf_file_names_its_line(self, tmp_path, kind):
-        # a file parses exactly as its text: reading turns no CRLF into LF
+        # a file parses exactly as its text: reading turns no CRLF into LF,
+        # and a byte that is not UTF-8 (here GBK on line 2) names its line
         load, text = LOADERS[kind]
         path = tmp_path / "f"
         path.write_bytes(text.encode("utf-8"))
         load(path)
-        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-        with pytest.raises(MalformedLine, match="^line 1: CRLF line ending"):
-            load(path)
+        line1, rest = text.encode("utf-8").split(b"\n", 1)
+        for data, message in (
+            (text.replace("\n", "\r\n").encode("utf-8"), "line 1: CRLF line ending"),
+            (line1 + b"\n" + "错".encode("gbk") + rest, r"line 2: not UTF-8 \(byte 0xb4\)$"),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(MalformedLine, match="^" + message):
+                load(path)
 
 
 # ===========================================================================
@@ -301,7 +307,7 @@ class TestInjectErrors:
 
     def test_rejects_errored_input(self):
         bad = Corpus(samples=(Sample(id="x", source="AB", target="AC"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedLine, match="expects an error-free corpus; sample 'x' has"):
             inject_errors(bad, self.confusion, 0.1, seed=0)
 
     def test_rejects_bad_rate(self):

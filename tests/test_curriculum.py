@@ -19,7 +19,7 @@ from spellcl.curriculum import (
     parse_manifest,
 )
 from spellcl.difficulty import DifficultyRecord
-from spellcl.errors import EmptyInput, KTooLarge, MalformedLine, MalformedManifest
+from spellcl.errors import ConfigError, MalformedLine
 from spellcl.rng import shuffled
 
 
@@ -136,11 +136,11 @@ class TestArrangeAnnealing:
         assert [set(x) for x in a.stages] == [set(x) for x in b.stages]
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ConfigError, match=r"k=2 exceeds the number of samples \(1\)"):
             arrange_annealing(recs({"a": 1.0}), k=2, seed=0)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ConfigError, match="cannot arrange an empty"):
             arrange_annealing([], k=1, seed=0)
 
 
@@ -163,7 +163,7 @@ class TestSortedOnly:
         assert m.stages == (("only",),)
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ConfigError, match="cannot arrange an empty"):
             arrange_sorted_only([], seed=0)
 
 
@@ -186,7 +186,7 @@ class TestRandomStages:
             assert sorted(m.stages[-1]) == sorted(ids)
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ConfigError, match=r"k=3 exceeds the number of samples \(1\)"):
             arrange_random_stages(["a"], k=3, seed=0)
 
 
@@ -214,7 +214,7 @@ class TestStagedArrangements:
 
     @pytest.mark.parametrize("policy", ARRANGEMENTS)
     def test_every_policy_rejects_empty_input(self, policy):
-        with pytest.raises(EmptyInput, match="cannot arrange an empty"):
+        with pytest.raises(ConfigError, match="cannot arrange an empty"):
             arrange(policy, [], [], 1, 0)
 
     @pytest.mark.parametrize("policy", ["annealing", "random_stages"])
@@ -223,14 +223,14 @@ class TestStagedArrangements:
         ids = [r.sample_id for r in records]
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
             arrange(policy, ids, records, 0, 0)
-        with pytest.raises(KTooLarge, match=r"k=3 exceeds the number of samples \(2\)"):
+        with pytest.raises(ConfigError, match=r"k=3 exceeds the number of samples \(2\)"):
             arrange(policy, ids, records, 3, 0)
 
 
 class TestShuffledBaseline:
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ConfigError, match="cannot arrange an empty"):
             arrange_shuffled_baseline([], seed=0)
 
     def test_single(self):
@@ -304,7 +304,7 @@ class TestManifestFile:
             '{"policy": "annealing", "k": 1, "seed": 0, "corpus": "", "n": 1}\n'
             '{"stage": 1, "ids": ["a", "a"]}\n'
         )
-        with pytest.raises(MalformedManifest):
+        with pytest.raises(MalformedLine, match="line 2: duplicate ID within stage"):
             parse_manifest(doc)
 
     def test_missing_stage_index(self):
@@ -313,31 +313,31 @@ class TestManifestFile:
             '{"stage": 1, "ids": ["a"]}\n'
             '{"stage": 3, "ids": ["b"]}\n'
         )
-        with pytest.raises(MalformedManifest):
+        with pytest.raises(MalformedLine, match="line 3: expected stage 2, got 3"):
             parse_manifest(doc)
 
     def test_missing_metadata_key(self):
-        with pytest.raises(MalformedManifest):
+        with pytest.raises(MalformedLine, match="line 1: metadata missing 'k'"):
             parse_manifest('{"policy": "annealing"}\n{"stage": 1, "ids": []}\n')
 
     def test_not_json(self):
-        with pytest.raises(MalformedManifest):
+        with pytest.raises(MalformedLine, match="line 1: Expecting value"):
             parse_manifest("not json at all\n")
 
     META = '{"policy": "annealing", "k": 1, "seed": 0, "corpus": ""}\n'
 
     def test_metadata_line_not_an_object_names_the_line(self):
-        with pytest.raises(MalformedManifest, match="line 1: expected a JSON object"):
+        with pytest.raises(MalformedLine, match="line 1: expected a JSON object"):
             parse_manifest('5\n{"stage": 1, "ids": ["s1"]}\n')
 
     def test_stage_line_not_an_object_names_the_line(self):
-        with pytest.raises(MalformedManifest, match="line 2: expected a JSON object"):
+        with pytest.raises(MalformedLine, match="line 2: expected a JSON object"):
             parse_manifest(self.META + "7\n")
 
     @pytest.mark.parametrize("ids", ['[["s1"]]', "5", '"s1"', '["s1", 2]', '[""]', "null"])
     def test_ids_not_a_list_of_non_empty_strings_names_the_line(self, ids):
         doc = self.META + '{"stage": 1, "ids": ["s0"]}\n{"stage": 2, "ids": ' + ids + "}\n"
-        with pytest.raises(MalformedManifest,
+        with pytest.raises(MalformedLine,
                            match="line 3: 'ids' must be a list of non-empty strings"):
             parse_manifest(doc)
 
@@ -352,12 +352,12 @@ class TestManifestFile:
         # before, each loaded as given and train ran on it
         meta = {"policy": '"annealing"', "k": "1", "seed": "0", "corpus": '""', key: value}
         doc = "{" + ", ".join(f'"{k}": {v}' for k, v in meta.items()) + "}\n"
-        with pytest.raises(MalformedManifest, match=f"line 1: '{key}' must be {kind}, got "):
+        with pytest.raises(MalformedLine, match=f"line 1: '{key}' must be {kind}, got "):
             parse_manifest(doc + '{"stage": 1, "ids": ["s1"]}\n')
 
     @pytest.mark.parametrize("stage", ["true", "1.0"])
     def test_stage_that_is_not_an_integer_names_the_line(self, stage):
-        with pytest.raises(MalformedManifest, match="line 2: expected stage 1, got "):
+        with pytest.raises(MalformedLine, match="line 2: expected stage 1, got "):
             parse_manifest(self.META + '{"stage": ' + stage + ', "ids": ["s1"]}\n')
 
     def test_byte_order_mark_names_the_cause(self):
@@ -380,7 +380,7 @@ class TestManifestFile:
         (META, "manifest has no stages"),
     ])
     def test_malformed_names_the_cause(self, doc, message):
-        with pytest.raises(MalformedManifest, match=f"^{re.escape(message)}$"):
+        with pytest.raises(MalformedLine, match=f"^{re.escape(message)}$"):
             parse_manifest(doc)
 
     def test_line_numbers_count_blank_lines(self):
@@ -389,7 +389,7 @@ class TestManifestFile:
             '\n'
             '{"stage": 2, "ids": ["a"]}\n'
         )
-        with pytest.raises(MalformedManifest, match="line 3: expected stage 1, got 2"):
+        with pytest.raises(MalformedLine, match="line 3: expected stage 1, got 2"):
             parse_manifest(doc)
 
     @given(st.builds(

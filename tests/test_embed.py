@@ -14,7 +14,7 @@ from spellcl.embed import (
     load_embeddings,
     parse_embeddings,
 )
-from spellcl.errors import DimMismatch, MalformedLine, MissingEmbedding, MissingPosition
+from spellcl.errors import MalformedLine, ShapeMismatch
 
 from helpers import embed_corpus
 
@@ -199,12 +199,12 @@ class TestEmbeddingFile:
 
     def test_position_gap(self):
         doc = "dim=2\ns1\tsource\t0\t1.0,0.0\ns1\tsource\t2\t0.0,1.0\n"
-        with pytest.raises(MissingPosition):
+        with pytest.raises(MalformedLine, match="sample 's1' side 'source': position 1 missing"):
             parse_embeddings(doc)
 
     def test_dim_mismatch(self):
         doc = "dim=2\ns1\tsource\t0\t1.0,2.0,3.0\n"
-        with pytest.raises(DimMismatch):
+        with pytest.raises(MalformedLine, match="line 2: vector has 3 components, header says 2"):
             parse_embeddings(doc)
 
     def test_bad_header(self):
@@ -291,5 +291,5 @@ class TestEmbeddingFile:
         path.write_text(EMB_DOC, encoding="utf-8")
         provider = load_embeddings(path)
         corpus = parse_corpus("s2\tAB\tAC\n")
-        with pytest.raises(MissingEmbedding):
+        with pytest.raises(ShapeMismatch, match="no embedding for sample 's2' side 'source'"):
             embed_corpus(corpus, provider)

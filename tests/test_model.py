@@ -24,7 +24,7 @@ from spellcl.curriculum import (
 )
 from spellcl.difficulty import DifficultyRecord, score_corpus
 from spellcl.embed import HashedEmbedder
-from spellcl.errors import MalformedLine, UnknownSampleId
+from spellcl.errors import IdMismatch, MalformedLine
 from spellcl.model import (
     BOS,
     EOS,
@@ -624,7 +624,7 @@ class TestTrain:
     def test_unknown_sample_id(self):
         corpus, confusion = small_noisy_setup(n_sentences=3)
         manifest = arrange_shuffled_baseline(corpus.ids() + ["ghost"], seed=0)
-        with pytest.raises(UnknownSampleId):
+        with pytest.raises(IdMismatch, match="manifest references unknown sample 'ghost'"):
             train(manifest, corpus, confusion)
 
     def test_order_sensitivity(self):
