@@ -25,6 +25,7 @@ functions through module attributes (``mod.train_encoded``) at call time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -52,7 +53,7 @@ class Option(NamedTuple):
     type: type = str      # str, int, float, or list: a comma-separated integer list
     lo: float | None = None
     hi: float | None = None
-    is_file: bool = False  # an input file, which must exist when given
+    is_file: bool = False  # an input file, which must be an existing file when given
     default: object = None  # the value when neither config nor flag gives one
 
 
@@ -92,7 +93,7 @@ def _help(name: str) -> str:
 
 def _convert(name: str, value):
     """``value`` as the option's type, within its bounds, a list option's
-    values distinct, an input file existing; ConfigError naming the flag
+    values distinct, an input file an existing file; ConfigError naming the flag
     otherwise."""
     opt = OPTIONS[name]
     try:
@@ -115,7 +116,7 @@ def _convert(name: str, value):
         if not ((opt.lo is None or v >= opt.lo) and (opt.hi is None or v <= opt.hi)):
             bounds = f">= {opt.lo}" if opt.hi is None else f"in [{opt.lo}, {opt.hi}]"
             raise ConfigError(f"{_flag(name)} must be {bounds}, got {v}")
-    if opt.is_file and not os.path.exists(value):
+    if opt.is_file and not os.path.isfile(value):
         raise ConfigError(f"file not found for {_flag(name)}: {value}")
     return value
 
@@ -224,7 +225,8 @@ def cmd_arrange(cfg: dict) -> int:
     else:
         records, ids, name = None, corpus_mod.load_corpus(cfg["train"]).ids(), cfg["train"]
     # sorted_only and shuffled_baseline take no --k: they have one stage
-    manifest = cur.arrange(cfg["policy"], ids, records, cfg.get("k", 1), cfg["seed"], name)
+    manifest = cur.arrange(cfg["policy"], ids, records, cfg.get("k", 1), cfg["seed"])
+    manifest = dataclasses.replace(manifest, source_corpus=name)
 
     cur.save_manifest(manifest, os.path.join(cfg["out"], "manifest.jsonl"))
     print(f"arranged {len(manifest.stages)} stages -> "
@@ -284,7 +286,7 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     results = {}
     for mode, k, seed in keys:
         arrangement, difficulty = ABLATION_MODES[mode]
-        manifest = cur.arrange(arrangement, ids, records.get(difficulty), k, seed, cfg["train"])
+        manifest = cur.arrange(arrangement, ids, records.get(difficulty), k, seed)
         results[(mode, k, seed)] = _run_one(manifest, enc_train, enc_test, rows, test_corpus)
     return results
 

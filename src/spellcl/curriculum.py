@@ -49,7 +49,7 @@ class CurriculumManifest:
     k: int
     seed: int
     stages: tuple[tuple[str, ...], ...]  # training order; stage 1 first
-    source_corpus: str = ""
+    source_corpus: str = ""  # the file the arrangement read; ``spellcl arrange`` sets it
 
     def all_ids(self) -> set[str]:
         return {i for stage in self.stages for i in stage}
@@ -76,14 +76,12 @@ def _check(items: list, k: int, what: str) -> None:
 
 
 def _with_full_set(policy: str, stages: list[tuple[str, ...]], ordered: list[str], k: int,
-                   seed: int, source_corpus: str) -> CurriculumManifest:
+                   seed: int) -> CurriculumManifest:
     full_set = tuple(shuffled(ordered, seed, stream=k + 1))
-    return CurriculumManifest(policy=policy, k=k, seed=seed, stages=(*stages, full_set),
-                              source_corpus=source_corpus)
+    return CurriculumManifest(policy=policy, k=k, seed=seed, stages=(*stages, full_set))
 
 
-def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int,
-                      source_corpus: str = "") -> CurriculumManifest:
+def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int) -> CurriculumManifest:
     """The k+1-stage annealing arrangement described above."""
     _check(records, k, "record")
     ordered = _sorted_ids(records)
@@ -94,53 +92,45 @@ def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int,
     for i in range(k):
         stage = [sid for subset_parts in parts for sid in subset_parts[i]]
         stages.append(tuple(shuffled(stage, seed, stream=i + 1)))
-    return _with_full_set("annealing", stages, ordered, k, seed, source_corpus)
+    return _with_full_set("annealing", stages, ordered, k, seed)
 
 
-def arrange_sorted_only(records: list[DifficultyRecord], seed: int,
-                        source_corpus: str = "") -> CurriculumManifest:
+def arrange_sorted_only(records: list[DifficultyRecord], seed: int) -> CurriculumManifest:
     """Single stage in ascending difficulty order; no shuffling."""
     _check(records, 1, "record")
-    return CurriculumManifest(
-        policy="sorted_only", k=1, seed=seed,
-        stages=(tuple(_sorted_ids(records)),), source_corpus=source_corpus,
-    )
+    return CurriculumManifest(policy="sorted_only", k=1, seed=seed,
+                              stages=(tuple(_sorted_ids(records)),))
 
 
-def arrange_random_stages(ids: list[str], k: int, seed: int,
-                          source_corpus: str = "") -> CurriculumManifest:
+def arrange_random_stages(ids: list[str], k: int, seed: int) -> CurriculumManifest:
     """Random balanced stages (difficulty ignored) plus the full-set stage."""
     _check(ids, k, "id")
     pool = shuffled(ids, seed, stream=0)
     stages = [tuple(part) for part in balanced_split(pool, k)]
-    return _with_full_set("random_stages", stages, ids, k, seed, source_corpus)
+    return _with_full_set("random_stages", stages, ids, k, seed)
 
 
-def arrange_shuffled_baseline(ids: list[str], seed: int,
-                              source_corpus: str = "") -> CurriculumManifest:
+def arrange_shuffled_baseline(ids: list[str], seed: int) -> CurriculumManifest:
     """One full-set shuffled stage: the conventional-training control."""
     _check(ids, 1, "id")
-    return CurriculumManifest(
-        policy="shuffled_baseline", k=1, seed=seed,
-        stages=(tuple(shuffled(ids, seed, stream=0)),),
-        source_corpus=source_corpus,
-    )
+    return CurriculumManifest(policy="shuffled_baseline", k=1, seed=seed,
+                              stages=(tuple(shuffled(ids, seed, stream=0)),))
 
 
 def arrange(policy: str, ids: list[str] | None, records: list[DifficultyRecord] | None,
-            k: int, seed: int, source_corpus: str = "") -> CurriculumManifest:
+            k: int, seed: int) -> CurriculumManifest:
     """Arrange with the named policy: ``annealing`` and ``sorted_only`` read
     ``records``, ``random_stages`` and ``shuffled_baseline`` read ``ids``."""
     # Looked up by global name at call time, so wrappers set on this module
     # (the benchmark's span tracer) see every call.
     if policy == "annealing":
-        return arrange_annealing(records, k, seed, source_corpus=source_corpus)
+        return arrange_annealing(records, k, seed)
     if policy == "sorted_only":
-        return arrange_sorted_only(records, seed, source_corpus=source_corpus)
+        return arrange_sorted_only(records, seed)
     if policy == "random_stages":
-        return arrange_random_stages(ids, k, seed, source_corpus=source_corpus)
+        return arrange_random_stages(ids, k, seed)
     if policy == "shuffled_baseline":
-        return arrange_shuffled_baseline(ids, seed, source_corpus=source_corpus)
+        return arrange_shuffled_baseline(ids, seed)
     raise ValueError(f"unknown arrangement policy {policy!r}")
 
 

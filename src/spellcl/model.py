@@ -45,8 +45,8 @@ from .errors import IdMismatch, MalformedLine
 
 BOS = "<BOS>"
 EOS = "<EOS>"
-FEATURE_SCHEMA = 1
-WINDOW = 2
+# line 1 of a model file; the features read a context of two characters each side
+_HEADER = "# spellcl-model schema=1 window=2"
 # features per slot: C, L, R, LL, RR, and KEEP on the observed character
 SLOT_WIDTH = 6
 
@@ -356,8 +356,8 @@ def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
 # --- model file -----------------------------------------------------------------
 
 def model_to_tsv(model: CorrectorModel) -> str:
-    """Header with window and schema version, then rows sorted by feature name."""
-    lines = [f"# spellcl-model schema={FEATURE_SCHEMA} window={WINDOW}\n"]
+    """``_HEADER``, then rows sorted by feature name."""
+    lines = [_HEADER + "\n"]
     for name, weight in sorted(zip(feature_names(model.keys), model.weights.tolist())):
         lines.append(f"{name}\t{weight!r}\n")
     return "".join(lines)
@@ -365,23 +365,9 @@ def model_to_tsv(model: CorrectorModel) -> str:
 
 def parse_model(text: str, confusion: ConfusionSet) -> CorrectorModel:
     lines = numbered_lines(text)
-    first_no, first = next(lines, (1, ""))
-    if first_no != 1 or not first.startswith("# spellcl-model"):
-        raise MalformedLine("line 1: expected '# spellcl-model' header")
-    header = dict(
-        part.split("=", 1) for part in first.split() if "=" in part
-    )
-    try:
-        schema = int(header["schema"])
-        window = int(header["window"])
-    except (KeyError, ValueError):
-        raise MalformedLine("line 1: header must carry schema=<int> window=<int>")
-    if schema != FEATURE_SCHEMA:
-        raise MalformedLine(f"unsupported feature schema {schema}")
-    if window != WINDOW:
-        raise MalformedLine(
-            f"line 1: model was trained with window={window}; features use window={WINDOW}"
-        )
+    if next(lines, None) != (1, _HEADER):
+        got = text.partition("\n")[0]
+        raise MalformedLine(f"line 1: expected header {_HEADER!r}, got {got!r}")
     averaged: dict[int, float] = {}
     for line_no, line in lines:
         fields = line.split("\t")

@@ -190,6 +190,19 @@ class TestArrange:
         assert "line 1: empty sample ID" in capsys.readouterr().err
         assert not (out / "manifest.jsonl").exists()
 
+    @pytest.mark.parametrize("policy, flag", [("annealing", "--scores"),
+                                              ("sorted_only", "--scores"),
+                                              ("random_stages", "--train"),
+                                              ("shuffled_baseline", "--train")])
+    def test_manifest_names_the_file_read(self, workdir, monkeypatch, policy, flag):
+        # "corpus" is the path as given on the command line, relative here
+        monkeypatch.chdir(workdir["root"])
+        given = self._scores(workdir).name if flag == "--scores" else workdir["train"].name
+        assert run("arrange", flag, given, "--policy", policy, "--out", "arr") == 0
+        meta = json.loads((workdir["root"] / "arr" / "manifest.jsonl")
+                          .read_text(encoding="utf-8").splitlines()[0])
+        assert meta["policy"] == policy and meta["corpus"] == given
+
     def test_baseline_from_corpus_ids(self, workdir):
         out = workdir["root"] / "bl"
         assert run("arrange", "--train", workdir["train"], "--policy",
@@ -757,12 +770,22 @@ class TestConfig:
         assert not out.exists()
 
     def test_io_error_is_a_data_error(self, workdir, capsys):
-        # a directory passes the existence check, so the read itself fails
-        assert run("score", "--train", workdir["root"], "--policy", "contextual",
-                   "--out", workdir["root"] / "x") == 1
+        # the output file's path is taken by a directory, so the write itself fails
+        out = workdir["root"] / "x"
+        (out / "difficulty.tsv").mkdir(parents=True)
+        assert run("score", "--train", workdir["train"], "--policy", "contextual",
+                   "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Is a directory" in err
+
+    def test_directory_as_input_file_is_usage_error(self, workdir, capsys):
+        # a directory is no input file: the usage error names the flag, as for a missing file
+        out = workdir["root"] / "x"
+        assert run("score", "--train", workdir["root"], "--policy", "contextual",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: file not found for --train: {workdir['root']}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("files, argv, code, message", [
         ({"scores.tsv": ""}, ("arrange", "--scores", "scores.tsv", "--policy", "annealing"),

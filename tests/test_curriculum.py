@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -253,14 +254,11 @@ class TestArrange:
     def test_each_policy_calls_its_arranger(self):
         records = recs({c: float(i % 3) for i, c in enumerate("abcdefg")})
         ids = [r.sample_id for r in records]
-        assert arrange("annealing", None, records, 2, 5, "x") == arrange_annealing(
-            records, 2, 5, source_corpus="x")
-        assert arrange("sorted_only", None, records, 2, 5, "x") == arrange_sorted_only(
-            records, 5, source_corpus="x")
-        assert arrange("random_stages", ids, None, 2, 5, "x") == arrange_random_stages(
-            ids, 2, 5, source_corpus="x")
-        assert arrange("shuffled_baseline", ids, None, 2, 5, "x") == (
-            arrange_shuffled_baseline(ids, 5, source_corpus="x"))
+        assert arrange("annealing", None, records, 2, 5) == arrange_annealing(records, 2, 5)
+        assert arrange("sorted_only", None, records, 2, 5) == arrange_sorted_only(records, 5)
+        assert arrange("random_stages", ids, None, 2, 5) == arrange_random_stages(ids, 2, 5)
+        assert arrange("shuffled_baseline", ids, None, 2, 5) == (
+            arrange_shuffled_baseline(ids, 5))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown arrangement policy 'bogus'"):
@@ -282,7 +280,7 @@ class TestArrange:
     def test_pinned_manifest(self, policy):
         # 13 records in no sorted order, four distinct scores, so ties abound
         ids = [r.sample_id for r in self.PIN_RECORDS]
-        manifest = arrange(policy, ids, self.PIN_RECORDS, 3, 7, "pin")
+        manifest = replace(arrange(policy, ids, self.PIN_RECORDS, 3, 7), source_corpus="pin")
         digest = hashlib.sha256(manifest_to_jsonl(manifest).encode("utf-8")).hexdigest()
         assert digest == self.PINNED[policy]
 
@@ -294,8 +292,8 @@ class TestArrange:
 class TestManifestFile:
 
     def test_roundtrip(self):
-        m = arrange_annealing(recs({c: float(i) for i, c in enumerate("abcdef")}),
-                              k=2, seed=42, source_corpus="toy")
+        m = replace(arrange_annealing(recs({c: float(i) for i, c in enumerate("abcdef")}),
+                                      k=2, seed=42), source_corpus="toy")
         again = parse_manifest(manifest_to_jsonl(m))
         assert again == m
 
