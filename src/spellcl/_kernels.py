@@ -21,7 +21,7 @@ features gives:
   so a block is a slice of that table and stops at the chunk's end.  An
   update is one write to the weights and one entry in a log of (gold slot,
   predicted slot) pairs; the averaging sum is one ``np.bincount`` over that
-  log after the pass (exact while T(T+1) < 2**53 for T updates).
+  log after the pass (exact while T(T+1) < 2**53 for T updates, checked).
 - ``predict_slots`` scores every position in one call.  Averaged (and
   loaded) weights are not integers, so it adds a slot's features in index
   order, as the loop does (``np.add.accumulate``; a pairwise sum or
@@ -38,6 +38,8 @@ bit-identical across runs and platforms.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError
 
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -122,7 +124,8 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # The pass only logs each update's two slots and builds c after the loop,
 # in one ``np.bincount``.  |c[f]| <= T(T+1)/2 and |(T + 1) * w[f]| <=
 # T(T+1), so every quantity is an integer held exactly in float64, in any
-# summation order, while T(T+1) < 2**53 (T < 9.4e7).
+# summation order, while T(T+1) < 2**53: for T <= _MAX_UPDATES, checked.
+_MAX_UPDATES = 94_906_265
 
 # Positions scored per step of ``train_pass``; an update restarts the block
 # right after the position it corrected.
@@ -176,6 +179,8 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
             log.append((gold[i], cand[i, p]))
             i += 1
     t = len(log)
+    if t > _MAX_UPDATES:
+        raise ConfigError(f"{t} updates; averaged weights are exact for at most {_MAX_UPDATES}")
     w = w[:n_feat]
     feats = slot_feats.take(np.asarray(log, dtype=np.intp).reshape(t, 2), axis=0)
     del visits, log

@@ -21,7 +21,6 @@ from .errors import MalformedLine, ShapeMismatch
 
 if TYPE_CHECKING:
     import numpy as np
-    from .embed import ContextualEmbedding
 
 logger = logging.getLogger(__name__)
 
@@ -46,15 +45,6 @@ def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = norms == 0.0
     cos = np.divide(np.add.reduce(u * v, axis=1), norms, out=np.zeros(len(norms)), where=~zero)
     return np.clip(cos, -1.0, 1.0, out=cos), zero
-
-
-def score_contextual(sample: Sample, emb_src: ContextualEmbedding,
-                     emb_tgt: ContextualEmbedding) -> DifficultyRecord:
-    """Sum of per-error-position cosines between the two sides' full-length
-    vectors: ``score_corpus`` of a one-sample corpus over those vectors."""
-    from .embed import FileEmbeddingProvider
-    table = {(sample.id, "source"): emb_src, (sample.id, "target"): emb_tgt}
-    return score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))[0]
 
 
 def score_char_similarity(sample: Sample, confusion: ConfusionSet) -> DifficultyRecord:

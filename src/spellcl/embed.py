@@ -1,9 +1,10 @@
 """Per-position contextual representations for character sequences.
 
-A provider answers ``embed_side(sample, side, positions)`` with the
-vectors of one side of a sample at the given positions only, one row per
-position in the order given.  The contextual score reads vectors at error
-positions alone, so that is all it asks for.  Two providers are available:
+A provider answers ``embed_side(sample, side, positions)`` with a
+``ContextualEmbedding``: the (rows, dim) float64 vectors of one side of a
+sample at the given positions only, one row per position in the order
+given.  The contextual score reads vectors at error positions alone, so
+that is all it asks for.  Two providers are available:
 
 * ``HashedEmbedder`` - a deterministic, training-free stand-in for a
   neural encoder.  Each position's vector is built by feature-hashing the
@@ -12,8 +13,9 @@ positions alone, so that is all it asks for.  Two providers are available:
   A vector is computed only when it is asked for.
 * ``FileEmbeddingProvider`` - vectors precomputed by an external encoder
   and loaded from a text file (header ``dim=<d>``, then one position per
-  line: ``sample_id<TAB>side<TAB>position<TAB>v1,v2,...,vd``).  A side's
-  table must hold one vector per character of that side.
+  line: ``sample_id<TAB>side<TAB>position<TAB>v1,v2,...,vd``).  Its table
+  maps (sample_id, side) to a (chars, dim) array: one row per character,
+  positions from 0, each row's squared norm finite in float64.
 """
 
 from __future__ import annotations
@@ -40,15 +42,9 @@ def _side_text(sample: Sample, side: str) -> str:
 
 @dataclass(frozen=True)
 class ContextualEmbedding:
-    """Vectors of a sample side: one per character in an embedding file,
-    one per requested position from a provider's ``embed_side``."""
+    """A provider's ``embed_side`` answer: one row per requested position."""
 
-    sample_id: str
-    side: str
     vectors: np.ndarray  # shape (rows, dim), float64
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
 
 
 class HashedEmbedder:
@@ -72,32 +68,31 @@ class HashedEmbedder:
 
     def embed_side(self, sample: Sample, side: str, positions) -> ContextualEmbedding:
         vectors = hash_embed(_side_text(sample, side), self.window, self.dim, positions)
-        return ContextualEmbedding(sample_id=sample.id, side=side, vectors=vectors)
+        return ContextualEmbedding(vectors)
 
 
 class FileEmbeddingProvider:
     """Provider backed by externally computed vectors."""
 
-    def __init__(self, table: dict[tuple[str, str], ContextualEmbedding]):
+    def __init__(self, table: dict[tuple[str, str], np.ndarray]):
         self._table = table
 
     def embed_side(self, sample: Sample, side: str, positions) -> ContextualEmbedding:
         n_chars = len(_side_text(sample, side))
         try:
-            emb = self._table[(sample.id, side)]
+            vectors = self._table[(sample.id, side)]
         except KeyError:
             raise ShapeMismatch(f"no embedding for sample {sample.id!r} side {side!r}")
-        if len(emb) != n_chars:
+        if len(vectors) != n_chars:
             raise ShapeMismatch(
-                f"sample {sample.id!r} side {side}: {len(emb)} vectors "
+                f"sample {sample.id!r} side {side}: {len(vectors)} vectors "
                 f"for {n_chars} characters"
             )
-        rows = emb.vectors[np.asarray(positions, dtype=np.intp)]
-        return ContextualEmbedding(sample_id=sample.id, side=side, vectors=rows)
+        return ContextualEmbedding(vectors[np.asarray(positions, dtype=np.intp)])
 
 
-def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
-    """Parse an embedding document into a (sample_id, side) -> embedding map."""
+def parse_embeddings(text: str) -> dict[tuple[str, str], np.ndarray]:
+    """Parse an embedding document into a (sample_id, side) -> (chars, dim) map."""
     lines = numbered_lines(text)
     first_no, first = next(lines, (1, ""))
     if first_no != 1 or not first.startswith("dim="):
@@ -122,12 +117,17 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
             vec = np.array([float(v) for v in vec_str.split(",")], dtype=np.float64)
         except ValueError:
             raise MalformedLine(f"line {line_no}: bad position or vector")
+        if pos < 0:
+            raise MalformedLine(f"line {line_no}: position must be >= 0, got {pos}")
         if not np.isfinite(vec).all():
             raise MalformedLine(f"line {line_no}: vector component is not finite")
         if vec.shape[0] != dim:
             raise MalformedLine(
                 f"line {line_no}: vector has {vec.shape[0]} components, header says {dim}"
             )
+        with np.errstate(over="ignore"):  # the sum of squares the cosine takes
+            if not np.isfinite(np.add.reduce(vec * vec)):
+                raise MalformedLine(f"line {line_no}: vector norm overflows float64")
         group = rows.setdefault((sample_id, side), {})
         if pos in group:
             raise MalformedLine(f"line {line_no}: duplicate position {pos}")
@@ -140,20 +140,10 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], ContextualEmbedding]:
                 raise MalformedLine(
                     f"sample {sample_id!r} side {side!r}: position {j} missing"
                 )
-        vectors = np.stack([group[j] for j in range(len(group))])
-        table[(sample_id, side)] = ContextualEmbedding(sample_id, side, vectors)
+        table[(sample_id, side)] = np.stack([group[j] for j in range(len(group))])
     return table
 
 
 def load_embeddings(path) -> FileEmbeddingProvider:
     return FileEmbeddingProvider(parse_embeddings(read_text(path)))
 
-
-def embeddings_to_text(table: dict[tuple[str, str], ContextualEmbedding], dim: int) -> str:
-    """Serialize embeddings; floats use shortest round-trip decimals."""
-    out = [f"dim={dim}\n"]
-    for (sample_id, side), emb in table.items():
-        for j in range(len(emb)):
-            values = ",".join(repr(float(v)) for v in emb.vectors[j])
-            out.append(f"{sample_id}\t{side}\t{j}\t{values}\n")
-    return "".join(out)

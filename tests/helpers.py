@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample
-from spellcl.embed import SIDES, ContextualEmbedding
+from spellcl.embed import SIDES
 from spellcl.model import BOS, EOS, CorrectorModel, _feature_key, feature_names
 
 
@@ -147,10 +147,19 @@ def overfit_fixture() -> tuple[Corpus, ConfusionSet]:
     return corpus, confusion
 
 
-def embed_corpus(corpus: Corpus, provider) -> dict[tuple[str, str], ContextualEmbedding]:
+def embed_corpus(corpus: Corpus, provider) -> dict[tuple[str, str], np.ndarray]:
     """Every position of both sides of every sample, as an embedding file holds them."""
     return {
-        (sample.id, side): provider.embed_side(sample, side, range(len(sample.source)))
+        (sample.id, side): provider.embed_side(sample, side, range(len(sample.source))).vectors
         for sample in corpus
         for side in SIDES
     }
+
+
+def embeddings_text(table: dict[tuple[str, str], np.ndarray], dim: int) -> str:
+    """An embedding file holding ``table``; floats use shortest round-trip decimals."""
+    out = [f"dim={dim}\n"]
+    for (sample_id, side), vectors in table.items():
+        for j, row in enumerate(vectors):
+            out.append(f"{sample_id}\t{side}\t{j}\t{','.join(repr(float(v)) for v in row)}\n")
+    return "".join(out)

@@ -20,8 +20,8 @@ from spellcl.corpus import (
     inject_errors,
 )
 from spellcl.curriculum import arrange_annealing
-from spellcl.difficulty import DifficultyRecord, score_contextual
-from spellcl.embed import ContextualEmbedding
+from spellcl.difficulty import DifficultyRecord, score_corpus
+from spellcl.embed import FileEmbeddingProvider
 from spellcl.metrics import evaluate
 from spellcl.model import Prediction
 from spellcl.rng import shuffled
@@ -63,11 +63,9 @@ def test_contextual_score_matches_bruteforce_oracle():
         src_vecs = rng.normal(size=(n, dim))
         tgt_vecs = rng.normal(size=(n, dim))
 
-        got = score_contextual(
-            sample,
-            ContextualEmbedding(sample.id, "source", src_vecs),
-            ContextualEmbedding(sample.id, "target", tgt_vecs),
-        ).score
+        table = {(sample.id, "source"): src_vecs, (sample.id, "target"): tgt_vecs}
+        (record,) = score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))
+        got = record.score
 
         expected = 0.0  # brute force: per-position cosine, plain python sums
         for j in sorted(err):

@@ -14,6 +14,7 @@ from spellcl.corpus import Corpus, confusion_to_tsv, corpus_to_tsv, inject_error
 
 from helpers import (
     embed_corpus,
+    embeddings_text,
     make_clean_corpus,
     make_markov_corpus,
     make_symmetric_confusion,
@@ -822,12 +823,12 @@ class TestFileProvider:
     def test_score_with_external_embeddings_matches_hashed(self, workdir):
         # export the hashed embeddings of the corpus, then score through the
         # file-provider interface; the two routes must agree exactly
-        from spellcl.embed import HashedEmbedder, embeddings_to_text
+        from spellcl.embed import HashedEmbedder
 
         corpus = load_corpus(workdir["train"])
         table = embed_corpus(corpus, HashedEmbedder(window=2, dim=64))
         emb_path = workdir["root"] / "vectors.tsv"
-        emb_path.write_text(embeddings_to_text(table, dim=64), encoding="utf-8")
+        emb_path.write_text(embeddings_text(table, dim=64), encoding="utf-8")
 
         out_hashed = workdir["root"] / "via_hashed"
         out_file = workdir["root"] / "via_file"
@@ -853,6 +854,26 @@ class TestFileProvider:
         err = capsys.readouterr().err
         assert err == f"error: sample 's1' side source: {3 + extra} vectors for 3 characters\n"
 
+    @pytest.mark.parametrize("lines, message", [
+        # finite components whose squared norm is not: the score read nan, exit 0
+        (("source\t0\t1.0,0.0", "source\t1\t1e200,1e200", "target\t0\t1.0,0.0",
+          "target\t1\t1e200,0.0"), "line 3: vector norm overflows float64"),
+        # read as position 1 missing, on no line
+        (("source\t-1\t1.0,0.0", "source\t0\t1.0,0.0", "target\t0\t1.0,0.0",
+          "target\t1\t1.0,0.0"), "line 2: position must be >= 0, got -1"),
+    ], ids=["norm_overflow", "negative_position"])
+    def test_bad_vector_file_exits_one_naming_the_line(self, tmp_path, capsys, lines, message):
+        train = tmp_path / "train.tsv"
+        train.write_text("s1\tab\tac\n", encoding="utf-8")
+        emb_path = tmp_path / "vectors.tsv"
+        emb_path.write_text("dim=2\n" + "".join(f"s1\t{line}\n" for line in lines),
+                            encoding="utf-8")
+        capsys.readouterr()
+        assert run("score", "--train", train, "--policy", "contextual",
+                   "--embeddings", emb_path, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_embeddings_alone_score_with_the_files_vectors(self, tmp_path):
         # no other flag: the file's vectors, equal on both sides at the error,
         # give 1.0, where the hashed provider gives 0.8
@@ -874,12 +895,12 @@ class TestFileProvider:
     ])
     def test_experiment_drivers_read_the_embeddings(self, workdir, capsys, command, options):
         # a file that holds only the first sample's vectors fails on the second
-        from spellcl.embed import HashedEmbedder, embeddings_to_text
+        from spellcl.embed import HashedEmbedder
 
         corpus = load_corpus(workdir["train"])
         table = embed_corpus(Corpus(corpus.samples[:1]), HashedEmbedder(window=2, dim=64))
         emb_path = workdir["root"] / "vectors.tsv"
-        emb_path.write_text(embeddings_to_text(table, dim=64), encoding="utf-8")
+        emb_path.write_text(embeddings_text(table, dim=64), encoding="utf-8")
         capsys.readouterr()
         out = workdir["root"] / "out"
         assert run(command, "--train", workdir["train"], "--test", workdir["test"],

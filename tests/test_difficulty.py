@@ -16,7 +16,6 @@ from spellcl.difficulty import (
     records_to_tsv,
     save_records,
     score_char_similarity,
-    score_contextual,
     score_corpus,
 )
 from spellcl.embed import (
@@ -42,8 +41,13 @@ def oracle_score(sample: Sample, src_vecs, tgt_vecs) -> float:
     return total
 
 
-def stub(sample_id, side, vectors) -> ContextualEmbedding:
-    return ContextualEmbedding(sample_id, side, np.asarray(vectors, dtype=np.float64))
+def score_one(sample: Sample, src_vecs, tgt_vecs) -> DifficultyRecord:
+    """``score_corpus`` of the one-sample corpus ``(sample,)`` over full-length
+    source and target vectors, read through the file provider."""
+    table = {(sample.id, "source"): np.asarray(src_vecs, dtype=np.float64),
+             (sample.id, "target"): np.asarray(tgt_vecs, dtype=np.float64)}
+    (record,) = score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))
+    return record
 
 
 # ===========================================================================
@@ -51,10 +55,9 @@ def stub(sample_id, side, vectors) -> ContextualEmbedding:
 # ===========================================================================
 
 def one_error_score(u, v) -> float:
-    """``score_contextual`` of a one-character sample whose only position is
-    an error, with source row ``u`` and target row ``v``: their cosine."""
-    s = Sample(id="c", source="A", target="B")
-    return score_contextual(s, stub("c", "source", [u]), stub("c", "target", [v])).score
+    """The score of a one-character sample whose only position is an error,
+    with source row ``u`` and target row ``v``: their cosine."""
+    return score_one(Sample(id="c", source="A", target="B"), [u], [v]).score
 
 
 class TestCosine:
@@ -78,15 +81,15 @@ class TestCosine:
 
 
 # ===========================================================================
-# score_contextual
+# one sample's contextual score
 # ===========================================================================
 
 class TestScoreContextual:
 
     def test_no_errors_scores_zero(self):
         s = Sample(id="a", source="AB", target="AB")
-        emb = stub("a", "source", [[1.0, 0.0], [0.0, 1.0]])
-        rec = score_contextual(s, emb, stub("a", "target", emb.vectors))
+        vecs = [[1.0, 0.0], [0.0, 1.0]]
+        rec = score_one(s, vecs, vecs)
         assert rec.score == 0.0
         assert rec.policy == "contextual"
 
@@ -97,7 +100,7 @@ class TestScoreContextual:
         tgt = np.tile([1.0, 0.0], (6, 1))
         tgt[2] = [0.5, math.sqrt(1 - 0.25)]
         tgt[5] = [0.3, math.sqrt(1 - 0.09)]
-        rec = score_contextual(s, stub("a", "source", src), stub("a", "target", tgt))
+        rec = score_one(s, src, tgt)
         expected = oracle_score(s, src, tgt)
         assert rec.score == pytest.approx(expected, abs=1e-12)
         assert rec.score == pytest.approx(0.8, abs=1e-9)
@@ -107,15 +110,14 @@ class TestScoreContextual:
         src = [[0.0, 0.0], [0.0, 0.0]]
         tgt = [[1.0, 0.0], [1.0, 0.0]]
         with caplog.at_level("WARNING"):
-            rec = score_contextual(s, stub("a", "source", src), stub("a", "target", tgt))
+            rec = score_one(s, src, tgt)
         assert rec.score == 0.0
         assert any("zero-norm" in r.message for r in caplog.records)
 
     def test_shape_mismatch(self):
         s = Sample(id="a", source="AB", target="AC")
         with pytest.raises(ShapeMismatch):
-            score_contextual(s, stub("a", "source", [[1.0, 0.0]]),
-                             stub("a", "target", [[1.0, 0.0], [0.0, 1.0]]))
+            score_one(s, [[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_bound_and_additivity_random(self):
         rng = np.random.default_rng(0)
@@ -132,7 +134,7 @@ class TestScoreContextual:
             s = Sample(id="r", source=src_text, target=tgt_text)
             src = rng.normal(size=(n, dim))
             tgt = rng.normal(size=(n, dim))
-            rec = score_contextual(s, stub("r", "source", src), stub("r", "target", tgt))
+            rec = score_one(s, src, tgt)
             assert abs(rec.score) <= len(s.error_positions) + 1e-12
             assert rec.score == pytest.approx(oracle_score(s, src, tgt), abs=1e-9)
 
@@ -188,7 +190,7 @@ class TestScoreCorpus:
 
             def embed_side(self, sample, side, positions):
                 vecs = np.tile([1.0, 0.0], (len(positions), 1))
-                return ContextualEmbedding(sample.id, side, vecs)
+                return ContextualEmbedding(vecs)
 
         corpus = parse_corpus("two\tABCD\tXYCD\none\tABCD\tXBCD\n")
         records = score_corpus(corpus, "contextual", provider=ConstantProvider())
@@ -211,15 +213,15 @@ class TestScoreCorpus:
         ))
         provider = HashedEmbedder(window=window, dim=dim)
         got = score_corpus(corpus, "contextual", provider=provider)
-        # the oracle scores full-length vectors through score_contextual
-        full = [[provider.embed_side(s, side, range(len(s.source)))
+        # the oracle scores each sample alone, from full-length vectors
+        full = [[provider.embed_side(s, side, range(len(s.source))).vectors
                  for side in ("source", "target")] for s in corpus]
-        want = [score_contextual(s, *embs) for s, embs in zip(corpus, full)]
+        want = [score_one(s, *vecs) for s, vecs in zip(corpus, full)]
         assert [(r.sample_id, r.score.hex(), r.policy) for r in got] == \
             [(r.sample_id, r.score.hex(), r.policy) for r in want]
         # hashed components are integers, so the loop's sums are exact too
         assert [r.score.hex() for r in got] == [
-            oracle_score(s, src.vectors, tgt.vectors).hex() for s, (src, tgt) in zip(corpus, full)]
+            oracle_score(s, src, tgt).hex() for s, (src, tgt) in zip(corpus, full)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -235,14 +237,13 @@ class TestScoreCorpus:
         ))
         component = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         table = {
-            (s.id, side): stub(s.id, side, data.draw(st.lists(
+            (s.id, side): np.array(data.draw(st.lists(
                 st.lists(component, min_size=dim, max_size=dim),
-                min_size=len(s.source), max_size=len(s.source))))
+                min_size=len(s.source), max_size=len(s.source))), dtype=np.float64)
             for s in corpus for side in ("source", "target")
         }
         got = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
-        want = [score_contextual(s, table[(s.id, "source")], table[(s.id, "target")])
-                for s in corpus]
+        want = [score_one(s, table[(s.id, "source")], table[(s.id, "target")]) for s in corpus]
         assert [(r.sample_id, r.score.hex()) for r in got] == \
             [(r.sample_id, r.score.hex()) for r in want]
 
@@ -251,7 +252,7 @@ class TestScoreCorpus:
         class Provider:
             def embed_side(self, sample, side, positions):
                 rows = {"source": [[0.6, 0.8], [0.0, 0.0]], "target": [[1.0, 0.0], [1.0, 0.0]]}
-                return ContextualEmbedding(sample.id, side, np.array(rows[side]))
+                return ContextualEmbedding(np.array(rows[side]))
 
         corpus = parse_corpus("s1\tABCD\tAXCY\n")
         with caplog.at_level("WARNING"):
@@ -288,7 +289,7 @@ class TestScoreCorpus:
         class Provider:
             def embed_side(self, sample, side, positions):
                 shape = (n_src, 2) if side == "source" else (n_tgt, dim_tgt)
-                return ContextualEmbedding(sample.id, side, np.ones(shape))
+                return ContextualEmbedding(np.ones(shape))
 
         with pytest.raises(ShapeMismatch, match=rf"^sample 's1': embedding rows \({n_src}, 2\) "
                                                 rf"and \({n_tgt}, {dim_tgt}\) for 2 error "

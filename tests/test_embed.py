@@ -7,16 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from spellcl.corpus import Corpus, Sample, parse_corpus
 from spellcl.embed import (
     SIDES,
-    ContextualEmbedding,
     FileEmbeddingProvider,
     HashedEmbedder,
-    embeddings_to_text,
     load_embeddings,
     parse_embeddings,
 )
 from spellcl.errors import MalformedLine, ShapeMismatch
 
-from helpers import embed_corpus
+from helpers import embed_corpus, embeddings_text
 
 
 def oracle_vector(sequence: str, j: int, window: int, dim: int) -> np.ndarray:
@@ -98,7 +96,6 @@ class TestHashedEmbed:
         from_file = FileEmbeddingProvider(embed_corpus(Corpus((sample,)), hashed))
         for provider in (hashed, from_file):
             emb = provider.embed_side(sample, side, positions)
-            assert (emb.sample_id, emb.side) == ("s", side)
             assert emb.vectors.shape == (len(positions), dim)
             for row, j in zip(emb.vectors, positions):
                 np.testing.assert_array_equal(row, oracle_vector(text, j, window, dim))
@@ -165,15 +162,15 @@ class TestEmbedCorpus:
         corpus = parse_corpus("s1\tABCDE\tABCDX\n")
         table = embed_corpus(corpus, HashedEmbedder(window=2, dim=16))
         assert set(table) == {("s1", "source"), ("s1", "target")}
-        assert len(table[("s1", "source")]) == 5
-        assert table[("s1", "target")].vectors.shape[1] == 16
+        assert table[("s1", "source")].shape == (5, 16)
+        assert table[("s1", "target")].shape == (5, 16)
 
     def test_deterministic(self):
         corpus = parse_corpus("s1\t他带着\t他戴着\n")
         t1 = embed_corpus(corpus, HashedEmbedder())
         t2 = embed_corpus(corpus, HashedEmbedder())
         for key in t1:
-            assert t1[key].vectors.tobytes() == t2[key].vectors.tobytes()
+            assert t1[key].tobytes() == t2[key].tobytes()
 
 
 # ===========================================================================
@@ -193,9 +190,9 @@ class TestEmbeddingFile:
 
     def test_parse(self):
         table = parse_embeddings(EMB_DOC)
-        emb = table[("s1", "source")]
-        assert len(emb) == 2 and emb.vectors.shape[1] == 2
-        np.testing.assert_array_equal(emb.vectors[1], [0.5, -0.25])
+        vectors = table[("s1", "source")]
+        assert vectors.shape == (2, 2) and vectors.dtype == np.float64
+        np.testing.assert_array_equal(vectors[1], [0.5, -0.25])
 
     def test_position_gap(self):
         doc = "dim=2\ns1\tsource\t0\t1.0,0.0\ns1\tsource\t2\t0.0,1.0\n"
@@ -229,6 +226,13 @@ class TestEmbeddingFile:
         ("dim=0\n", "line 1: dimension must be positive, got 0"),
         ("dim=1\ns1\tsource\t0\n", "line 2: expected 4 tab-separated fields"),
         ("dim=2\ns1\tsource\t0\t1.0,abc\n", "line 2: bad position or vector"),
+        # read as "position 1 missing", on no line, before the check
+        ("dim=1\ns1\tsource\t-1\t1.0\ns1\tsource\t0\t1.0\n",
+         "line 2: position must be >= 0, got -1"),
+        # each square is finite, but their sum, which the cosine takes, is
+        # not: accepted, the vector made the contextual score nan
+        ("dim=2\ns1\tsource\t0\t1.0,0.0\ns1\tsource\t1\t1.3e154,-1.3e154\n",
+         "line 3: vector norm overflows float64"),
     ])
     def test_malformed_names_the_line(self, doc, message):
         with pytest.raises(MalformedLine, match=f"^{message}$"):
@@ -245,6 +249,13 @@ class TestEmbeddingFile:
         with pytest.raises(MalformedLine, match="^line 3: vector component is not finite$"):
             parse_embeddings(doc)
 
+    def test_largest_norms_load(self):
+        # squared norms just below float64's maximum are kept as given
+        big = float(np.sqrt(np.finfo(np.float64).max))
+        doc = f"dim=2\ns1\tsource\t0\t{big!r},0.0\ns1\tsource\t1\t{big / 2!r},{big / 2!r}\n"
+        np.testing.assert_array_equal(parse_embeddings(doc)[("s1", "source")],
+                                      [[big, 0.0], [big / 2, big / 2]])
+
     def test_duplicate_position(self):
         doc = "dim=1\ns1\tsource\t0\t1.0\ns1\tsource\t0\t2.0\n"
         with pytest.raises(MalformedLine):
@@ -252,10 +263,10 @@ class TestEmbeddingFile:
 
     def test_roundtrip(self, tmp_path):
         table = parse_embeddings(EMB_DOC)
-        text = embeddings_to_text(table, dim=2)
+        text = embeddings_text(table, dim=2)
         again = parse_embeddings(text)
         for key in table:
-            assert table[key].vectors.tobytes() == again[key].vectors.tobytes()
+            assert table[key].tobytes() == again[key].tobytes()
 
     @given(st.data())
     def test_roundtrip_random(self, data):
@@ -267,16 +278,16 @@ class TestEmbeddingFile:
         table = {}
         for sample_id, side in keys:
             n = data.draw(st.integers(1, 3))
-            values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                        min_size=n * dim, max_size=n * dim))
-            table[(sample_id, side)] = ContextualEmbedding(
-                sample_id, side, np.array(values, dtype=np.float64).reshape(n, dim))
-        text = embeddings_to_text(table, dim)
+            # at most 1e150 apart from zero, so no squared norm overflows
+            component = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+            values = data.draw(st.lists(component, min_size=n * dim, max_size=n * dim))
+            table[(sample_id, side)] = np.array(values, dtype=np.float64).reshape(n, dim)
+        text = embeddings_text(table, dim)
         again = parse_embeddings(text)
         assert list(again) == list(table)
-        for key, emb in table.items():
-            assert again[key].vectors.tobytes() == emb.vectors.tobytes()
-        assert embeddings_to_text(again, dim) == text
+        for key, vectors in table.items():
+            assert again[key].tobytes() == vectors.tobytes()
+        assert embeddings_text(again, dim) == text
 
     def test_file_provider(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -284,7 +295,7 @@ class TestEmbeddingFile:
         provider = load_embeddings(path)
         corpus = parse_corpus("s1\tAB\tAC\n")
         table = embed_corpus(corpus, provider)
-        np.testing.assert_array_equal(table[("s1", "target")].vectors[0], [0.0, 1.0])
+        np.testing.assert_array_equal(table[("s1", "target")][0], [0.0, 1.0])
 
     def test_file_provider_missing_sample(self, tmp_path):
         path = tmp_path / "emb.tsv"

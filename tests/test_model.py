@@ -24,7 +24,7 @@ from spellcl.curriculum import (
 )
 from spellcl.difficulty import DifficultyRecord, score_corpus
 from spellcl.embed import HashedEmbedder
-from spellcl.errors import IdMismatch, MalformedLine
+from spellcl.errors import ConfigError, IdMismatch, MalformedLine
 from spellcl.model import (
     BOS,
     EOS,
@@ -599,6 +599,23 @@ class TestTrain:
         corpus, confusion, manifest = EVERY_POSITION_WRONG
         _, _, t = train_encoded(encode_corpus(corpus, confusion), manifest)
         assert t == len(corpus.samples[0].source) > 2 * _kernels._BLOCK
+
+    def test_more_updates_than_the_average_holds_exactly_are_refused(self):
+        # the averaged weights are exact while T(T+1) < 2**53; the bound is
+        # the largest such T, checked on the exact count after the pass
+        bound = _kernels._MAX_UPDATES
+        assert bound * (bound + 1) < 2**53 <= (bound + 1) * (bound + 2)
+        corpus, confusion = overfit_fixture()
+        manifest = arrange_shuffled_baseline(corpus.ids(), seed=0)
+        model = train(manifest, corpus, confusion)
+        t = model.updates_seen
+        assert t >= 1
+        with mock.patch.object(_kernels, "_MAX_UPDATES", t):
+            assert same_model(train(manifest, corpus, confusion), model)
+        with mock.patch.object(_kernels, "_MAX_UPDATES", t - 1):
+            with pytest.raises(ConfigError, match=f"^{t} updates; averaged weights are exact "
+                                                  f"for at most {t - 1}$"):
+                train(manifest, corpus, confusion)
 
     def test_pass_without_updates_returns_zeros(self):
         corpus, confusion, manifest = NO_UPDATE
