@@ -256,15 +256,19 @@ def cmd_evaluate(cfg: dict) -> int:
         raise ConfigError("evaluate: test corpus is empty")
     preds = mod.predict_corpus(model, test_corpus)
     reports = [met.evaluate(preds, test_corpus, level) for level in met.LEVELS]
-    table = met.reports_to_tsv(reports)
-    corpus_mod.write_text(os.path.join(cfg["out"], "report.tsv"), table)
+    return _write_table(cfg, "report.tsv", met.reports_to_tsv(reports))
+
+
+def _write_table(cfg: dict, name: str, table: str) -> int:
+    corpus_mod.write_text(os.path.join(cfg["out"], name), table)
     print(table, end="")
     return 0
 
 
-def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
-    """``{(mode, k, seed): (detection F1, correction F1)}`` for the given keys;
-    scores the training corpus only under the difficulty policies the modes read."""
+def _run_grid(cfg: dict, cells: list[tuple[str, int]]) -> dict:
+    """``{(mode, k): [(detection F1, correction F1) per seed of cfg["seeds"]]}``,
+    run cell by cell, seed by seed; scores the training corpus only under the
+    difficulty policies the modes read."""
     from . import model as mod
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     test_corpus = corpus_mod.load_corpus(cfg["test"])
@@ -276,7 +280,7 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     provider = build_provider(cfg)
     records = {
         policy: diff.score_corpus(train_corpus, policy, provider=provider, confusion=confusion)
-        for policy in dict.fromkeys(ABLATION_MODES[mode][1] for mode, _, _ in keys)
+        for policy in dict.fromkeys(ABLATION_MODES[mode][1] for mode, _ in cells)
         if policy is not None
     }
     enc_train = mod.encode_corpus(train_corpus, confusion)
@@ -284,10 +288,12 @@ def _run_grid(cfg: dict, keys: list[tuple[str, int, int]]) -> dict:
     rows = mod.feature_rows(enc_train.feature_index, enc_test)
     ids = train_corpus.ids()
     results = {}
-    for mode, k, seed in keys:
+    for mode, k in cells:
         arrangement, difficulty = ABLATION_MODES[mode]
-        manifest = cur.arrange(arrangement, ids, records.get(difficulty), k, seed)
-        results[(mode, k, seed)] = _run_one(manifest, enc_train, enc_test, rows, test_corpus)
+        results[(mode, k)] = [
+            _run_one(cur.arrange(arrangement, ids, records.get(difficulty), k, seed),
+                     enc_train, enc_test, rows, test_corpus)
+            for seed in cfg["seeds"]]
     return results
 
 
@@ -312,40 +318,27 @@ def _mean_sd(values: list[float]) -> tuple[float, float]:
 
 
 def cmd_ablate(cfg: dict) -> int:
-    seeds, k = cfg["seeds"], cfg["k"]
-    grid = _run_grid(cfg, [(mode, k, seed) for mode in ABLATION_MODES for seed in seeds])
-
+    grid = _run_grid(cfg, [(mode, cfg["k"]) for mode in ABLATION_MODES])
+    baseline_mean, _ = _mean_sd([corr for _, corr in grid["shuffled_baseline", cfg["k"]]])
     lines = ["mode\tseeds\tdetection_f1_mean\tcorrection_f1_mean\tcorrection_f1_sd\tdelta_f1"]
-    baseline_mean = None
-    for mode in ABLATION_MODES:
-        det_f1s, corr_f1s = zip(*(grid[(mode, k, seed)] for seed in seeds))
+    for (mode, _), runs in grid.items():
+        det_f1s, corr_f1s = zip(*runs)
         det_mean, _ = _mean_sd(det_f1s)
         corr_mean, corr_sd = _mean_sd(corr_f1s)
-        if baseline_mean is None:
-            baseline_mean = corr_mean
         lines.append(
-            f"{mode}\t{len(seeds)}\t{det_mean:.4f}\t{corr_mean:.4f}"
+            f"{mode}\t{len(runs)}\t{det_mean:.4f}\t{corr_mean:.4f}"
             f"\t{corr_sd:.4f}\t{corr_mean - baseline_mean:+.4f}"
         )
-    table = "\n".join(lines) + "\n"
-    corpus_mod.write_text(os.path.join(cfg["out"], "ablation.tsv"), table)
-    print(table, end="")
-    return 0
+    return _write_table(cfg, "ablation.tsv", "\n".join(lines) + "\n")
 
 
 def cmd_sweep_k(cfg: dict) -> int:
-    seeds, k_values = cfg["seeds"], cfg["k_values"]
-    mode = "annealing_contextual"
-    grid = _run_grid(cfg, [(mode, k, seed) for k in k_values for seed in seeds])
-
+    grid = _run_grid(cfg, [("annealing_contextual", k) for k in cfg["k_values"]])
     lines = ["k\tseeds\tcorrection_f1_mean\tcorrection_f1_sd"]
-    for k in k_values:
-        mean, sd = _mean_sd([grid[(mode, k, seed)][1] for seed in seeds])
-        lines.append(f"{k}\t{len(seeds)}\t{mean:.4f}\t{sd:.4f}")
-    table = "\n".join(lines) + "\n"
-    corpus_mod.write_text(os.path.join(cfg["out"], "sweep.tsv"), table)
-    print(table, end="")
-    return 0
+    for (_, k), runs in grid.items():
+        mean, sd = _mean_sd([corr for _, corr in runs])
+        lines.append(f"{k}\t{len(runs)}\t{mean:.4f}\t{sd:.4f}")
+    return _write_table(cfg, "sweep.tsv", "\n".join(lines) + "\n")
 
 
 # --- command table and argument parsing ----------------------------------------------

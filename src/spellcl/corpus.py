@@ -75,19 +75,24 @@ def derive_error_positions(source: str, target: str) -> tuple[int, ...]:
 
 
 class ConfusionSet:
-    """Map from a character to the set of characters it is confused with."""
+    """Map from a character to the characters it is confused with, held as one
+    string in code-point order: the corrector's tie-break and the order
+    ``inject_errors`` draws from.  A candidate must be one character."""
 
-    def __init__(self, entries: dict[str, set[str]] | None = None):
-        self._map: dict[str, frozenset[str]] = {}
-        if entries:
-            for head, cands in entries.items():
-                cleaned = frozenset(c for c in cands if c != head)
-                if cleaned:
-                    self._map[head] = cleaned
+    def __init__(self, entries: dict[str, str | set[str]] | None = None):
+        self._map: dict[str, str] = {}
+        for head, cands in (entries or {}).items():
+            for c in cands:
+                if len(c) != 1:
+                    raise ValueError(f"confusion head {head!r}: candidate {c!r} "
+                                     "is not one character")
+            cleaned = "".join(sorted(set(cands) - {head}))
+            if cleaned:
+                self._map[head] = cleaned
 
-    def candidates(self, char: str) -> frozenset[str]:
-        """Confusable characters for ``char``; empty set when unknown."""
-        return self._map.get(char, frozenset())
+    def candidates(self, char: str) -> str:
+        """Confusable characters for ``char`` in code-point order; "" when unknown."""
+        return self._map.get(char, "")
 
     def heads(self) -> list[str]:
         return sorted(self._map)
@@ -206,7 +211,7 @@ def load_confusion_set(path) -> ConfusionSet:
 
 def confusion_to_tsv(confusion: ConfusionSet) -> str:
     return "".join(
-        f"{head}\t{''.join(sorted(confusion.candidates(head)))}\n"
+        f"{head}\t{confusion.candidates(head)}\n"
         for head in confusion.heads()
     )
 
@@ -235,7 +240,7 @@ def inject_errors(corpus: Corpus, confusion: ConfusionSet, rate: float, seed: in
         chars = list(s.source)
         for j, ch in enumerate(chars):
             if rng.unit() < rate:
-                cands = sorted(confusion.candidates(ch))
+                cands = confusion.candidates(ch)
                 if cands:
                     chars[j] = cands[rng.below(len(cands))]
         out.append(Sample(id=s.id, source="".join(chars), target=s.target))

@@ -7,6 +7,13 @@ contextually "close" to the correction are the hard ones, and more errors
 mean a harder sample.  The character-similarity policy is the ablation
 variant: an indicator sum of confusion-set membership over error
 positions.  Error-free samples score exactly 0 under both policies.
+
+Two facts limit what the policies can tell apart.  With errors from
+``inject_errors`` or ``perfbench/gen.py``, every error is a confusion-set
+substitution, so char_similarity is the error count (on every seed-0 desk
+and dense training sample).  The hashed contextual score depends on where an
+error sits, not on which characters: against ``abcdefg``, ``abcXefg`` and
+``abcYefg`` both score 0.857142857142857; an error at position 0 scores 2/3.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .corpus import ConfusionSet, Corpus, Sample, numbered_lines, read_text, write_text
+from .corpus import ConfusionSet, Corpus, numbered_lines, read_text, write_text
 from .errors import MalformedLine, ShapeMismatch
 
 if TYPE_CHECKING:
@@ -47,30 +54,25 @@ def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(cos, -1.0, 1.0, out=cos), zero
 
 
-def score_char_similarity(sample: Sample, confusion: ConfusionSet) -> DifficultyRecord:
-    """Count error positions whose (wrong, correct) pair is confusion-linked."""
-    score = 0
-    for j in sample.error_positions:
-        src_c, tgt_c = sample.source[j], sample.target[j]
-        if tgt_c in confusion.candidates(src_c) or src_c in confusion.candidates(tgt_c):
-            score += 1
-    return DifficultyRecord(sample_id=sample.id, score=float(score), policy="char_similarity")
-
-
 def score_corpus(corpus: Corpus, policy: str, provider=None,
                  confusion: ConfusionSet | None = None) -> list[DifficultyRecord]:
     """One record per sample, in corpus order.
 
-    The contextual policy asks ``provider.embed_side`` for each side's
-    vectors at the error positions only, sample by sample.  The cosines of
-    all samples come from one pass over the stacked rows; each sample's are
-    then added to 0.0 left to right in error order (``np.add.at``), as a
-    running sum does.
+    The char_similarity policy counts the error positions whose (wrong,
+    correct) pair is confusion-linked in either direction.  The contextual
+    policy asks ``provider.embed_side`` for each side's vectors at the error
+    positions only, sample by sample.  The cosines of all samples come from
+    one pass over the stacked rows; each sample's are then added to 0.0 left
+    to right in error order (``np.add.at``), as a running sum does.
     """
     if policy == "char_similarity":
         if confusion is None:
             raise ValueError("char_similarity scoring needs a confusion set")
-        return [score_char_similarity(s, confusion) for s in corpus]
+        def linked(wrong: str, right: str) -> bool:
+            return right in confusion.candidates(wrong) or wrong in confusion.candidates(right)
+        return [DifficultyRecord(s.id, float(sum(linked(s.source[j], s.target[j])
+                                                 for j in s.error_positions)), policy)
+                for s in corpus]
     if policy != "contextual":
         raise ValueError(f"unknown difficulty policy {policy!r}")
     if provider is None:

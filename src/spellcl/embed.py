@@ -15,7 +15,8 @@ that is all it asks for.  Two providers are available:
   and loaded from a text file (header ``dim=<d>``, then one position per
   line: ``sample_id<TAB>side<TAB>position<TAB>v1,v2,...,vd``).  Its table
   maps (sample_id, side) to a (chars, dim) array: one row per character,
-  positions from 0, each row's squared norm finite in float64.
+  positions from 0, each row's squared norm finite in float64 and, unless
+  the row is all zeros, at least float64's smallest normal number.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], np.ndarray]:
                 f"line {line_no}: vector has {vec.shape[0]} components, header says {dim}"
             )
         with np.errstate(over="ignore"):  # the sum of squares the cosine takes
-            if not np.isfinite(np.add.reduce(vec * vec)):
-                raise MalformedLine(f"line {line_no}: vector norm overflows float64")
+            norm2 = np.add.reduce(vec * vec)
+        if not np.isfinite(norm2):
+            raise MalformedLine(f"line {line_no}: vector norm overflows float64")
+        if norm2 < np.finfo(np.float64).tiny and vec.any():
+            raise MalformedLine(f"line {line_no}: vector norm underflows float64")
         group = rows.setdefault((sample_id, side), {})
         if pos in group:
             raise MalformedLine(f"line {line_no}: duplicate position {pos}")

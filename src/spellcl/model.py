@@ -24,9 +24,9 @@ an unknown feature.  Names such as ``L|<BOS>|a`` exist only in the model
 file, written by ``model_to_tsv`` and read back into keys by
 ``parse_model``.  The test suite holds the per-position candidate and
 feature lists that the encoding is tested against.
-The encoding is the only prediction path (``predict`` runs it on a
-one-sample corpus); the test suite's dict-based predictor is the oracle it
-must agree with exactly.
+The encoding is the only prediction path, for one sample as for a corpus;
+the test suite's dict-based predictor is the oracle it must agree with
+exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import (
-    ConfusionSet, Corpus, Sample, derive_error_positions, numbered_lines, read_text, write_text,
+    ConfusionSet, Corpus, derive_error_positions, numbered_lines, read_text, write_text,
 )
 from .curriculum import CurriculumManifest
 from .errors import IdMismatch, MalformedLine
@@ -180,12 +180,10 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     # Candidate table, one entry per distinct source character (its class):
     # the character, then its confusables in code-point order.
     chars, cls = np.unique(src, return_inverse=True)
-    confusables = [sorted(map(ord, confusion.candidates(c))) for c in map(chr, chars.tolist())]
-    class_n_real = np.fromiter((1 + len(c) for c in confusables), dtype=np.int64,
-                               count=len(confusables))
+    classes = [c + confusion.candidates(c) for c in map(chr, chars.tolist())]
+    class_n_real = np.fromiter(map(len, classes), dtype=np.int64, count=len(classes))
     class_start = np.cumsum(class_n_real) - class_n_real
-    cand_table = np.fromiter((code for head, conf in zip(chars.tolist(), confusables)
-                              for code in (head, *conf)), dtype=np.int32)
+    cand_table = _codes(classes)
     n_real = class_n_real[cls]
 
     # The gold character's slot: 0 when it is the observed one, its place
@@ -308,11 +306,6 @@ def train(manifest: CurriculumManifest, corpus: Corpus,
 
 
 # --- prediction ------------------------------------------------------------------
-
-def predict(model: CorrectorModel, sample: Sample) -> Prediction:
-    """Prediction for one sample; see ``predict_corpus``."""
-    return predict_corpus(model, Corpus((sample,)))[0]
-
 
 def feature_rows(keys: np.ndarray, enc: CorpusEncoding) -> np.ndarray:
     """Row of each of ``enc``'s features in the ascending key table ``keys``

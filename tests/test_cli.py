@@ -858,10 +858,14 @@ class TestFileProvider:
         # finite components whose squared norm is not: the score read nan, exit 0
         (("source\t0\t1.0,0.0", "source\t1\t1e200,1e200", "target\t0\t1.0,0.0",
           "target\t1\t1e200,0.0"), "line 3: vector norm overflows float64"),
+        # a non-zero vector whose squared norm underflows: scored 0.0 with a
+        # zero-norm warning, exit 0, where the two equal rows' cosine is 1
+        (("source\t0\t1.0,0.0", "source\t1\t1e-200,1e-200", "target\t0\t1.0,0.0",
+          "target\t1\t1e-200,1e-200"), "line 3: vector norm underflows float64"),
         # read as position 1 missing, on no line
         (("source\t-1\t1.0,0.0", "source\t0\t1.0,0.0", "target\t0\t1.0,0.0",
           "target\t1\t1.0,0.0"), "line 2: position must be >= 0, got -1"),
-    ], ids=["norm_overflow", "negative_position"])
+    ], ids=["norm_overflow", "norm_underflow", "negative_position"])
     def test_bad_vector_file_exits_one_naming_the_line(self, tmp_path, capsys, lines, message):
         train = tmp_path / "train.tsv"
         train.write_text("s1\tab\tac\n", encoding="utf-8")

@@ -208,11 +208,11 @@ class TestConfusionSet:
 
     def test_basic_parse(self):
         cs = parse_confusion_set("带\t戴代待\n")
-        assert cs.candidates("带") == {"戴", "代", "待"}
+        assert cs.candidates("带") == "代待戴"  # code-point order
 
     def test_self_entry_dropped(self):
         cs = parse_confusion_set("日\t日曰\n")
-        assert cs.candidates("日") == {"曰"}
+        assert cs.candidates("日") == "曰"
 
     def test_empty_document(self):
         cs = parse_confusion_set("")
@@ -220,11 +220,11 @@ class TestConfusionSet:
 
     def test_absent_lookup_is_empty(self):
         cs = parse_confusion_set("带\t戴\n")
-        assert cs.candidates("日") == frozenset()
+        assert cs.candidates("日") == ""
 
     def test_duplicate_heads_merge(self):
         cs = parse_confusion_set("带\t戴\n带\t代\n")
-        assert cs.candidates("带") == {"戴", "代"}
+        assert cs.candidates("带") == "代戴"
 
     def test_malformed(self):
         with pytest.raises(MalformedLine):
@@ -234,7 +234,24 @@ class TestConfusionSet:
 
     def test_no_self_mapping_invariant(self):
         cs = ConfusionSet({"a": {"a", "b"}})
-        assert cs.candidates("a") == {"b"}
+        assert cs.candidates("a") == "b"
+
+    @given(st.dictionaries(st.characters(), st.sets(st.characters(), max_size=8), max_size=6))
+    def test_candidates_are_the_given_characters_in_code_point_order(self, entries):
+        cs = ConfusionSet(entries)
+        for head, cands in entries.items():
+            got = cs.candidates(head)
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert head not in got
+            assert set(got) == cands - {head} and len(got) == len(cands - {head})
+
+    @pytest.mark.parametrize("cands, bad", [({"b", "cd"}, "'cd'"), ({""}, "''"),
+                                            (["b", "xy"], "'xy'")])
+    def test_candidate_of_other_than_one_character_names_its_head(self, cands, bad):
+        # a string would be split into characters without an error
+        with pytest.raises(ValueError,
+                           match=f"^confusion head 'a': candidate {bad} is not one character$"):
+            ConfusionSet({"a": cands})
 
     def test_byte_order_mark_names_the_cause(self):
         with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):

@@ -15,7 +15,6 @@ from spellcl.difficulty import (
     parse_records,
     records_to_tsv,
     save_records,
-    score_char_similarity,
     score_corpus,
 )
 from spellcl.embed import (
@@ -140,32 +139,35 @@ class TestScoreContextual:
 
 
 # ===========================================================================
-# score_char_similarity
+# char_similarity policy
 # ===========================================================================
 
 class TestScoreCharSimilarity:
 
     CONFUSION = ConfusionSet({"带": {"戴"}, "X": {"Y"}})
 
+    def char_score(self, sample: Sample) -> DifficultyRecord:
+        return score_corpus(Corpus((sample,)), "char_similarity", confusion=self.CONFUSION)[0]
+
     def test_no_errors(self):
         s = Sample(id="a", source="AB", target="AB")
-        assert score_char_similarity(s, self.CONFUSION).score == 0.0
+        assert self.char_score(s).score == 0.0
 
     def test_single_pair_in_set(self):
         s = Sample(id="a", source="他带着", target="他戴着")
-        assert score_char_similarity(s, self.CONFUSION).score == 1.0
+        assert self.char_score(s).score == 1.0
 
     def test_indicator_sum(self):
         # three errors: two pairs confusion-linked, one not
         s = Sample(id="a", source="带XQ", target="戴YR")
-        rec = score_char_similarity(s, self.CONFUSION)
+        rec = self.char_score(s)
         assert rec.score == 2.0
         assert rec.policy == "char_similarity"
 
     def test_symmetric_lookup(self):
         # linked only via the reverse direction
         s = Sample(id="a", source="戴", target="带")
-        assert score_char_similarity(s, self.CONFUSION).score == 1.0
+        assert self.char_score(s).score == 1.0
 
 
 # ===========================================================================

@@ -233,6 +233,10 @@ class TestEmbeddingFile:
         # not: accepted, the vector made the contextual score nan
         ("dim=2\ns1\tsource\t0\t1.0,0.0\ns1\tsource\t1\t1.3e154,-1.3e154\n",
          "line 3: vector norm overflows float64"),
+        # a non-zero vector whose squared norm underflows: accepted, two equal
+        # rows scored 0.0 with a zero-norm warning, where their cosine is 1
+        ("dim=2\ns1\tsource\t0\t1.0,0.0\ns1\tsource\t1\t1e-200,1e-200\n",
+         "line 3: vector norm underflows float64"),
     ])
     def test_malformed_names_the_line(self, doc, message):
         with pytest.raises(MalformedLine, match=f"^{message}$"):
@@ -256,6 +260,13 @@ class TestEmbeddingFile:
         np.testing.assert_array_equal(parse_embeddings(doc)[("s1", "source")],
                                       [[big, 0.0], [big / 2, big / 2]])
 
+    def test_smallest_norms_load(self):
+        # an all-zero row loads, and scoring warns at it; a non-zero row needs
+        # a squared norm of at least float64's smallest normal number
+        doc = "dim=2\ns1\tsource\t0\t0.0,-0.0\ns1\tsource\t1\t2e-154,0.0\n"
+        np.testing.assert_array_equal(parse_embeddings(doc)[("s1", "source")],
+                                      [[0.0, 0.0], [2e-154, 0.0]])
+
     def test_duplicate_position(self):
         doc = "dim=1\ns1\tsource\t0\t1.0\ns1\tsource\t0\t2.0\n"
         with pytest.raises(MalformedLine):
@@ -278,8 +289,10 @@ class TestEmbeddingFile:
         table = {}
         for sample_id, side in keys:
             n = data.draw(st.integers(1, 3))
-            # at most 1e150 apart from zero, so no squared norm overflows
-            component = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+            # zero, or 1e-150 to 1e150 apart from it, so no squared norm
+            # overflows and none of a non-zero vector underflows
+            component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-150, 1e150),
+                                  st.floats(-1e150, -1e-150))
             values = data.draw(st.lists(component, min_size=n * dim, max_size=n * dim))
             table[(sample_id, side)] = np.array(values, dtype=np.float64).reshape(n, dim)
         text = embeddings_text(table, dim)

@@ -28,12 +28,12 @@ EXPORTS = {
     "curriculum": ["CurriculumManifest", "arrange_annealing", "arrange_random_stages",
                    "arrange_shuffled_baseline", "arrange_sorted_only", "load_manifest",
                    "save_manifest"],
-    "difficulty": ["DifficultyRecord", "score_char_similarity", "score_corpus"],
+    "difficulty": ["DifficultyRecord", "score_corpus"],
     "embed": ["ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder",
               "load_embeddings"],
     "metrics": ["EvalReport", "evaluate"],
-    "model": ["CorrectorModel", "Prediction", "load_model", "predict", "predict_corpus",
-              "save_model", "train"],
+    "model": ["CorrectorModel", "Prediction", "load_model", "predict_corpus", "save_model",
+              "train"],
 }
 
 

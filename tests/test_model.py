@@ -39,7 +39,6 @@ from spellcl.model import (
     manifest_order,
     model_to_tsv,
     parse_model,
-    predict,
     predict_corpus,
     predict_encoded,
     save_model,
@@ -112,6 +111,11 @@ def assert_kernel_matches_trace(corpus, confusion, manifest):
     assert np.array_equal(w, [final.get(name, 0.0) for name in names])
     assert np.array_equal(averaged, [trace_avg.get(name, 0.0) for name in names])
     return t
+
+
+def predict_one(model, sample):
+    """``predict_corpus`` on the one-sample corpus of ``sample``."""
+    return predict_corpus(model, Corpus((sample,)))[0]
 
 
 def reference_predict(model, sample):
@@ -482,7 +486,7 @@ class TestTrain:
         _, confusion = overfit_fixture()
         model = model_from_weights({}, confusion)
         sample = Sample(id="x", source="abcde", target="abcde")
-        pred = predict(model, sample)
+        pred = predict_one(model, sample)
         assert pred.predicted == "abcde"
         assert pred.detected_positions == ()
 
@@ -665,7 +669,7 @@ class TestPredict:
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=1)
         model = train(manifest, corpus, confusion)
         sample = Sample(id="q", source="QRSTU", target="QRSTU")  # outside vocab
-        pred = predict(model, sample)
+        pred = predict_one(model, sample)
         assert pred.predicted == "QRSTU"
 
     def test_changes_stay_inside_candidate_sets(self):
@@ -673,7 +677,7 @@ class TestPredict:
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=1)
         model = train(manifest, corpus, confusion)
         for sample in corpus:
-            pred = predict(model, sample)
+            pred = predict_one(model, sample)
             for j, ch in enumerate(pred.predicted):
                 assert ch in candidate_set(sample.source, j, confusion)
 
@@ -682,7 +686,7 @@ class TestPredict:
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=1)
         model = train(manifest, corpus, confusion)
         for sample in corpus:
-            pred = predict(model, sample)
+            pred = predict_one(model, sample)
             assert len(pred.predicted) == len(sample.source)
             expected = tuple(
                 j for j in range(len(sample.source))
@@ -698,7 +702,7 @@ class TestPredict:
         assert [p.sample_id for p in bulk] == corpus.ids()
         for sample, got in zip(corpus, bulk):
             assert got == reference_predict(model, sample)
-            assert predict(model, sample) == got
+            assert predict_one(model, sample) == got
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup(), random_corpus(prefix="t"))
@@ -720,7 +724,7 @@ class TestPredict:
                                      updates_seen=model.updates_seen, confusion=confusion)
         with mock.patch("spellcl.model._feature_name",
                         side_effect=AssertionError("predict named a feature")):
-            preds = [predict(lookup_only, sample) for sample in corpus]
+            preds = [predict_one(lookup_only, sample) for sample in corpus]
         assert preds == [reference_predict(model, sample) for sample in corpus]
         assert any(p.detected_positions for p in preds)
         assert len(model.keys) > max(len(encode_corpus(Corpus((s,)), confusion).feature_index)
@@ -784,7 +788,7 @@ class TestPredict:
         """The predicted string, checked against the dict-based oracle."""
         model = model_from_weights(weights, confusion)
         sample = Sample(id="x", source=source, target=source)
-        got = predict(model, sample)
+        got = predict_one(model, sample)
         assert got == reference_predict(model, sample)
         return got.predicted
 
@@ -836,7 +840,7 @@ class TestPredict:
         manifest = arrange_annealing(records, k=2, seed=0)
         model = train(manifest, corpus, confusion)
         for sample in corpus:
-            assert predict(model, sample).predicted == sample.target
+            assert predict_one(model, sample).predicted == sample.target
 
 
 # ===========================================================================
@@ -854,7 +858,7 @@ class TestModelFile:
         loaded = load_model(path, confusion)
         assert same_model(loaded, model, updates=False)
         for sample in corpus:
-            assert predict(loaded, sample) == predict(model, sample)
+            assert predict_one(loaded, sample) == predict_one(model, sample)
 
     def test_sorted_by_key(self):
         corpus, confusion = small_noisy_setup(n_sentences=10)
