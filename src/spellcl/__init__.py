@@ -24,8 +24,7 @@ _EXPORTS = {
     "embed": ("ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder",
               "load_embeddings"),
     "metrics": ("EvalReport", "evaluate"),
-    "model": ("CorrectorModel", "Prediction", "load_model", "predict_corpus", "save_model",
-              "train"),
+    "model": ("CorrectorModel", "load_model", "predict_corpus", "save_model", "train"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -24,10 +24,10 @@ features gives:
   log after the pass (exact while T(T+1) < 2**53 for T updates, checked).
 - ``predict_slots`` scores every position in one call.  Averaged (and
   loaded) weights are not integers, so it adds a slot's features in index
-  order, as the loop does (``np.add.accumulate``; a pairwise sum or
-  ``np.add.reduceat`` can round differently).  The first slot is taken
-  unless a later one scores strictly higher, so a NaN score never wins and
-  a NaN first slot stays chosen.
+  order, as the loop does: one vector add per feature column, left to
+  right (a pairwise sum or ``np.add.reduceat`` can round differently).
+  The first slot is taken unless a later one scores strictly higher, so a
+  NaN score never wins and a NaN first slot stays chosen.
 
 Every feature id indexes the weight array passed in: the caller copies a
 model's weights into the encoding's own feature numbering, 0.0 where the
@@ -36,6 +36,8 @@ bit-identical across runs and platforms.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -202,7 +204,7 @@ def predict_slots(enc, weights) -> np.ndarray:
     wins, and a NaN in the first slot keeps it.
     """
     with np.errstate(invalid="ignore"):  # inf + -inf: the NaN rule below decides
-        slot_score = np.add.accumulate(_extend(weights)[enc.slot_feats], axis=1)[:, -1]
+        slot_score = reduce(np.add, _extend(weights)[enc.slot_feats].T)
     scores = slot_score[enc.pos_slots]
     nan = np.isnan(scores)
     scores[nan] = -np.inf

@@ -254,8 +254,7 @@ def cmd_evaluate(cfg: dict) -> int:
     test_corpus = corpus_mod.load_corpus(cfg["test"])
     if len(test_corpus) == 0:
         raise ConfigError("evaluate: test corpus is empty")
-    preds = mod.predict_corpus(model, test_corpus)
-    reports = [met.evaluate(preds, test_corpus, level) for level in met.LEVELS]
+    reports = met.evaluate(mod.predict_corpus(model, test_corpus), test_corpus)
     return _write_table(cfg, "report.tsv", met.reports_to_tsv(reports))
 
 
@@ -303,9 +302,8 @@ def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, f
     from . import metrics as met
     from . import model as mod
     _, averaged, _ = mod.train_encoded(enc_train, manifest)
-    preds = mod.predict_encoded(enc_test, test_corpus, averaged, rows)
-    det = met.evaluate(preds, test_corpus, "detection")
-    corr = met.evaluate(preds, test_corpus, "correction")
+    det, corr = met.evaluate(mod.predict_encoded(enc_test, test_corpus, averaged, rows),
+                             test_corpus)
     return det.f1, corr.f1
 
 

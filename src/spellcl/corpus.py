@@ -77,11 +77,13 @@ def derive_error_positions(source: str, target: str) -> tuple[int, ...]:
 class ConfusionSet:
     """Map from a character to the characters it is confused with, held as one
     string in code-point order: the corrector's tie-break and the order
-    ``inject_errors`` draws from.  A candidate must be one character."""
+    ``inject_errors`` draws from.  A head and each candidate must be one character."""
 
     def __init__(self, entries: dict[str, str | set[str]] | None = None):
         self._map: dict[str, str] = {}
         for head, cands in (entries or {}).items():
+            if len(head) != 1:
+                raise ValueError(f"confusion head {head!r} is not one character")
             for c in cands:
                 if len(c) != 1:
                     raise ValueError(f"confusion head {head!r}: candidate {c!r} "

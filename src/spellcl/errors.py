@@ -16,7 +16,7 @@ class MalformedLine(SpellclError):
 
 
 class LengthMismatch(SpellclError):
-    """Source and target character counts differ (errors are substitution-only)."""
+    """A target or prediction differs in length from its source (errors are substitution-only)."""
 
 
 class DuplicateId(SpellclError):

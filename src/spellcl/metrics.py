@@ -1,9 +1,10 @@
 """Sentence-level detection and correction evaluation.
 
-A sentence counts as detected-correct only when the predicted change
-positions match the gold error positions exactly, and corrected-correct
-only when the whole predicted sentence equals the gold target.  Counts
-follow the convention of the common sentence-level CSC scorers:
+A prediction is ``{sample_id: predicted string}``.  A sentence counts as
+detected-correct only when the positions where its string differs from
+the source are exactly the gold error positions, and corrected-correct
+only when the string equals the gold target.  Counts follow the
+convention of the common sentence-level CSC scorers:
 
 * TP: sentence has gold errors and is exactly right at the given level.
 * FP: the model changed something and the sentence is not a TP.
@@ -18,13 +19,9 @@ as both FP and FN.  Zero-denominator precision/recall are defined as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .corpus import Corpus
-from .errors import IdMismatch
-
-if TYPE_CHECKING:
-    from .model import Prediction
+from .corpus import Corpus, derive_error_positions
+from .errors import IdMismatch, LengthMismatch
 
 LEVELS = ("detection", "correction")
 
@@ -47,41 +44,37 @@ def _ratio(num: int, den: int) -> float:
     return num / den if den > 0 else 0.0
 
 
-def evaluate(predictions: list[Prediction], gold: Corpus, level: str) -> EvalReport:
-    if level not in LEVELS:
-        raise ValueError(f"unknown evaluation level {level!r}")
-    by_id = {p.sample_id: p for p in predictions}
-    if len(by_id) != len(predictions) or set(by_id) != {s.id for s in gold}:
-        raise IdMismatch("prediction IDs must biject onto gold corpus IDs")
-
-    tp = fp = fn = tn = 0
+def evaluate(predicted: dict[str, str], gold: Corpus) -> list[EvalReport]:
+    """The reports of ``predicted`` against ``gold``, one per level in ``LEVELS``
+    order; loads no numpy, so it scores any system's strings."""
+    if predicted.keys() != {s.id for s in gold}:
+        raise IdMismatch("prediction IDs must be exactly the gold corpus IDs")
+    # A TP is a changed sentence, so per level fp = changed - tp and
+    # fn = errored - tp; tn does not depend on the level.
+    errored = changed = tn = det_tp = corr_tp = 0
     for sample in gold:
-        pred = by_id[sample.id]
-        changed = bool(pred.detected_positions)
-        gold_err = bool(sample.error_positions)
-        if level == "detection":
-            exact = pred.detected_positions == sample.error_positions
-        else:
-            exact = pred.predicted == sample.target
-        is_tp = gold_err and exact
-        if is_tp:
-            tp += 1
-        else:
-            if gold_err:
-                fn += 1
-            if changed:
-                fp += 1
-            if not gold_err and not changed:
-                tn += 1
+        pred = predicted[sample.id]
+        if len(pred) != len(sample.source):
+            raise LengthMismatch(f"sample {sample.id!r}: prediction has {len(pred)} "
+                                 f"characters, source has {len(sample.source)}")
+        changed += pred != sample.source
+        if sample.error_positions:
+            errored += 1
+            det_tp += derive_error_positions(sample.source, pred) == sample.error_positions
+            corr_tp += pred == sample.target
+        elif pred == sample.source:
+            tn += 1
 
-    n = len(gold)
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return EvalReport(
-        level=level, accuracy=_ratio(tp + tn, n), precision=precision,
-        recall=recall, f1=f1, tp=tp, fp=fp, fn=fn, tn=tn, n_sentences=n,
-    )
+    reports = []
+    for level, tp in zip(LEVELS, (det_tp, corr_tp)):
+        precision = _ratio(tp, changed)
+        recall = _ratio(tp, errored)
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        reports.append(EvalReport(
+            level=level, accuracy=_ratio(tp + tn, len(gold)), precision=precision, recall=recall,
+            f1=f1, tp=tp, fp=changed - tp, fn=errored - tp, tn=tn, n_sentences=len(gold),
+        ))
+    return reports
 
 
 # --- report files -------------------------------------------------------------

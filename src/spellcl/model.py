@@ -14,7 +14,8 @@ For speed the corpus is pre-encoded once into fixed-width integer tables
 that the vectorized train and predict kernels in ``_kernels`` read.  The
 perceptron's rule (argmax, update, averaging) lives in those kernels alone;
 this module turns a manifest into a visiting order and averaged weights
-into predictions.
+into predictions.  A prediction is ``{sample_id: predicted string}``;
+``metrics.evaluate`` derives both verdicts of a sentence from its string.
 The encoder works on code points with numpy and never builds a feature
 name: a feature is an integer key, and each encoding numbers the keys of
 its own corpus in ascending order.  A model holds ascending keys and the
@@ -37,9 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .corpus import (
-    ConfusionSet, Corpus, derive_error_positions, numbered_lines, read_text, write_text,
-)
+from .corpus import ConfusionSet, Corpus, numbered_lines, read_text, write_text
 from .curriculum import CurriculumManifest
 from .errors import IdMismatch, MalformedLine
 
@@ -49,13 +48,6 @@ EOS = "<EOS>"
 _HEADER = "# spellcl-model schema=1 window=2"
 # features per slot: C, L, R, LL, RR, and KEEP on the observed character
 SLOT_WIDTH = 6
-
-
-@dataclass(frozen=True)
-class Prediction:
-    sample_id: str
-    predicted: str
-    detected_positions: tuple[int, ...]
 
 
 @dataclass(eq=False)  # == is identity: a dataclass == on array fields raises
@@ -318,26 +310,20 @@ def feature_rows(keys: np.ndarray, enc: CorpusEncoding) -> np.ndarray:
 
 
 def predict_encoded(enc: CorpusEncoding, corpus: Corpus, weights: np.ndarray,
-                    rows: np.ndarray) -> list[Prediction]:
-    """Kernel-backed prediction for the encoded ``corpus``; see ``feature_rows``."""
+                    rows: np.ndarray) -> dict[str, str]:
+    """Kernel-backed ``{sample_id: predicted string}`` for the encoded
+    ``corpus``, in corpus order; see ``feature_rows``."""
     found = rows < len(weights)
     taken = np.zeros(len(rows))
     taken[found] = weights[rows[found]]
     chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, taken)].tolist()))
-    preds = []
-    k = 0
-    for sample in corpus:
-        predicted = chars[k:k + len(sample.source)]
-        k += len(predicted)
-        preds.append(Prediction(
-            sample_id=sample.id, predicted=predicted,
-            detected_positions=derive_error_positions(sample.source, predicted),
-        ))
-    return preds
+    bounds = enc.samp_pos_start.tolist()
+    return {sid: chars[lo:hi] for sid, lo, hi in zip(corpus.ids(), bounds, bounds[1:])}
 
 
-def predict_corpus(model: CorrectorModel, corpus: Corpus) -> list[Prediction]:
-    """Bulk prediction for a free-standing model (e.g. loaded from disk).
+def predict_corpus(model: CorrectorModel, corpus: Corpus) -> dict[str, str]:
+    """``{sample_id: predicted string}`` of a free-standing model (e.g. loaded
+    from disk), in corpus order.
 
     Looks up only the corpus's own features, one binary search each in the
     model's keys; a feature the model lacks weighs 0.0.

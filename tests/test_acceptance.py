@@ -23,7 +23,6 @@ from spellcl.curriculum import arrange_annealing
 from spellcl.difficulty import DifficultyRecord, score_corpus
 from spellcl.embed import FileEmbeddingProvider
 from spellcl.metrics import evaluate
-from spellcl.model import Prediction
 from spellcl.rng import shuffled
 
 from helpers import (
@@ -214,18 +213,12 @@ def test_pipeline_determinism_by_file_hash(tmp_path):
 # Criterion 4: metrics fixtures
 # ===========================================================================
 
-def _pred(sample: Sample, predicted: str) -> Prediction:
-    detected = tuple(j for j in range(len(predicted)) if predicted[j] != sample.source[j])
-    return Prediction(sample.id, predicted, detected)
-
-
 def test_metrics_hand_counted_fixture():
     gold = Corpus(samples=(
         Sample(id="e1", source="AB", target="XB"),
         Sample(id="e2", source="CD", target="CY"),
     ))
-    preds = [_pred(gold.samples[0], "XB"), _pred(gold.samples[1], "CD")]
-    rep = evaluate(preds, gold, "detection")
+    rep, _ = evaluate({"e1": "XB", "e2": "CD"}, gold)
     assert f"{rep.precision:.4f}" == "1.0000"
     assert f"{rep.recall:.4f}" == "0.5000"
     assert f"{rep.f1:.4f}" == "0.6667"
@@ -239,9 +232,7 @@ def test_metrics_perfect_prediction_fixture():
         Sample(id="c1", source="GH", target="GH"),
         Sample(id="e2", source="CDE", target="CYZ"),
     ))
-    preds = [_pred(s, s.target) for s in gold]
-    for level in ("detection", "correction"):
-        rep = evaluate(preds, gold, level)
+    for rep in evaluate({s.id: s.target for s in gold}, gold):
         assert (rep.accuracy, rep.precision, rep.recall, rep.f1) == (1.0, 1.0, 1.0, 1.0)
     print("\nACCEPTANCE metrics-perfect: PASS")
 
@@ -251,7 +242,7 @@ def test_correction_tp_subset_of_detection_tp_1000_randomized():
     alphabet = list("abcde")
     for trial in range(1000):
         n_sent = int(rng.integers(1, 6))
-        samples, preds = [], []
+        samples, preds = [], {}
         for i in range(n_sent):
             n = int(rng.integers(1, 7))
             src = "".join(rng.choice(alphabet, size=n))
@@ -262,15 +253,13 @@ def test_correction_tp_subset_of_detection_tp_1000_randomized():
             )
             s = Sample(id=f"r{i}", source=src, target=tgt)
             samples.append(s)
-            preds.append(_pred(s, predicted))
+            preds[s.id] = predicted
         gold = Corpus(samples=tuple(samples))
-        det = evaluate(preds, gold, "detection")
-        corr = evaluate(preds, gold, "correction")
+        det, corr = evaluate(preds, gold)
         # per-sentence TP sets, classified independently of the library
-        det_tp = {s.id for s, p in zip(samples, preds)
-                  if s.error_positions and p.detected_positions == s.error_positions}
-        corr_tp = {s.id for s, p in zip(samples, preds)
-                   if s.error_positions and p.predicted == s.target}
+        det_tp = {s.id for s in samples if s.error_positions and s.error_positions == tuple(
+            j for j, (a, b) in enumerate(zip(s.source, preds[s.id])) if a != b)}
+        corr_tp = {s.id for s in samples if s.error_positions and preds[s.id] == s.target}
         assert corr_tp <= det_tp
         assert det.tp == len(det_tp) and corr.tp == len(corr_tp)
     print("\nACCEPTANCE metrics-correction-subset: PASS")

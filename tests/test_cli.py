@@ -420,9 +420,9 @@ class TestAblate:
             det_f1s, corr_f1s = [], []
             for seed in (0, 1, 2):
                 model = train_model(arrangers[row[0]](seed), train_c, confusion)
-                preds = predict_corpus(model, test_c)
-                det_f1s.append(evaluate(preds, test_c, "detection").f1)
-                corr_f1s.append(evaluate(preds, test_c, "correction").f1)
+                det, corr = evaluate(predict_corpus(model, test_c), test_c)
+                det_f1s.append(det.f1)
+                corr_f1s.append(corr.f1)
             assert row[2] == f"{sum(det_f1s) / 3:.4f}", row[0]
             assert row[3] == f"{sum(corr_f1s) / 3:.4f}", row[0]
 
@@ -468,8 +468,8 @@ class TestSweepK:
         for seed in (0, 1, 2):
             manifest = arrange_annealing(records, k=2, seed=seed)
             model = train_model(manifest, train_c, confusion)
-            preds = predict_corpus(model, test_c)
-            f1s.append(evaluate(preds, test_c, "correction").f1)
+            _, corr = evaluate(predict_corpus(model, test_c), test_c)
+            f1s.append(corr.f1)
         assert row[2] == f"{sum(f1s) / len(f1s):.4f}"
 
 

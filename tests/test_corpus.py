@@ -253,6 +253,13 @@ class TestConfusionSet:
                            match=f"^confusion head 'a': candidate {bad} is not one character$"):
             ConfusionSet({"a": cands})
 
+    @pytest.mark.parametrize("head", ["ab", ""])
+    def test_head_of_other_than_one_character_is_refused(self, head):
+        # such a head matches no character, and confusion_to_tsv would write
+        # a file that parse_confusion_set refuses
+        with pytest.raises(ValueError, match=f"^confusion head {head!r} is not one character$"):
+            ConfusionSet({head: "c", "d": "e"})
+
     def test_byte_order_mark_names_the_cause(self):
         with pytest.raises(MalformedLine, match="line 1: file starts with a UTF-8 byte-order mark"):
             parse_confusion_set("\ufeffa\tb\n")

@@ -32,8 +32,7 @@ EXPORTS = {
     "embed": ["ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder",
               "load_embeddings"],
     "metrics": ["EvalReport", "evaluate"],
-    "model": ["CorrectorModel", "Prediction", "load_model", "predict_corpus", "save_model",
-              "train"],
+    "model": ["CorrectorModel", "load_model", "predict_corpus", "save_model", "train"],
 }
 
 
@@ -98,6 +97,18 @@ def test_arrange_loads_no_numpy(tmp_path):
                                "random_stages", "--k", "2", "--out", tmp_path / "ids")
     assert (tmp_path / "manifest.jsonl").exists()
     assert (tmp_path / "ids" / "manifest.jsonl").exists()
+
+
+def test_scoring_predicted_strings_loads_no_numpy():
+    # another system's predictions are scored without the corrector
+    assert python("""
+        import sys
+        from spellcl.corpus import parse_corpus
+        from spellcl.metrics import evaluate, reports_to_tsv
+        gold = parse_corpus("e1\\tAB\\tXB\\nc1\\tCD\\tCD\\n")
+        reports_to_tsv(evaluate({"e1": "XB", "c1": "CY"}, gold))
+        print("numpy" in sys.modules, "spellcl.model" in sys.modules)
+    """) == "False False\n"
 
 
 def test_all_lists_every_public_name_from_its_home_module():

@@ -13,7 +13,6 @@ from spellcl.corpus import (
     ConfusionSet,
     Corpus,
     Sample,
-    derive_error_positions,
     inject_errors,
     parse_corpus,
 )
@@ -30,7 +29,6 @@ from spellcl.model import (
     EOS,
     SLOT_WIDTH,
     CorrectorModel,
-    Prediction,
     _rank,
     encode_corpus,
     feature_names,
@@ -115,11 +113,12 @@ def assert_kernel_matches_trace(corpus, confusion, manifest):
 
 def predict_one(model, sample):
     """``predict_corpus`` on the one-sample corpus of ``sample``."""
-    return predict_corpus(model, Corpus((sample,)))[0]
+    return predict_corpus(model, Corpus((sample,)))[sample.id]
 
 
 def reference_predict(model, sample):
-    """Independent dict-based prediction from the averaged weight map."""
+    """Independent dict-based prediction of the predicted string from the
+    averaged weight map."""
     aw = weights_by_name(model)
     src = sample.source
     out = []
@@ -134,11 +133,12 @@ def reference_predict(model, sample):
                 best_score = score
                 best_char = cand
         out.append(best_char)
-    predicted = "".join(out)
-    return Prediction(
-        sample_id=sample.id, predicted=predicted,
-        detected_positions=derive_error_positions(src, predicted),
-    )
+    return "".join(out)
+
+
+def reference_items(model, corpus):
+    """``reference_predict`` of each sample, as the items of a prediction dict."""
+    return [(s.id, reference_predict(model, s)) for s in corpus]
 
 
 class LookupOnly(np.ndarray):
@@ -486,9 +486,7 @@ class TestTrain:
         _, confusion = overfit_fixture()
         model = model_from_weights({}, confusion)
         sample = Sample(id="x", source="abcde", target="abcde")
-        pred = predict_one(model, sample)
-        assert pred.predicted == "abcde"
-        assert pred.detected_positions == ()
+        assert predict_one(model, sample) == "abcde"
 
     def test_single_update_increases_gold_margin(self):
         confusion = ConfusionSet({"a": {"c"}, "c": {"a"}})
@@ -669,40 +667,24 @@ class TestPredict:
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=1)
         model = train(manifest, corpus, confusion)
         sample = Sample(id="q", source="QRSTU", target="QRSTU")  # outside vocab
-        pred = predict_one(model, sample)
-        assert pred.predicted == "QRSTU"
+        assert predict_one(model, sample) == "QRSTU"
 
     def test_changes_stay_inside_candidate_sets(self):
         corpus, confusion = small_noisy_setup(n_sentences=40)
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=1)
         model = train(manifest, corpus, confusion)
         for sample in corpus:
-            pred = predict_one(model, sample)
-            for j, ch in enumerate(pred.predicted):
+            for j, ch in enumerate(predict_one(model, sample)):
                 assert ch in candidate_set(sample.source, j, confusion)
-
-    def test_detected_positions_consistent(self):
-        corpus, confusion = small_noisy_setup(n_sentences=20)
-        manifest = arrange_shuffled_baseline(corpus.ids(), seed=1)
-        model = train(manifest, corpus, confusion)
-        for sample in corpus:
-            pred = predict_one(model, sample)
-            assert len(pred.predicted) == len(sample.source)
-            expected = tuple(
-                j for j in range(len(sample.source))
-                if pred.predicted[j] != sample.source[j]
-            )
-            assert pred.detected_positions == expected
 
     def test_bulk_predict_matches_reference(self):
         corpus, confusion = small_noisy_setup(n_sentences=40, seed=9)
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=3)
         model = train(manifest, corpus, confusion)
         bulk = predict_corpus(model, corpus)
-        assert [p.sample_id for p in bulk] == corpus.ids()
-        for sample, got in zip(corpus, bulk):
-            assert got == reference_predict(model, sample)
-            assert predict_one(model, sample) == got
+        assert list(bulk.items()) == reference_items(model, corpus)
+        for sample in corpus:
+            assert predict_one(model, sample) == bulk[sample.id]
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup(), random_corpus(prefix="t"))
@@ -710,7 +692,7 @@ class TestPredict:
         corpus, confusion, manifest = setup
         model = train(manifest, corpus, confusion)
         bulk = predict_corpus(model, test_corpus)
-        assert bulk == [reference_predict(model, sample) for sample in test_corpus]
+        assert list(bulk.items()) == reference_items(model, test_corpus)
 
     def test_predict_reads_only_the_samples_features(self):
         # the weight lookup follows the sample, not the model: it names no
@@ -726,7 +708,7 @@ class TestPredict:
                         side_effect=AssertionError("predict named a feature")):
             preds = [predict_one(lookup_only, sample) for sample in corpus]
         assert preds == [reference_predict(model, sample) for sample in corpus]
-        assert any(p.detected_positions for p in preds)
+        assert any(p != sample.source for p, sample in zip(preds, corpus))
         assert len(model.keys) > max(len(encode_corpus(Corpus((s,)), confusion).feature_index)
                                      for s in corpus)
 
@@ -741,7 +723,7 @@ class TestPredict:
                    if data.draw(st.booleans())}
         model = model_from_weights(weights, confusion)
         preds = predict_corpus(model, corpus)
-        assert preds == [reference_predict(model, s) for s in corpus]
+        assert list(preds.items()) == reference_items(model, corpus)
 
     @settings(max_examples=60, deadline=None)
     @given(random_setup(), random_corpus(prefix="t"))
@@ -755,7 +737,7 @@ class TestPredict:
         _, averaged, _ = train_encoded(enc_train, manifest)
         preds = predict_encoded(enc_test, test_corpus, averaged, rows)
         model = train(manifest, corpus, confusion)
-        assert preds == [reference_predict(model, s) for s in test_corpus]
+        assert list(preds.items()) == reference_items(model, test_corpus)
 
     def test_grid_rows_of_an_empty_training_table_are_the_sentinel(self):
         corpus, confusion = overfit_fixture()
@@ -790,7 +772,7 @@ class TestPredict:
         sample = Sample(id="x", source=source, target=source)
         got = predict_one(model, sample)
         assert got == reference_predict(model, sample)
-        return got.predicted
+        return got
 
     def test_nan_first_slot_is_kept(self):
         weights = {"C|a": float("inf"), "L|<BOS>|a": float("-inf"), "C|b": 1.0}
@@ -823,7 +805,7 @@ class TestPredict:
         confusion = ConfusionSet({"a": {"b"}, "c": {"d", "e"}})
         corpus = parse_corpus("t1\tac\tzc\n")
         model = model_from_weights({"C|z": 100.0}, confusion)
-        assert predict_corpus(model, corpus)[0].predicted == "ac"
+        assert predict_corpus(model, corpus) == {"t1": "ac"}
         manifest = arrange_shuffled_baseline(["t1"], seed=0)
         final = final_weights(manifest, corpus, confusion)
         assert final == trace_train(manifest, corpus, confusion)[0]
@@ -832,7 +814,7 @@ class TestPredict:
     def test_empty_corpus(self):
         corpus, confusion = overfit_fixture()
         model = train(arrange_shuffled_baseline(corpus.ids(), seed=0), corpus, confusion)
-        assert predict_corpus(model, Corpus(samples=())) == []
+        assert predict_corpus(model, Corpus(samples=())) == {}
 
     def test_overfit_five_sentences(self):
         corpus, confusion = overfit_fixture()
@@ -840,7 +822,7 @@ class TestPredict:
         manifest = arrange_annealing(records, k=2, seed=0)
         model = train(manifest, corpus, confusion)
         for sample in corpus:
-            assert predict_one(model, sample).predicted == sample.target
+            assert predict_one(model, sample) == sample.target
 
 
 # ===========================================================================
