@@ -20,7 +20,7 @@ _EXPORTS = {
     "curriculum": ("CurriculumManifest", "arrange_annealing", "arrange_random_stages",
                    "arrange_shuffled_baseline", "arrange_sorted_only", "load_manifest",
                    "save_manifest"),
-    "difficulty": ("DifficultyRecord", "score_corpus"),
+    "difficulty": ("score_corpus",),
     "embed": ("ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder",
               "load_embeddings"),
     "metrics": ("EvalReport", "evaluate"),

@@ -210,22 +210,22 @@ def cmd_inject(cfg: dict) -> int:
 def cmd_score(cfg: dict) -> int:
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     if cfg["policy"] == "contextual":
-        records = diff.score_corpus(train_corpus, "contextual", provider=build_provider(cfg))
+        scores = diff.score_corpus(train_corpus, "contextual", provider=build_provider(cfg))
     else:
         confusion = corpus_mod.load_confusion_set(cfg["confusion"])
-        records = diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
-    diff.save_records(records, os.path.join(cfg["out"], "difficulty.tsv"))
-    print(f"scored {len(records)} samples -> {os.path.join(cfg['out'], 'difficulty.tsv')}")
+        scores = diff.score_corpus(train_corpus, "char_similarity", confusion=confusion)
+    diff.save_records(scores, cfg["policy"], os.path.join(cfg["out"], "difficulty.tsv"))
+    print(f"scored {len(scores)} samples -> {os.path.join(cfg['out'], 'difficulty.tsv')}")
     return 0
 
 
 def cmd_arrange(cfg: dict) -> int:
     if "scores" in cfg:
-        records, ids, name = diff.load_records(cfg["scores"]), None, cfg["scores"]
+        scores, ids, name = diff.load_records(cfg["scores"]), None, cfg["scores"]
     else:
-        records, ids, name = None, corpus_mod.load_corpus(cfg["train"]).ids(), cfg["train"]
+        scores, ids, name = None, corpus_mod.load_corpus(cfg["train"]).ids(), cfg["train"]
     # sorted_only and shuffled_baseline take no --k: they have one stage
-    manifest = cur.arrange(cfg["policy"], ids, records, cfg.get("k", 1), cfg["seed"])
+    manifest = cur.arrange(cfg["policy"], ids, scores, cfg.get("k", 1), cfg["seed"])
     manifest = dataclasses.replace(manifest, source_corpus=name)
 
     cur.save_manifest(manifest, os.path.join(cfg["out"], "manifest.jsonl"))
@@ -277,7 +277,7 @@ def _run_grid(cfg: dict, cells: list[tuple[str, int]]) -> dict:
     if len(test_corpus) == 0:
         raise ConfigError("test corpus is empty")
     provider = build_provider(cfg)
-    records = {
+    scores = {
         policy: diff.score_corpus(train_corpus, policy, provider=provider, confusion=confusion)
         for policy in dict.fromkeys(ABLATION_MODES[mode][1] for mode, _ in cells)
         if policy is not None
@@ -290,7 +290,7 @@ def _run_grid(cfg: dict, cells: list[tuple[str, int]]) -> dict:
     for mode, k in cells:
         arrangement, difficulty = ABLATION_MODES[mode]
         results[(mode, k)] = [
-            _run_one(cur.arrange(arrangement, ids, records.get(difficulty), k, seed),
+            _run_one(cur.arrange(arrangement, ids, scores.get(difficulty), k, seed),
                      enc_train, enc_test, rows, test_corpus)
             for seed in cfg["seeds"]]
     return results
@@ -302,8 +302,7 @@ def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, f
     from . import metrics as met
     from . import model as mod
     _, averaged, _ = mod.train_encoded(enc_train, manifest)
-    det, corr = met.evaluate(mod.predict_encoded(enc_test, test_corpus, averaged, rows),
-                             test_corpus)
+    det, corr = met.evaluate(mod.predict_encoded(enc_test, averaged, rows), test_corpus)
     return det.f1, corr.f1
 
 

@@ -27,7 +27,7 @@ k+1), so both visit every sample twice; ``sorted_only`` (ascending) and
 Balanced splits put the remainder up front: splitting n into k parts gives
 the first n mod k parts one extra element, and the same rule recurses into
 the inner split.  Score ties are broken by sample ID, so arrangement is a
-pure function of (records, k, seed).
+pure function of (scores, k, seed), where ``scores`` is ``{sample_id: score}``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import json
 from dataclasses import dataclass
 
 from .corpus import numbered_lines, read_text, write_text
-from .difficulty import DifficultyRecord
 from .errors import ConfigError, MalformedLine
 from .rng import shuffled
 
@@ -62,11 +61,11 @@ def balanced_split(items: list, k: int) -> list[list]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _sorted_ids(records: list[DifficultyRecord]) -> list[str]:
-    return [r.sample_id for r in sorted(records, key=lambda r: (r.score, r.sample_id))]
+def _sorted_ids(scores: dict[str, float]) -> list[str]:
+    return sorted(scores, key=lambda sid: (scores[sid], sid))
 
 
-def _check(items: list, k: int, what: str) -> None:
+def _check(items: list | dict, k: int, what: str) -> None:
     if not items:
         raise ConfigError(f"cannot arrange an empty {what} list")
     if k < 1:
@@ -81,10 +80,10 @@ def _with_full_set(policy: str, stages: list[tuple[str, ...]], ordered: list[str
     return CurriculumManifest(policy=policy, k=k, seed=seed, stages=(*stages, full_set))
 
 
-def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int) -> CurriculumManifest:
+def arrange_annealing(scores: dict[str, float], k: int, seed: int) -> CurriculumManifest:
     """The k+1-stage annealing arrangement described above."""
-    _check(records, k, "record")
-    ordered = _sorted_ids(records)
+    _check(scores, k, "record")
+    ordered = _sorted_ids(scores)
     subsets = balanced_split(ordered, k)
     parts = [balanced_split(subset, k) for subset in subsets]
 
@@ -95,11 +94,11 @@ def arrange_annealing(records: list[DifficultyRecord], k: int, seed: int) -> Cur
     return _with_full_set("annealing", stages, ordered, k, seed)
 
 
-def arrange_sorted_only(records: list[DifficultyRecord], seed: int) -> CurriculumManifest:
+def arrange_sorted_only(scores: dict[str, float], seed: int) -> CurriculumManifest:
     """Single stage in ascending difficulty order; no shuffling."""
-    _check(records, 1, "record")
+    _check(scores, 1, "record")
     return CurriculumManifest(policy="sorted_only", k=1, seed=seed,
-                              stages=(tuple(_sorted_ids(records)),))
+                              stages=(tuple(_sorted_ids(scores)),))
 
 
 def arrange_random_stages(ids: list[str], k: int, seed: int) -> CurriculumManifest:
@@ -117,16 +116,16 @@ def arrange_shuffled_baseline(ids: list[str], seed: int) -> CurriculumManifest:
                               stages=(tuple(shuffled(ids, seed, stream=0)),))
 
 
-def arrange(policy: str, ids: list[str] | None, records: list[DifficultyRecord] | None,
+def arrange(policy: str, ids: list[str] | None, scores: dict[str, float] | None,
             k: int, seed: int) -> CurriculumManifest:
     """Arrange with the named policy: ``annealing`` and ``sorted_only`` read
-    ``records``, ``random_stages`` and ``shuffled_baseline`` read ``ids``."""
+    ``scores``, ``random_stages`` and ``shuffled_baseline`` read ``ids``."""
     # Looked up by global name at call time, so wrappers set on this module
     # (the benchmark's span tracer) see every call.
     if policy == "annealing":
-        return arrange_annealing(records, k, seed)
+        return arrange_annealing(scores, k, seed)
     if policy == "sorted_only":
-        return arrange_sorted_only(records, seed)
+        return arrange_sorted_only(scores, seed)
     if policy == "random_stages":
         return arrange_random_stages(ids, k, seed)
     if policy == "shuffled_baseline":

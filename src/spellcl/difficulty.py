@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .corpus import ConfusionSet, Corpus, numbered_lines, read_text, write_text
@@ -32,13 +31,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 POLICIES = ("contextual", "char_similarity")
-
-
-@dataclass(frozen=True)
-class DifficultyRecord:
-    sample_id: str
-    score: float
-    policy: str
 
 
 def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,8 +47,8 @@ def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def score_corpus(corpus: Corpus, policy: str, provider=None,
-                 confusion: ConfusionSet | None = None) -> list[DifficultyRecord]:
-    """One record per sample, in corpus order.
+                 confusion: ConfusionSet | None = None) -> dict[str, float]:
+    """``{sample_id: score}``, in corpus order.
 
     The char_similarity policy counts the error positions whose (wrong,
     correct) pair is confusion-linked in either direction.  The contextual
@@ -70,15 +62,14 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
             raise ValueError("char_similarity scoring needs a confusion set")
         def linked(wrong: str, right: str) -> bool:
             return right in confusion.candidates(wrong) or wrong in confusion.candidates(right)
-        return [DifficultyRecord(s.id, float(sum(linked(s.source[j], s.target[j])
-                                                 for j in s.error_positions)), policy)
-                for s in corpus]
+        return {s.id: float(sum(linked(s.source[j], s.target[j]) for j in s.error_positions))
+                for s in corpus}
     if policy != "contextual":
         raise ValueError(f"unknown difficulty policy {policy!r}")
     if provider is None:
         raise ValueError("contextual scoring needs an embedding provider")
     if not len(corpus):
-        return []
+        return {}
     import numpy as np
     src_rows, tgt_rows = [], []
     for s in corpus:
@@ -98,25 +89,29 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
                        s.id, s.error_positions[i - np.searchsorted(owner, owner[i])])
     scores = np.zeros(len(corpus))
     np.add.at(scores, owner, cos)
-    return [DifficultyRecord(sample_id=s.id, score=score, policy="contextual")
-            for s, score in zip(corpus, scores.tolist())]
+    return dict(zip(corpus.ids(), scores.tolist()))
 
 
 # --- difficulty file ---------------------------------------------------------
 
-def records_to_tsv(records: list[DifficultyRecord]) -> str:
+def records_to_tsv(scores: dict[str, float], policy: str) -> str:
     """``sample_id<TAB>score<TAB>policy`` rows, scores at 9 decimal places."""
-    return "".join(f"{r.sample_id}\t{r.score:.9f}\t{r.policy}\n" for r in records)
+    return "".join(f"{sid}\t{score:.9f}\t{policy}\n" for sid, score in scores.items())
 
 
-def parse_records(text: str) -> list[DifficultyRecord]:
-    """One record per non-empty sample ID.  A NaN score has no place in ascending
-    order and is rejected; +-inf sorts first or last."""
-    records: dict[str, DifficultyRecord] = {}
+def parse_records(text: str) -> dict[str, float]:
+    """``{sample_id: score}`` in line order.  A file holds one policy, that of its
+    first line: two policies score on different scales.  A NaN score has no
+    place in ascending order and is rejected; +-inf sorts first or last."""
+    scores: dict[str, float] = {}
+    policy = ""
     for line_no, line in numbered_lines(text):
         fields = line.split("\t")
         if len(fields) != 3 or fields[2] not in POLICIES:
             raise MalformedLine(f"line {line_no}: expected 'id<TAB>score<TAB>policy'")
+        policy = policy or fields[2]
+        if fields[2] != policy:
+            raise MalformedLine(f"line {line_no}: policy {fields[2]!r} in a {policy!r} file")
         try:
             score = float(fields[1])
             if math.isnan(score):
@@ -125,15 +120,15 @@ def parse_records(text: str) -> list[DifficultyRecord]:
             raise MalformedLine(f"line {line_no}: bad score {fields[1]!r}")
         if not fields[0]:
             raise MalformedLine(f"line {line_no}: empty sample ID")
-        if fields[0] in records:
+        if fields[0] in scores:
             raise MalformedLine(f"line {line_no}: repeated sample ID {fields[0]!r}")
-        records[fields[0]] = DifficultyRecord(sample_id=fields[0], score=score, policy=fields[2])
-    return list(records.values())
+        scores[fields[0]] = score
+    return scores
 
 
-def load_records(path) -> list[DifficultyRecord]:
+def load_records(path) -> dict[str, float]:
     return parse_records(read_text(path))
 
 
-def save_records(records: list[DifficultyRecord], path) -> None:
-    write_text(path, records_to_tsv(records))
+def save_records(scores: dict[str, float], policy: str, path) -> None:
+    write_text(path, records_to_tsv(scores, policy))

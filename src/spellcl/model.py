@@ -127,8 +127,9 @@ class CorpusEncoding:
     padding slot whose first id is ``n_feat + 1``, weighed -inf.
     ``pos_slots`` holds each position's real slots, then the padding slot
     up to the widest position; a hidden gold slot is never in it, so it can
-    never be chosen.  ``slot_char`` and ``feat_ids``, computed on read,
-    give the corpus's sizes for the benchmark's counts.
+    never be chosen.  Prediction reads ``slot_char``; only the benchmark's
+    counts (``perfbench/spans.py``) and one encoding test read ``pos_n_real``
+    and ``feat_ids``, so both can go when those probes move.
     """
 
     id_to_idx: dict[str, int]
@@ -309,16 +310,15 @@ def feature_rows(keys: np.ndarray, enc: CorpusEncoding) -> np.ndarray:
     return rows
 
 
-def predict_encoded(enc: CorpusEncoding, corpus: Corpus, weights: np.ndarray,
-                    rows: np.ndarray) -> dict[str, str]:
-    """Kernel-backed ``{sample_id: predicted string}`` for the encoded
-    ``corpus``, in corpus order; see ``feature_rows``."""
+def predict_encoded(enc: CorpusEncoding, weights: np.ndarray, rows: np.ndarray) -> dict[str, str]:
+    """Kernel-backed ``{sample_id: predicted string}`` of the encoded corpus,
+    keyed by ``enc.id_to_idx`` in corpus order; see ``feature_rows``."""
     found = rows < len(weights)
     taken = np.zeros(len(rows))
     taken[found] = weights[rows[found]]
     chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, taken)].tolist()))
     bounds = enc.samp_pos_start.tolist()
-    return {sid: chars[lo:hi] for sid, lo, hi in zip(corpus.ids(), bounds, bounds[1:])}
+    return {sid: chars[lo:hi] for sid, lo, hi in zip(enc.id_to_idx, bounds, bounds[1:])}
 
 
 def predict_corpus(model: CorrectorModel, corpus: Corpus) -> dict[str, str]:
@@ -329,7 +329,7 @@ def predict_corpus(model: CorrectorModel, corpus: Corpus) -> dict[str, str]:
     model's keys; a feature the model lacks weighs 0.0.
     """
     enc = encode_corpus(corpus, model.confusion)
-    return predict_encoded(enc, corpus, model.weights, feature_rows(model.keys, enc))
+    return predict_encoded(enc, model.weights, feature_rows(model.keys, enc))
 
 
 # --- model file -----------------------------------------------------------------

@@ -20,7 +20,7 @@ from spellcl.corpus import (
     inject_errors,
 )
 from spellcl.curriculum import arrange_annealing
-from spellcl.difficulty import DifficultyRecord, score_corpus
+from spellcl.difficulty import score_corpus
 from spellcl.embed import FileEmbeddingProvider
 from spellcl.metrics import evaluate
 from spellcl.rng import shuffled
@@ -63,8 +63,7 @@ def test_contextual_score_matches_bruteforce_oracle():
         tgt_vecs = rng.normal(size=(n, dim))
 
         table = {(sample.id, "source"): src_vecs, (sample.id, "target"): tgt_vecs}
-        (record,) = score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))
-        got = record.score
+        got = score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))[sample.id]
 
         expected = 0.0  # brute force: per-position cosine, plain python sums
         for j in sorted(err):
@@ -94,13 +93,11 @@ def test_annealing_arrangement_invariants():
         n = int(rng.integers(1, 201))
         k = int(rng.integers(1, min(10, n) + 1))
         scores = rng.permutation(n).astype(float)  # distinct scores
-        records = [DifficultyRecord(f"s{i:03d}", float(scores[i]), "contextual")
-                   for i in range(n)]
-        manifest = arrange_annealing(records, k, seed=case)
-        score_of = {r.sample_id: r.score for r in records}
+        score_of = {f"s{i:03d}": float(scores[i]) for i in range(n)}
+        manifest = arrange_annealing(score_of, k, seed=case)
 
         # partition: stages 1..k disjoint, covering; final stage = full set
-        all_ids = {r.sample_id for r in records}
+        all_ids = set(score_of)
         seen: set[str] = set()
         for stage in manifest.stages[:-1]:
             stage_set = set(stage)
@@ -112,10 +109,10 @@ def test_annealing_arrangement_invariants():
         assert len(manifest.stages[-1]) == n
 
         # independent re-derivation of subsets and their inner parts
-        ordered = sorted(records, key=lambda r: (r.score, r.sample_id))
+        ordered = sorted(score_of.items(), key=lambda kv: (kv[1], kv[0]))
         subsets, pos = [], 0
         for size in _split_sizes(n, k):
-            subsets.append([r.sample_id for r in ordered[pos:pos + size]])
+            subsets.append([sid for sid, _ in ordered[pos:pos + size]])
             pos += size
         parts = []
         for subset in subsets:
@@ -158,15 +155,14 @@ def test_annealing_arrangement_invariants():
 
 
 def test_annealing_hand_enumerated_case():
-    records = [DifficultyRecord(c, float(i), "contextual")
-               for i, c in enumerate("abcdefghi")]
-    manifest = arrange_annealing(records, k=3, seed=123)
+    scores = {c: float(i) for i, c in enumerate("abcdefghi")}
+    manifest = arrange_annealing(scores, k=3, seed=123)
     assert [set(s) for s in manifest.stages] == [
         {"a", "d", "g"}, {"b", "e", "h"}, {"c", "f", "i"}, set("abcdefghi"),
     ]
     # remainders first, by design: n=4, k=3 makes subsets {a,b}, {c}, {d},
     # so stage 2 ({b}) has a lower mean than stage 1 and stage 3 is empty
-    small = [DifficultyRecord(c, float(i), "contextual") for i, c in enumerate("abcd")]
+    small = {c: float(i) for i, c in enumerate("abcd")}
     manifest = arrange_annealing(small, k=3, seed=123)
     assert [set(s) for s in manifest.stages] == [
         {"a", "c", "d"}, {"b"}, set(), set("abcd"),

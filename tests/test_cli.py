@@ -463,10 +463,10 @@ class TestSweepK:
         train_c = load_corpus(workdir["train"])
         test_c = load_corpus(workdir["test"])
         confusion = load_confusion_set(workdir["confusion"])
-        records = score_corpus(train_c, "contextual", provider=HashedEmbedder())
+        scores = score_corpus(train_c, "contextual", provider=HashedEmbedder())
         f1s = []
         for seed in (0, 1, 2):
-            manifest = arrange_annealing(records, k=2, seed=seed)
+            manifest = arrange_annealing(scores, k=2, seed=seed)
             model = train_model(manifest, train_c, confusion)
             _, corr = evaluate(predict_corpus(model, test_c), test_c)
             f1s.append(corr.f1)

@@ -19,14 +19,8 @@ from spellcl.curriculum import (
     manifest_to_jsonl,
     parse_manifest,
 )
-from spellcl.difficulty import DifficultyRecord
 from spellcl.errors import ConfigError, MalformedLine
 from spellcl.rng import shuffled
-
-
-def recs(scores: dict[str, float]) -> list[DifficultyRecord]:
-    return [DifficultyRecord(sample_id=i, score=s, policy="contextual")
-            for i, s in scores.items()]
 
 
 def expected_stage_sets(scores: dict[str, float], k: int) -> list[set[str]]:
@@ -81,7 +75,7 @@ class TestArrangeAnnealing:
     N9_SCORES = {c: float(i) for i, c in enumerate("abcdefghi")}
 
     def test_hand_enumerated_nine_by_three(self):
-        m = arrange_annealing(recs(self.N9_SCORES), k=3, seed=0)
+        m = arrange_annealing(self.N9_SCORES, k=3, seed=0)
         assert len(m.stages) == 4
         assert set(m.stages[0]) == {"a", "d", "g"}
         assert set(m.stages[1]) == {"b", "e", "h"}
@@ -90,27 +84,27 @@ class TestArrangeAnnealing:
 
     def test_n10_k3_sizes(self):
         scores = {f"s{i:02d}": float(i) for i in range(10)}
-        m = arrange_annealing(recs(scores), k=3, seed=1)
+        m = arrange_annealing(scores, k=3, seed=1)
         assert [len(s) for s in m.stages] == [4, 3, 3, 10]
         assert expected_stage_sets(scores, 3) == [set(s) for s in m.stages]
 
     def test_k1_degenerate(self):
         scores = {c: float(i) for i, c in enumerate("abcd")}
-        m = arrange_annealing(recs(scores), k=1, seed=5)
+        m = arrange_annealing(scores, k=1, seed=5)
         assert len(m.stages) == 2
         assert set(m.stages[0]) == set("abcd")
         assert set(m.stages[1]) == set("abcd")
 
     def test_stages_are_shuffled(self):
         scores = {f"s{i:03d}": float(i) for i in range(60)}
-        m = arrange_annealing(recs(scores), k=2, seed=3)
+        m = arrange_annealing(scores, k=2, seed=3)
         # stage contents are right but order is not the sorted order
         assert list(m.stages[0]) != sorted(m.stages[0])
 
     def test_tie_break_by_id(self):
         # all scores equal: the sorted order is ID order, so the stage
         # composition matches the hand-enumerated distinct-score case
-        m = arrange_annealing(recs({c: 1.0 for c in "abcdefghi"}), k=3, seed=0)
+        m = arrange_annealing({c: 1.0 for c in "abcdefghi"}, k=3, seed=0)
         assert set(m.stages[0]) == {"a", "d", "g"}
         assert set(m.stages[1]) == {"b", "e", "h"}
         assert set(m.stages[2]) == {"c", "f", "i"}
@@ -118,31 +112,31 @@ class TestArrangeAnnealing:
     def test_subsets_smaller_than_k_frontload_stage_one(self):
         # n == k: every subset has one element, so stage 1 takes all of
         # them and stages 2..k are empty (balanced split, extras first)
-        m = arrange_annealing(recs({"z": 1.0, "a": 2.0, "m": 3.0}), k=3, seed=0)
+        m = arrange_annealing({"z": 1.0, "a": 2.0, "m": 3.0}, k=3, seed=0)
         assert set(m.stages[0]) == {"z", "a", "m"}
         assert m.stages[1] == () and m.stages[2] == ()
         assert set(m.stages[3]) == {"z", "a", "m"}
 
     def test_deterministic(self):
         scores = {f"s{i}": float(i % 7) for i in range(30)}
-        a = arrange_annealing(recs(scores), k=4, seed=11)
-        b = arrange_annealing(recs(scores), k=4, seed=11)
+        a = arrange_annealing(scores, k=4, seed=11)
+        b = arrange_annealing(scores, k=4, seed=11)
         assert a == b
 
     def test_seed_changes_stage_order(self):
         scores = {f"s{i}": float(i) for i in range(30)}
-        a = arrange_annealing(recs(scores), k=3, seed=1)
-        b = arrange_annealing(recs(scores), k=3, seed=2)
+        a = arrange_annealing(scores, k=3, seed=1)
+        b = arrange_annealing(scores, k=3, seed=2)
         assert a.stages != b.stages
         assert [set(x) for x in a.stages] == [set(x) for x in b.stages]
 
     def test_k_too_large(self):
         with pytest.raises(ConfigError, match=r"k=2 exceeds the number of samples \(1\)"):
-            arrange_annealing(recs({"a": 1.0}), k=2, seed=0)
+            arrange_annealing({"a": 1.0}, k=2, seed=0)
 
     def test_empty_input(self):
         with pytest.raises(ConfigError, match="cannot arrange an empty"):
-            arrange_annealing([], k=1, seed=0)
+            arrange_annealing({}, k=1, seed=0)
 
 
 # ===========================================================================
@@ -152,20 +146,20 @@ class TestArrangeAnnealing:
 class TestSortedOnly:
 
     def test_sort_oracle(self):
-        m = arrange_sorted_only(recs({"x": 3.0, "y": 1.0, "z": 2.0}), seed=0)
+        m = arrange_sorted_only({"x": 3.0, "y": 1.0, "z": 2.0}, seed=0)
         assert m.stages == (("y", "z", "x"),)
 
     def test_all_equal_scores_id_order(self):
-        m = arrange_sorted_only(recs({"c": 1.0, "a": 1.0, "b": 1.0}), seed=9)
+        m = arrange_sorted_only({"c": 1.0, "a": 1.0, "b": 1.0}, seed=9)
         assert m.stages == (("a", "b", "c"),)
 
     def test_single_sample(self):
-        m = arrange_sorted_only(recs({"only": 0.5}), seed=0)
+        m = arrange_sorted_only({"only": 0.5}, seed=0)
         assert m.stages == (("only",),)
 
     def test_empty(self):
         with pytest.raises(ConfigError, match="cannot arrange an empty"):
-            arrange_sorted_only([], seed=0)
+            arrange_sorted_only({}, seed=0)
 
 
 class TestRandomStages:
@@ -202,9 +196,9 @@ class TestStagedArrangements:
         n = len(scores)
         k = data.draw(st.integers(1, n), label="k")
         order = data.draw(st.permutations(range(n)), label="input order")
-        records = recs({f"s{i:02d}": float(scores[i]) for i in order})
-        ids = [r.sample_id for r in records]
-        m = arrange(policy, ids, records, k, seed)
+        by_id = {f"s{i:02d}": float(scores[i]) for i in order}
+        ids = list(by_id)
+        m = arrange(policy, ids, by_id, k, seed)
         assert len(m.stages) == k + 1
         first = [i for stage in m.stages[:-1] for i in stage]
         assert len(first) == n and set(first) == set(ids)
@@ -216,16 +210,15 @@ class TestStagedArrangements:
     @pytest.mark.parametrize("policy", ARRANGEMENTS)
     def test_every_policy_rejects_empty_input(self, policy):
         with pytest.raises(ConfigError, match="cannot arrange an empty"):
-            arrange(policy, [], [], 1, 0)
+            arrange(policy, [], {}, 1, 0)
 
     @pytest.mark.parametrize("policy", ["annealing", "random_stages"])
     def test_k_outside_one_to_n(self, policy):
-        records = recs({"a": 0.0, "b": 1.0})
-        ids = [r.sample_id for r in records]
+        scores = {"a": 0.0, "b": 1.0}
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-            arrange(policy, ids, records, 0, 0)
+            arrange(policy, list(scores), scores, 0, 0)
         with pytest.raises(ConfigError, match=r"k=3 exceeds the number of samples \(2\)"):
-            arrange(policy, ids, records, 3, 0)
+            arrange(policy, list(scores), scores, 3, 0)
 
 
 class TestShuffledBaseline:
@@ -252,22 +245,22 @@ class TestShuffledBaseline:
 class TestArrange:
 
     def test_each_policy_calls_its_arranger(self):
-        records = recs({c: float(i % 3) for i, c in enumerate("abcdefg")})
-        ids = [r.sample_id for r in records]
-        assert arrange("annealing", None, records, 2, 5) == arrange_annealing(records, 2, 5)
-        assert arrange("sorted_only", None, records, 2, 5) == arrange_sorted_only(records, 5)
+        scores = {c: float(i % 3) for i, c in enumerate("abcdefg")}
+        ids = list(scores)
+        assert arrange("annealing", None, scores, 2, 5) == arrange_annealing(scores, 2, 5)
+        assert arrange("sorted_only", None, scores, 2, 5) == arrange_sorted_only(scores, 5)
         assert arrange("random_stages", ids, None, 2, 5) == arrange_random_stages(ids, 2, 5)
         assert arrange("shuffled_baseline", ids, None, 2, 5) == (
             arrange_shuffled_baseline(ids, 5))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown arrangement policy 'bogus'"):
-            arrange("bogus", ["a"], recs({"a": 0.0}), 1, 0)
+            arrange("bogus", ["a"], {"a": 0.0}, 1, 0)
 
-    # sha256 of manifest_to_jsonl for each policy on PIN_RECORDS, k=3, seed=7:
+    # sha256 of manifest_to_jsonl for each policy on PIN_SCORES, k=3, seed=7:
     # the arrangements' exact output, which a refactor must keep byte for byte
-    PIN_RECORDS = recs({f"s{i:02d}": (i % 4) / 4 for i in (7, 3, 12, 0, 9, 5, 1, 11, 4, 10,
-                                                            2, 8, 6)})
+    PIN_SCORES = {f"s{i:02d}": (i % 4) / 4 for i in (7, 3, 12, 0, 9, 5, 1, 11, 4, 10,
+                                                      2, 8, 6)}
     PINNED = {
         "annealing": "ec05d4d1edcef34bf22d27bb77ac91d0d0a586965aafb9f0c6cfc6e76db77e44",
         "sorted_only": "d044432066b6e31a412aca9d9e10b87a2e39ce4c7d76526b7dd922a242d7350f",
@@ -278,9 +271,9 @@ class TestArrange:
 
     @pytest.mark.parametrize("policy", ARRANGEMENTS)
     def test_pinned_manifest(self, policy):
-        # 13 records in no sorted order, four distinct scores, so ties abound
-        ids = [r.sample_id for r in self.PIN_RECORDS]
-        manifest = replace(arrange(policy, ids, self.PIN_RECORDS, 3, 7), source_corpus="pin")
+        # 13 samples in no sorted order, four distinct scores, so ties abound
+        ids = list(self.PIN_SCORES)
+        manifest = replace(arrange(policy, ids, self.PIN_SCORES, 3, 7), source_corpus="pin")
         digest = hashlib.sha256(manifest_to_jsonl(manifest).encode("utf-8")).hexdigest()
         assert digest == self.PINNED[policy]
 
@@ -292,7 +285,7 @@ class TestArrange:
 class TestManifestFile:
 
     def test_roundtrip(self):
-        m = replace(arrange_annealing(recs({c: float(i) for i, c in enumerate("abcdef")}),
+        m = replace(arrange_annealing({c: float(i) for i, c in enumerate("abcdef")},
                                       k=2, seed=42), source_corpus="toy")
         again = parse_manifest(manifest_to_jsonl(m))
         assert again == m

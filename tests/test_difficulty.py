@@ -10,7 +10,6 @@ from spellcl.corpus import ConfusionSet, Corpus, Sample, parse_corpus
 from spellcl.curriculum import arrange_sorted_only
 from spellcl.difficulty import (
     POLICIES,
-    DifficultyRecord,
     load_records,
     parse_records,
     records_to_tsv,
@@ -40,13 +39,12 @@ def oracle_score(sample: Sample, src_vecs, tgt_vecs) -> float:
     return total
 
 
-def score_one(sample: Sample, src_vecs, tgt_vecs) -> DifficultyRecord:
+def score_one(sample: Sample, src_vecs, tgt_vecs) -> float:
     """``score_corpus`` of the one-sample corpus ``(sample,)`` over full-length
     source and target vectors, read through the file provider."""
     table = {(sample.id, "source"): np.asarray(src_vecs, dtype=np.float64),
              (sample.id, "target"): np.asarray(tgt_vecs, dtype=np.float64)}
-    (record,) = score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))
-    return record
+    return score_corpus(Corpus((sample,)), "contextual", FileEmbeddingProvider(table))[sample.id]
 
 
 # ===========================================================================
@@ -56,7 +54,7 @@ def score_one(sample: Sample, src_vecs, tgt_vecs) -> DifficultyRecord:
 def one_error_score(u, v) -> float:
     """The score of a one-character sample whose only position is an error,
     with source row ``u`` and target row ``v``: their cosine."""
-    return score_one(Sample(id="c", source="A", target="B"), [u], [v]).score
+    return score_one(Sample(id="c", source="A", target="B"), [u], [v])
 
 
 class TestCosine:
@@ -88,9 +86,7 @@ class TestScoreContextual:
     def test_no_errors_scores_zero(self):
         s = Sample(id="a", source="AB", target="AB")
         vecs = [[1.0, 0.0], [0.0, 1.0]]
-        rec = score_one(s, vecs, vecs)
-        assert rec.score == 0.0
-        assert rec.policy == "contextual"
+        assert score_one(s, vecs, vecs) == 0.0
 
     def test_known_cosine_sum(self):
         # errors at 2 and 5 with per-position cosines 0.5 and 0.3
@@ -99,18 +95,17 @@ class TestScoreContextual:
         tgt = np.tile([1.0, 0.0], (6, 1))
         tgt[2] = [0.5, math.sqrt(1 - 0.25)]
         tgt[5] = [0.3, math.sqrt(1 - 0.09)]
-        rec = score_one(s, src, tgt)
-        expected = oracle_score(s, src, tgt)
-        assert rec.score == pytest.approx(expected, abs=1e-12)
-        assert rec.score == pytest.approx(0.8, abs=1e-9)
+        score = score_one(s, src, tgt)
+        assert score == pytest.approx(oracle_score(s, src, tgt), abs=1e-12)
+        assert score == pytest.approx(0.8, abs=1e-9)
 
     def test_zero_norm_position_contributes_zero(self, caplog):
         s = Sample(id="a", source="AB", target="AC")
         src = [[0.0, 0.0], [0.0, 0.0]]
         tgt = [[1.0, 0.0], [1.0, 0.0]]
         with caplog.at_level("WARNING"):
-            rec = score_one(s, src, tgt)
-        assert rec.score == 0.0
+            score = score_one(s, src, tgt)
+        assert score == 0.0
         assert any("zero-norm" in r.message for r in caplog.records)
 
     def test_shape_mismatch(self):
@@ -133,9 +128,9 @@ class TestScoreContextual:
             s = Sample(id="r", source=src_text, target=tgt_text)
             src = rng.normal(size=(n, dim))
             tgt = rng.normal(size=(n, dim))
-            rec = score_one(s, src, tgt)
-            assert abs(rec.score) <= len(s.error_positions) + 1e-12
-            assert rec.score == pytest.approx(oracle_score(s, src, tgt), abs=1e-9)
+            score = score_one(s, src, tgt)
+            assert abs(score) <= len(s.error_positions) + 1e-12
+            assert score == pytest.approx(oracle_score(s, src, tgt), abs=1e-9)
 
 
 # ===========================================================================
@@ -146,28 +141,27 @@ class TestScoreCharSimilarity:
 
     CONFUSION = ConfusionSet({"带": {"戴"}, "X": {"Y"}})
 
-    def char_score(self, sample: Sample) -> DifficultyRecord:
-        return score_corpus(Corpus((sample,)), "char_similarity", confusion=self.CONFUSION)[0]
+    def char_score(self, sample: Sample) -> float:
+        return score_corpus(Corpus((sample,)), "char_similarity",
+                            confusion=self.CONFUSION)[sample.id]
 
     def test_no_errors(self):
         s = Sample(id="a", source="AB", target="AB")
-        assert self.char_score(s).score == 0.0
+        assert self.char_score(s) == 0.0
 
     def test_single_pair_in_set(self):
         s = Sample(id="a", source="他带着", target="他戴着")
-        assert self.char_score(s).score == 1.0
+        assert self.char_score(s) == 1.0
 
     def test_indicator_sum(self):
         # three errors: two pairs confusion-linked, one not
         s = Sample(id="a", source="带XQ", target="戴YR")
-        rec = self.char_score(s)
-        assert rec.score == 2.0
-        assert rec.policy == "char_similarity"
+        assert self.char_score(s) == 2.0
 
     def test_symmetric_lookup(self):
         # linked only via the reverse direction
         s = Sample(id="a", source="戴", target="带")
-        assert self.char_score(s).score == 1.0
+        assert self.char_score(s) == 1.0
 
 
 # ===========================================================================
@@ -177,13 +171,13 @@ class TestScoreCharSimilarity:
 class TestScoreCorpus:
 
     def test_empty_corpus(self):
-        assert score_corpus(parse_corpus(""), "contextual", provider=HashedEmbedder()) == []
+        assert score_corpus(parse_corpus(""), "contextual", provider=HashedEmbedder()) == {}
 
     def test_order_preserved_and_purity(self):
         corpus = parse_corpus("b\t他带着\t他戴着\na\t他带着\t他戴着\n")
-        records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
-        assert [r.sample_id for r in records] == ["b", "a"]
-        assert records[0].score == records[1].score
+        scores = score_corpus(corpus, "contextual", provider=HashedEmbedder())
+        assert list(scores) == ["b", "a"]
+        assert scores["b"] == scores["a"]
 
     def test_more_errors_scores_higher(self):
         # same context everywhere, positive equal cosines => score grows with |W|
@@ -195,8 +189,8 @@ class TestScoreCorpus:
                 return ContextualEmbedding(vecs)
 
         corpus = parse_corpus("two\tABCD\tXYCD\none\tABCD\tXBCD\n")
-        records = score_corpus(corpus, "contextual", provider=ConstantProvider())
-        assert records[0].score > records[1].score
+        scores = score_corpus(corpus, "contextual", provider=ConstantProvider())
+        assert scores["two"] > scores["one"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -218,11 +212,10 @@ class TestScoreCorpus:
         # the oracle scores each sample alone, from full-length vectors
         full = [[provider.embed_side(s, side, range(len(s.source))).vectors
                  for side in ("source", "target")] for s in corpus]
-        want = [score_one(s, *vecs) for s, vecs in zip(corpus, full)]
-        assert [(r.sample_id, r.score.hex(), r.policy) for r in got] == \
-            [(r.sample_id, r.score.hex(), r.policy) for r in want]
+        want = [(s.id, score_one(s, *vecs).hex()) for s, vecs in zip(corpus, full)]
+        assert [(sid, score.hex()) for sid, score in got.items()] == want
         # hashed components are integers, so the loop's sums are exact too
-        assert [r.score.hex() for r in got] == [
+        assert [score.hex() for score in got.values()] == [
             oracle_score(s, src, tgt).hex() for s, (src, tgt) in zip(corpus, full)]
 
     @settings(max_examples=60, deadline=None)
@@ -245,9 +238,9 @@ class TestScoreCorpus:
             for s in corpus for side in ("source", "target")
         }
         got = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
-        want = [score_one(s, table[(s.id, "source")], table[(s.id, "target")]) for s in corpus]
-        assert [(r.sample_id, r.score.hex()) for r in got] == \
-            [(r.sample_id, r.score.hex()) for r in want]
+        want = [(s.id, score_one(s, table[(s.id, "source")], table[(s.id, "target")]).hex())
+                for s in corpus]
+        assert [(sid, score.hex()) for sid, score in got.items()] == want
 
     def test_zero_norm_position_contributes_zero(self, caplog):
         # errors at 1 and 3; the source row at 3 is zero, the cosine at 1 is 0.6
@@ -258,8 +251,8 @@ class TestScoreCorpus:
 
         corpus = parse_corpus("s1\tABCD\tAXCY\n")
         with caplog.at_level("WARNING"):
-            (rec,) = score_corpus(corpus, "contextual", provider=Provider())
-        assert rec.score == pytest.approx(0.6, abs=1e-15)
+            score = score_corpus(corpus, "contextual", provider=Provider())["s1"]
+        assert score == pytest.approx(0.6, abs=1e-15)
         assert [r.getMessage() for r in caplog.records] == [
             "zero-norm embedding at sample 's1' position 3; similarity taken as 0"]
 
@@ -307,16 +300,17 @@ class TestDifficultyFile:
 
     def test_format_and_roundtrip(self, tmp_path):
         corpus = parse_corpus("s1\t他带着\t他戴着\ns2\tAB\tAB\n")
-        records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
-        text = records_to_tsv(records)
+        scores = score_corpus(corpus, "contextual", provider=HashedEmbedder())
+        text = records_to_tsv(scores, "contextual")
         line = text.split("\n")[0].split("\t")
         assert line[0] == "s1"
         assert len(line[1].split(".")[1]) == 9  # nine decimal places
+        assert line[2] == "contextual"
         path = tmp_path / "d.tsv"
-        save_records(records, path)
+        save_records(scores, "contextual", path)
         again = load_records(path)
-        assert [r.sample_id for r in again] == ["s1", "s2"]
-        assert again[1].score == 0.0
+        assert list(again) == ["s1", "s2"]
+        assert again["s2"] == 0.0
 
     def test_malformed(self):
         with pytest.raises(MalformedLine):
@@ -347,9 +341,9 @@ class TestDifficultyFile:
 
     def test_infinite_scores_sort_at_the_ends(self):
         text = "b\tinf\tcontextual\na\t0.500000000\tcontextual\nc\t-inf\tcontextual\n"
-        records = parse_records(text)
-        assert records_to_tsv(records) == text
-        assert arrange_sorted_only(records, seed=0).stages == (("c", "a", "b"),)
+        scores = parse_records(text)
+        assert records_to_tsv(scores, "contextual") == text
+        assert arrange_sorted_only(scores, seed=0).stages == (("c", "a", "b"),)
 
     def test_byte_order_mark_names_the_cause(self):
         # without the check, the first ID would silently read '\ufeffs1'
@@ -360,21 +354,27 @@ class TestDifficultyFile:
         with pytest.raises(MalformedLine, match="line 2: CRLF line ending"):
             parse_records("s1\t0.5\tcontextual\ns2\t0.5\tcontextual\r\n")
 
+    @pytest.mark.parametrize("first, other", [("contextual", "char_similarity"),
+                                              ("char_similarity", "contextual")])
+    def test_second_policy_names_the_line_and_both_policies(self, first, other):
+        # the two policies score on different scales, so one sorted order
+        # over both would mean nothing
+        with pytest.raises(MalformedLine, match=f"^line 4: policy '{other}' in a '{first}' file$"):
+            parse_records(f"\na\t0.1\t{first}\nb\t2.0\t{first}\nc\t0.5\t{other}\n")
+
     # A byte-order mark is rejected when an ID starting with one comes first,
-    # and an empty or repeated ID wherever it comes.
-    @given(st.lists(st.builds(
-        DifficultyRecord,
+    # and an empty or repeated ID wherever it comes.  One policy is drawn per
+    # document, as a file holds one.
+    @given(st.dictionaries(
         st.text(alphabet=st.characters(exclude_characters="\t\n\ufeff"), min_size=1,
                 max_size=6),
-        st.floats(-1e6, 1e6),
-        st.sampled_from(POLICIES),
-    ), max_size=8, unique_by=lambda r: r.sample_id))
-    def test_text_roundtrip_random(self, records):
+        st.floats(-1e6, 1e6), max_size=8,
+    ), st.sampled_from(POLICIES))
+    def test_text_roundtrip_random(self, scores, policy):
         # scores are written at 9 decimals, so the text is the fixpoint
-        text = records_to_tsv(records)
+        text = records_to_tsv(scores, policy)
         again = parse_records(text)
-        assert records_to_tsv(again) == text
-        assert [(r.sample_id, r.policy) for r in again] == [
-            (r.sample_id, r.policy) for r in records]
-        for r, a in zip(records, again):
-            assert a.score == pytest.approx(r.score, abs=1e-9)
+        assert records_to_tsv(again, policy) == text
+        assert list(again) == list(scores)
+        for sid, score in scores.items():
+            assert again[sid] == pytest.approx(score, abs=1e-9)

@@ -28,7 +28,7 @@ EXPORTS = {
     "curriculum": ["CurriculumManifest", "arrange_annealing", "arrange_random_stages",
                    "arrange_shuffled_baseline", "arrange_sorted_only", "load_manifest",
                    "save_manifest"],
-    "difficulty": ["DifficultyRecord", "score_corpus"],
+    "difficulty": ["score_corpus"],
     "embed": ["ContextualEmbedding", "FileEmbeddingProvider", "HashedEmbedder",
               "load_embeddings"],
     "metrics": ["EvalReport", "evaluate"],
@@ -97,6 +97,15 @@ def test_arrange_loads_no_numpy(tmp_path):
                                "random_stages", "--k", "2", "--out", tmp_path / "ids")
     assert (tmp_path / "manifest.jsonl").exists()
     assert (tmp_path / "ids" / "manifest.jsonl").exists()
+
+
+def test_curriculum_loads_no_difficulty_module():
+    # arrangement reads a {sample_id: score} dict, not a type of the scorer's
+    assert python("""
+        import sys
+        import spellcl.curriculum
+        print("spellcl.difficulty" in sys.modules)
+    """) == "False\n"
 
 
 def test_scoring_predicted_strings_loads_no_numpy():

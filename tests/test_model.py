@@ -21,7 +21,7 @@ from spellcl.curriculum import (
     arrange_shuffled_baseline,
     arrange_sorted_only,
 )
-from spellcl.difficulty import DifficultyRecord, score_corpus
+from spellcl.difficulty import score_corpus
 from spellcl.embed import HashedEmbedder
 from spellcl.errors import ConfigError, IdMismatch, MalformedLine
 from spellcl.model import (
@@ -242,10 +242,9 @@ def random_setup(draw, long_sample=False):
         corpus = Corpus(samples=corpus.samples + (Sample(id="long", source=src, target=tgt),))
     confusion = draw(CONFUSIONS)
     scores = draw(st.lists(st.integers(0, 3), min_size=len(corpus), max_size=len(corpus)))
-    records = [DifficultyRecord(sid, float(sc), "contextual")
-               for sid, sc in zip(corpus.ids(), scores)]
     k = draw(st.integers(1, len(corpus)))
-    manifest = arrange_annealing(records, k, seed=draw(st.integers(0, 2**32)))
+    manifest = arrange_annealing(dict(zip(corpus.ids(), map(float, scores))), k,
+                                 seed=draw(st.integers(0, 2**32)))
     return corpus, confusion, manifest
 
 
@@ -503,8 +502,8 @@ class TestTrain:
 
     def test_deterministic(self):
         corpus, confusion = small_noisy_setup()
-        records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
-        manifest = arrange_annealing(records, k=3, seed=5)
+        scores = score_corpus(corpus, "contextual", provider=HashedEmbedder())
+        manifest = arrange_annealing(scores, k=3, seed=5)
         a = train(manifest, corpus, confusion)
         b = train(manifest, corpus, confusion)
         assert final_weights(manifest, corpus, confusion) == final_weights(
@@ -649,8 +648,8 @@ class TestTrain:
     def test_order_sensitivity(self):
         # the premise of the whole exercise: sample order changes the model
         corpus, confusion = small_noisy_setup(n_sentences=40, seed=7)
-        records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
-        sorted_m = arrange_sorted_only(records, seed=0)
+        scores = score_corpus(corpus, "contextual", provider=HashedEmbedder())
+        sorted_m = arrange_sorted_only(scores, seed=0)
         baseline_m = arrange_shuffled_baseline(corpus.ids(), seed=0)
         assert (final_weights(sorted_m, corpus, confusion)
                 != final_weights(baseline_m, corpus, confusion))
@@ -735,9 +734,16 @@ class TestPredict:
         enc_test = encode_corpus(test_corpus, confusion)
         rows = feature_rows(enc_train.feature_index, enc_test)
         _, averaged, _ = train_encoded(enc_train, manifest)
-        preds = predict_encoded(enc_test, test_corpus, averaged, rows)
+        preds = predict_encoded(enc_test, averaged, rows)
         model = train(manifest, corpus, confusion)
         assert list(preds.items()) == reference_items(model, test_corpus)
+
+    def test_predictions_are_keyed_by_the_encoded_corpus_ids(self):
+        # the IDs come from the encoding, in its corpus order, which is not sorted
+        corpus = parse_corpus("z\taa\taa\na\tccc\tccc\nm\tb\tb\n")
+        enc = encode_corpus(corpus, ConfusionSet({"a": {"b"}}))
+        preds = predict_encoded(enc, np.zeros(0), feature_rows(np.zeros(0, np.int64), enc))
+        assert list(preds.items()) == [("z", "aa"), ("a", "ccc"), ("m", "b")]
 
     def test_grid_rows_of_an_empty_training_table_are_the_sentinel(self):
         corpus, confusion = overfit_fixture()
@@ -818,8 +824,8 @@ class TestPredict:
 
     def test_overfit_five_sentences(self):
         corpus, confusion = overfit_fixture()
-        records = score_corpus(corpus, "contextual", provider=HashedEmbedder())
-        manifest = arrange_annealing(records, k=2, seed=0)
+        scores = score_corpus(corpus, "contextual", provider=HashedEmbedder())
+        manifest = arrange_annealing(scores, k=2, seed=0)
         model = train(manifest, corpus, confusion)
         for sample in corpus:
             assert predict_one(model, sample) == sample.target
