@@ -203,7 +203,7 @@ def predict_slots(enc, weights) -> np.ndarray:
     taken unless a later one scores strictly higher, so a NaN score never
     wins, and a NaN in the first slot keeps it.
     """
-    with np.errstate(invalid="ignore"):  # inf + -inf: the NaN rule below decides
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
         slot_score = reduce(np.add, _extend(weights)[enc.slot_feats].T)
     scores = slot_score[enc.pos_slots]
     nan = np.isnan(scores)

@@ -177,8 +177,13 @@ def parse_corpus(text: str) -> Corpus:
 
 
 def corpus_to_tsv(corpus: Corpus) -> str:
-    """Serialize a corpus; parse_corpus(corpus_to_tsv(c)) round-trips."""
-    return "".join(f"{s.id}\t{s.source}\t{s.target}\n" for s in corpus.samples)
+    """Serialize a corpus; ValueError names a sample that parse_corpus would not read back."""
+    lines = [f"{s.id}\t{s.source}\t{s.target}\n" for s in corpus.samples]
+    for s, line in zip(corpus.samples, lines):
+        if (not s.id or line.count("\t") + line.count("\n") > 3 or line.endswith("\r\n")
+                or s is corpus.samples[0] and s.id[0] == "\ufeff"):
+            raise ValueError(f"sample {s.id!r} cannot be written as one corpus line")
+    return "".join(lines)
 
 
 def load_corpus(path) -> Corpus:

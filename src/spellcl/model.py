@@ -112,13 +112,13 @@ def feature_names(keys: np.ndarray) -> list[str]:
 class CorpusEncoding:
     """Fixed-width tables of a corpus for the train/predict kernels.
 
-    Per sample: a contiguous run of positions.  Per position: its slots -
-    the real candidates in tie-break order, plus one hidden slot holding the
-    gold character's features whenever the gold character is not a
-    candidate.  Ids index the encoding's own feature table,
-    ``feature_index``: the sorted int64 keys of the corpus's features (see
-    above), so every id is known.  A model's weights reach an encoding by
-    being copied into its numbering through ``feature_rows``.
+    Per sample: a contiguous run of positions.  Per position: the slots of
+    its class's candidate-table entry - the real candidates in tie-break
+    order, then, for an error's (source, gold) class whose gold character is
+    none of them, a hidden slot holding it.  Ids index the encoding's own
+    feature table, ``feature_index``: the sorted int64 keys of the corpus's
+    features (see above), so every id is known.  A model's weights reach an
+    encoding by being copied into its numbering through ``feature_rows``.
 
     The kernels read two int32 tables.  ``slot_feats`` has one row of
     ``SLOT_WIDTH`` feature ids per slot (C, L, R, LL, RR, KEEP); a slot
@@ -170,47 +170,41 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     tgt = _codes(s.target for s in samples)
     n = src.shape[0]
 
-    # Candidate table, one entry per distinct source character (its class):
-    # the character, then its confusables in code-point order.
+    # Candidate table, one entry per class: per distinct source character,
+    # then per distinct (source class, gold character) pair at an error.  An
+    # entry is the source character, its confusables in code-point order
+    # and, when it is none of those, the gold character: the hidden slot.
     chars, cls = np.unique(src, return_inverse=True)
-    classes = [c + confusion.candidates(c) for c in map(chr, chars.tolist())]
-    class_n_real = np.fromiter(map(len, classes), dtype=np.int64, count=len(classes))
-    class_start = np.cumsum(class_n_real) - class_n_real
-    cand_table = _codes(classes)
-    n_real = class_n_real[cls]
-
-    # The gold character's slot: 0 when it is the observed one, its place
-    # among the confusables, or a hidden slot after the real ones.
-    gold_slot = np.zeros(n, dtype=np.int64)
     err = np.flatnonzero(src != tgt)
-    conf_keys = np.repeat(np.arange(len(chars), dtype=np.int64), class_n_real - 1) << _CODE_BITS
-    conf_keys |= np.delete(cand_table, class_start)
-    keys = cls[err] << _CODE_BITS | tgt[err]
-    at = np.searchsorted(conf_keys, keys)
-    found = np.append(conf_keys, -1)[at] == keys
-    gold_slot[err] = np.where(found, at - (class_start[cls[err]] - cls[err]) + 1, n_real[err])
-    hidden = err[~found]
-    del conf_keys, keys, at, found, err
+    pairs, pair_cls = np.unique(cls[err] << _CODE_BITS | tgt[err], return_inverse=True)
+    reals = [c + confusion.candidates(c) for c in map(chr, chars.tolist())]
+    classes = [(r, r[0]) for r in reals]  # (real candidates, gold character)
+    classes += [(reals[pair >> _CODE_BITS], chr(pair & _CODE_MASK)) for pair in pairs.tolist()]
+    entries = [r if g in r else r + g for r, g in classes]
+    class_n_slot = np.array([len(e) for e in entries], dtype=np.int64)
+    class_n_real = np.array([len(r) for r, _ in classes], dtype=np.int64)
+    class_gold = np.array([e.index(g) for e, (_, g) in zip(entries, classes)], dtype=np.int64)
+    class_start = np.cumsum(class_n_slot) - class_n_slot
+    cand_table = _codes(entries)
+    pos_cls = cls.copy()
+    pos_cls[err] = len(chars) + pair_cls
+    del err, pairs, pair_cls, reals, classes, entries
 
-    n_slot = n_real.copy()
-    n_slot[hidden] += 1
+    n_slot = class_n_slot[pos_cls]
     pos_slot_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(n_slot, out=pos_slot_start[1:])
     n_slots = int(pos_slot_start[-1])
+    n_real = class_n_real[pos_cls]
+    pos_gold_slot = pos_slot_start[:-1] + class_gold[pos_cls]
     slot_pos = np.repeat(np.arange(n, dtype=np.int32), n_slot)
-    # a slot's entry in the candidate table; a hidden slot's points one past
-    # its position's candidates and is overwritten with the gold character
+    # a slot's entry in the candidate table, its character and its candidate
+    # class: its character's rank among all candidates
     entry = np.arange(n_slots, dtype=np.int64)
-    entry -= np.repeat(pos_slot_start[:-1] - class_start[cls], n_slot)
-    del n_slot
-    hidden_slots = pos_slot_start[hidden] + n_real[hidden]
-    entry[hidden_slots] = 0
+    entry -= np.repeat(pos_slot_start[:-1] - class_start[pos_cls], n_slot)
+    del n_slot, pos_cls
     slot_char = cand_table[entry]
-    slot_char[hidden_slots] = tgt[hidden]
-    # each slot's candidate class: its character's rank among all candidates
-    cand_chars = np.unique(np.concatenate([cand_table, tgt[hidden]]))
+    cand_chars = np.unique(cand_table)
     slot_cc = np.searchsorted(cand_chars, cand_table).astype(np.int32)[entry]
-    slot_cc[hidden_slots] = np.searchsorted(cand_chars, tgt[hidden])
     del entry
 
     # Feature ids, one template column at a time: a dense (context class,
@@ -256,7 +250,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
         id_to_idx={sid: i for i, sid in enumerate(corpus.ids())},
         samp_pos_start=samp_pos_start,
         pos_n_real=n_real,
-        pos_gold_slot=pos_slot_start[:-1] + gold_slot,
+        pos_gold_slot=pos_gold_slot,
         pos_slots=pos_slots,
         slot_feats=slot_feats,
         slot_char=slot_char,

@@ -305,12 +305,15 @@ class TestTrainEvaluate:
         assert "error: line 3: unknown feature 'C|ab'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.tsv").exists()
 
-    def test_nan_scoring_model_evaluates_without_warning(self, tmp_path):
-        # C|a inf plus L|<BOS>|a -inf makes the observed slot score NaN; the
-        # argmax's NaN rule decides it, and no numpy warning reaches stderr
+    @pytest.mark.parametrize("weights", [("inf", "-inf"), ("1e308", "1e308")],
+                             ids=["nan", "overflow"])
+    def test_nan_scoring_model_evaluates_without_warning(self, tmp_path, weights):
+        # C|a inf plus L|<BOS>|a -inf makes the observed slot score NaN, and
+        # 1e308 plus 1e308 overflows to inf; the argmax's rules decide both,
+        # and no numpy warning reaches stderr
         model = tmp_path / "model.tsv"
-        model.write_text("# spellcl-model schema=1 window=2\nC|a\tinf\nL|<BOS>|a\t-inf\n",
-                         encoding="utf-8")
+        model.write_text("# spellcl-model schema=1 window=2\nC|a\t{}\nL|<BOS>|a\t{}\n"
+                         .format(*weights), encoding="utf-8")
         (tmp_path / "test.tsv").write_text("t1\tab\tab\n", encoding="utf-8")
         (tmp_path / "conf.tsv").write_text("a\tb\n", encoding="utf-8")
         env = dict(os.environ)

@@ -1,9 +1,10 @@
 """Corpus parsing, error-position derivation, confusion sets, injection."""
 
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spellcl.corpus import (
     ConfusionSet,
@@ -17,11 +18,12 @@ from spellcl.corpus import (
     load_corpus,
     parse_confusion_set,
     parse_corpus,
+    save_corpus,
 )
 from spellcl.curriculum import load_manifest
 from spellcl.difficulty import load_records
 from spellcl.embed import load_embeddings
-from spellcl.errors import DuplicateId, LengthMismatch, MalformedLine
+from spellcl.errors import DuplicateId, LengthMismatch, MalformedLine, SpellclError
 from spellcl.model import load_model
 
 from helpers import make_clean_corpus, make_symmetric_confusion, make_vocab
@@ -161,6 +163,51 @@ class TestParseCorpus:
             samples.append(Sample(id=f"r{i}", source=text, target="".join(tgt)))
         corpus = Corpus(samples=tuple(samples))
         assert parse_corpus(corpus_to_tsv(corpus)).samples == corpus.samples
+
+    # each would be written as a line that parse_corpus refuses
+    @pytest.mark.parametrize("sample", [
+        Sample("a\tb", "x", "x"),
+        Sample("", "x", "x"),
+        Sample("a\nb", "x", "x"),
+        Sample("s", "x\n", "xy"),
+        Sample("s", "x\t", "y\t"),
+        Sample("s", "xy", "x\r"),
+        Sample("\ufeffs", "x", "x"),
+    ])
+    def test_writer_refuses_a_sample_no_line_holds(self, sample, tmp_path):
+        corpus = Corpus((Sample("first", "a", "a"), sample))
+        if sample.id.startswith("\ufeff"):  # a BOM only breaks the first line
+            assert parse_corpus(corpus_to_tsv(corpus)) == corpus
+            corpus = Corpus((sample,))
+        message = re.escape(f"sample {sample.id!r} cannot be written")
+        with pytest.raises(ValueError, match=message):
+            corpus_to_tsv(corpus)
+        with pytest.raises(ValueError, match=message):
+            save_corpus(corpus, tmp_path / "c.tsv")
+        assert not (tmp_path / "c.tsv").exists()
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_writer_refuses_exactly_what_would_not_read_back(self, data):
+        alphabet = "\t\n\r\ufeffab"
+        field = st.text(alphabet=alphabet, max_size=4)
+        samples = []
+        for sid in data.draw(st.lists(field, max_size=4, unique=True)):
+            source = data.draw(field)
+            target = data.draw(st.text(alphabet=alphabet, min_size=len(source),
+                                       max_size=len(source)))
+            samples.append(Sample(sid, source, target))
+        corpus = Corpus(tuple(samples))
+        plain = "".join(f"{s.id}\t{s.source}\t{s.target}\n" for s in corpus)
+        try:
+            reads_back = parse_corpus(plain) == corpus
+        except SpellclError:
+            reads_back = False
+        if reads_back:
+            assert corpus_to_tsv(corpus) == plain
+        else:
+            with pytest.raises(ValueError, match="cannot be written"):
+                corpus_to_tsv(corpus)
 
 
 # ===========================================================================

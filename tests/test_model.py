@@ -225,8 +225,9 @@ CONFUSIONS = st.builds(ConfusionSet, st.dictionaries(
 # Weights whose sums round differently in different orders (1e16 + 1.0 is
 # 1e16), so a prediction that adds a slot's features out of order shows; a
 # slot holding both infinities scores NaN, which the argmax never picks over
-# an earlier slot and which, in the first slot, no later slot beats.
-NON_ASSOCIATIVE = (1e16, -1e16, 1.0, 0.5, 3.0, float("inf"), float("-inf"))
+# an earlier slot and which, in the first slot, no later slot beats; two
+# finite 1e308s of one sign overflow to an infinity of that sign.
+NON_ASSOCIATIVE = (1e16, -1e16, 1.0, 0.5, 3.0, float("inf"), float("-inf"), 1e308, -1e308)
 
 
 @st.composite
@@ -411,11 +412,19 @@ WIDE_ALPHABET = (
 )
 
 
+# One source character "a" whose golds are itself, both of its confusables
+# and the non-candidate "z", twice and in two samples: three (source, gold)
+# classes, of which only the "z" one has a hidden slot.
+PAIR_CLASSES = (Corpus((Sample("p", "aaaa", "abzc"), Sample("q", "aa", "za"))),
+                ConfusionSet({"a": {"b", "c"}}))
+
+
 class TestEncoding:
 
     @settings(max_examples=150, deadline=None)
     @example(LONE_SURROGATE)
     @example(WIDE_ALPHABET)
+    @example(PAIR_CLASSES)
     @given(spec_corpus())
     def test_slots_follow_the_spec(self, setup):
         corpus, confusion = setup
@@ -790,6 +799,14 @@ class TestPredict:
         assert self.predicts({"C|a": 1.0, "C|c": 0.5, **nan_b}, confusion) == "a"
         # a later slot that beats the first still wins past the NaN
         assert self.predicts({"C|a": 1.0, "C|c": 2.0, **nan_b}, confusion) == "c"
+
+    def test_overflowing_first_slot_is_kept(self):
+        # finite weights whose sum overflows: the first slot scores +inf, which
+        # no later slot beats, and a later +inf past a finite first slot wins
+        over_a = {"C|a": 1e308, "L|<BOS>|a": 1e308}
+        confusion = ConfusionSet({"a": {"b", "c"}})
+        assert self.predicts({**over_a, "C|b": 1.0, "C|c": 1e308}, confusion) == "a"
+        assert self.predicts({"C|a": 1.0, "C|b": 1e308, "L|<BOS>|b": 1e308}, confusion) == "b"
 
     def test_all_minus_inf_takes_the_first_slot(self):
         # "b" has one candidate, "a" three, so b's row carries padding slots
