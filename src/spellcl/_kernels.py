@@ -112,12 +112,12 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # two candidates of one position share no id but the missing-KEEP sentinel,
 # reset after the write.
 #
-# Index arrays are intp: numpy casts an int32 index array to intp on every
+# Index arrays are intp: numpy casts a narrower index array to intp on every
 # call, a large part of the cost of a gather or write this small.
-# ``slot_feats`` stays int32 in the encoding (as intp it would double its
-# memory), so the pass casts one chunk of gathered ids at a time (~0.5-0.8 MB
-# on the benchmark's corpora, whatever the corpus size), and an update's
-# gold ids join the chunk's intp predicted ids.
+# ``slot_feats`` stays narrow in the encoding (int16 on desk-shaped corpora,
+# a quarter of intp's memory), so the pass casts one chunk of gathered ids at
+# a time (~0.5-0.8 MB on the benchmark's corpora, whatever the corpus size),
+# and an update's gold ids join the chunk's intp predicted ids.
 #
 # Averaging (Daume III's step-weighted sum): update t adds +-1 to w[f] and
 # +-t to c[f] for every feature f it touches, so after T updates

@@ -272,10 +272,9 @@ def _run_grid(cfg: dict, cells: list[tuple[str, int]]) -> dict:
     train_corpus = corpus_mod.load_corpus(cfg["train"])
     test_corpus = corpus_mod.load_corpus(cfg["test"])
     confusion = corpus_mod.load_confusion_set(cfg["confusion"])
-    if len(train_corpus) == 0:
-        raise ConfigError("train corpus is empty")
-    if len(test_corpus) == 0:
-        raise ConfigError("test corpus is empty")
+    for name, loaded in (("train", train_corpus), ("test", test_corpus)):
+        if not len(loaded):
+            raise ConfigError(f"{name} corpus is empty")
     provider = build_provider(cfg)
     scores = {
         policy: diff.score_corpus(train_corpus, policy, provider=provider, confusion=confusion)
@@ -309,9 +308,7 @@ def _run_one(manifest, enc_train, enc_test, rows, test_corpus) -> tuple[float, f
 def _mean_sd(values: list[float]) -> tuple[float, float]:
     import numpy as np
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, sd
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
 def cmd_ablate(cfg: dict) -> int:
@@ -397,12 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         code = COMMANDS[args.command][0](cfg)
         _write_resolved(cfg, args.command)
         return code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SpellclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

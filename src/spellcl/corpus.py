@@ -121,11 +121,12 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write an artifact as UTF-8 without byte-order mark, with LF line endings,
-    creating its directory if it does not exist yet."""
+    """Write an artifact as UTF-8 without byte-order mark, with LF line endings, creating
+    its directory if it does not exist yet; text UTF-8 cannot hold raises before either."""
+    data = text.encode("utf-8")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def numbered_lines(text: str):
@@ -183,7 +184,13 @@ def corpus_to_tsv(corpus: Corpus) -> str:
         if (not s.id or line.count("\t") + line.count("\n") > 3 or line.endswith("\r\n")
                 or s is corpus.samples[0] and s.id[0] == "\ufeff"):
             raise ValueError(f"sample {s.id!r} cannot be written as one corpus line")
-    return "".join(lines)
+    text = "".join(lines)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate; each line holds one LF
+        s = corpus.samples[text.count("\n", 0, exc.start)]
+        raise ValueError(f"sample {s.id!r} cannot be written as UTF-8 (a lone surrogate)") from None
+    return text
 
 
 def load_corpus(path) -> Corpus:

@@ -52,10 +52,10 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
 
     The char_similarity policy counts the error positions whose (wrong,
     correct) pair is confusion-linked in either direction.  The contextual
-    policy asks ``provider.embed_side`` for each side's vectors at the error
-    positions only, sample by sample.  The cosines of all samples come from
-    one pass over the stacked rows; each sample's are then added to 0.0 left
-    to right in error order (``np.add.at``), as a running sum does.
+    policy writes each sample's ``provider.embed_side`` answers, at its error
+    positions only, into its rows of one ``(error positions, dim)`` array per
+    side.  One pass over those gives every cosine; each sample's are then
+    added to 0.0 left to right in error order (``np.add.at``), as a running sum does.
     """
     if policy == "char_similarity":
         if confusion is None:
@@ -71,22 +71,23 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
     if not len(corpus):
         return {}
     import numpy as np
-    src_rows, tgt_rows = [], []
-    for s in corpus:
-        src_rows.append(provider.embed_side(s, "source", s.error_positions).vectors)
-        tgt_rows.append(provider.embed_side(s, "target", s.error_positions).vectors)
-    dim = src_rows[0].shape[1]
-    for s, u, v in zip(corpus, src_rows, tgt_rows):
-        if u.shape != (len(s.error_positions), dim) or v.shape != u.shape:
-            raise ShapeMismatch(f"sample {s.id!r}: embedding rows {u.shape} and {v.shape} for "
-                                f"{len(s.error_positions)} error positions of dimension {dim}")
-    owner = np.repeat(np.arange(len(corpus)), [len(s.error_positions) for s in corpus])
-    cos, zero = _row_cosines(np.concatenate(src_rows, dtype=np.float64),
-                             np.concatenate(tgt_rows, dtype=np.float64))
+    counts = [len(s.error_positions) for s in corpus]
+    owner = np.repeat(np.arange(len(corpus)), counts)
+    bounds = np.cumsum([0] + counts).tolist()
+    for s, lo, hi in zip(corpus, bounds, bounds[1:]):
+        a = provider.embed_side(s, "source", s.error_positions).vectors
+        b = provider.embed_side(s, "target", s.error_positions).vectors
+        if s is corpus.samples[0]:  # the first answer gives the dimension
+            u, v = np.empty((2, len(owner), a.shape[1]))  # each side's rows
+        if a.shape != (hi - lo, u.shape[1]) or b.shape != a.shape:
+            raise ShapeMismatch(f"sample {s.id!r}: embedding rows {a.shape} and {b.shape} for "
+                                f"{hi - lo} error positions of dimension {u.shape[1]}")
+        u[lo:hi], v[lo:hi] = a, b
+    cos, zero = _row_cosines(u, v)
     for i in np.flatnonzero(zero).tolist():
         s = corpus.samples[owner[i]]
         logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",
-                       s.id, s.error_positions[i - np.searchsorted(owner, owner[i])])
+                       s.id, s.error_positions[i - bounds[owner[i]]])
     scores = np.zeros(len(corpus))
     np.add.at(scores, owner, cos)
     return dict(zip(corpus.ids(), scores.tolist()))

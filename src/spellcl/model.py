@@ -120,7 +120,7 @@ class CorpusEncoding:
     features (see above), so every id is known.  A model's weights reach an
     encoding by being copied into its numbering through ``feature_rows``.
 
-    The kernels read two int32 tables.  ``slot_feats`` has one row of
+    The kernels read two integer tables.  ``slot_feats`` has one row of
     ``SLOT_WIDTH`` feature ids per slot (C, L, R, LL, RR, KEEP); a slot
     without KEEP holds the sentinel id ``n_feat`` (``len(feature_index)``)
     in its last column, which the kernels weigh 0.0.  Its last row is a
@@ -137,7 +137,7 @@ class CorpusEncoding:
     pos_n_real: np.ndarray       # int64, real candidates per position
     pos_gold_slot: np.ndarray    # int64, slot index of the gold character
     pos_slots: np.ndarray        # int32, (n_positions, max pos_n_real)
-    slot_feats: np.ndarray       # int32, (n_slots+1, SLOT_WIDTH)
+    slot_feats: np.ndarray       # narrowest signed type for its ids, (n_slots+1, SLOT_WIDTH)
     slot_char: np.ndarray        # int32, candidate code point per slot
     feature_index: np.ndarray    # int64, feature key per id, ascending
 
@@ -158,7 +158,7 @@ def _rank(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(codes, return_inverse=True)
     present = np.zeros(size, dtype=bool)
     present[codes] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
+    return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[codes]
 
 
 def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
@@ -214,16 +214,18 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
     in_sample = np.arange(n, dtype=np.int64) - np.repeat(samp_pos_start[:-1], lens)
     to_end = np.repeat(lens, lens) - in_sample
-    dense_type = np.int32 if len(ctx_codes) * n_cc < 2**31 else np.int64
-    slot_feats = np.empty((n_slots + 1, SLOT_WIDTH), dtype=np.int32)
+    # the narrowest signed type (an empty corpus's KEEP id is -1) of one id per (template,
+    # context class, candidate class), KEEP, the sentinel and the padding; and of dense codes
+    id_type = np.min_scalar_type(-(n_cc * (1 + 4 * len(ctx_codes)) + 3))
+    slot_feats = np.empty((n_slots + 1, SLOT_WIDTH), dtype=id_type)
     feature_keys = []
     n_feat = 0
     for template, offset in enumerate(_OFFSETS):
         if offset:
             inside = in_sample >= -offset if offset < 0 else to_end > offset
-            ctx_class = np.full(n, len(chars) + (offset > 0), dtype=dense_type)
-            ctx_class[inside] = cls[np.flatnonzero(inside) + offset]
-            dense = ctx_class[slot_pos] * n_cc
+            ctx_class = np.full(n, (len(chars) + (offset > 0)) * n_cc, dtype=id_type)
+            ctx_class[inside] = cls[np.flatnonzero(inside) + offset] * n_cc
+            dense = ctx_class[slot_pos]
             dense += slot_cc
         else:
             dense = slot_cc

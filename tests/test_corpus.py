@@ -19,6 +19,7 @@ from spellcl.corpus import (
     parse_confusion_set,
     parse_corpus,
     save_corpus,
+    write_text,
 )
 from spellcl.curriculum import load_manifest
 from spellcl.difficulty import load_records
@@ -173,6 +174,10 @@ class TestParseCorpus:
         Sample("s", "x\t", "y\t"),
         Sample("s", "xy", "x\r"),
         Sample("\ufeffs", "x", "x"),
+        # a lone surrogate, which UTF-8 cannot hold, in each field
+        Sample("s\ud800", "x", "x"),
+        Sample("s", "a\ud800", "ab"),
+        Sample("s", "ab", "a\udfff"),
     ])
     def test_writer_refuses_a_sample_no_line_holds(self, sample, tmp_path):
         corpus = Corpus((Sample("first", "a", "a"), sample))
@@ -189,7 +194,7 @@ class TestParseCorpus:
     @settings(max_examples=300)
     @given(st.data())
     def test_writer_refuses_exactly_what_would_not_read_back(self, data):
-        alphabet = "\t\n\r\ufeffab"
+        alphabet = "\t\n\r\ufeff\ud800ab"
         field = st.text(alphabet=alphabet, max_size=4)
         samples = []
         for sid in data.draw(st.lists(field, max_size=4, unique=True)):
@@ -199,9 +204,9 @@ class TestParseCorpus:
             samples.append(Sample(sid, source, target))
         corpus = Corpus(tuple(samples))
         plain = "".join(f"{s.id}\t{s.source}\t{s.target}\n" for s in corpus)
-        try:
-            reads_back = parse_corpus(plain) == corpus
-        except SpellclError:
+        try:  # through the bytes of a file
+            reads_back = parse_corpus(plain.encode("utf-8").decode("utf-8")) == corpus
+        except (SpellclError, UnicodeEncodeError):
             reads_back = False
         if reads_back:
             assert corpus_to_tsv(corpus) == plain
@@ -245,6 +250,16 @@ class TestFilesOnDisk:
             path.write_bytes(data)
             with pytest.raises(MalformedLine, match="^" + message):
                 load(path)
+
+    def test_text_utf8_cannot_hold_creates_no_file(self, tmp_path):
+        # every writer goes through write_text: a lone surrogate (here in a
+        # difficulty file's sample ID) raises before its directory or file exists
+        path = tmp_path / "out" / "difficulty.tsv"
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "s\ud800\t0.000000000\tcontextual\n")
+        assert not (tmp_path / "out").exists()
+        write_text(path, "s\t0.000000000\tcontextual\n")
+        assert path.read_bytes() == b"s\t0.000000000\tcontextual\n"
 
 
 # ===========================================================================

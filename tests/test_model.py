@@ -48,6 +48,7 @@ from helpers import (
     candidate_set,
     featurize,
     make_clean_corpus,
+    make_markov_corpus,
     make_symmetric_confusion,
     make_vocab,
     model_from_weights,
@@ -419,9 +420,21 @@ PAIR_CLASSES = (Corpus((Sample("p", "aaaa", "abzc"), Sample("q", "aa", "za"))),
                 ConfusionSet({"a": {"b", "c"}}))
 
 
+def alphabet_setup(size: int, confused: bool) -> tuple[Corpus, ConfusionSet]:
+    """A corpus whose sources hold all ``size`` characters of an alphabet, with
+    errors inside it, and either no confusion entries or pairs inside it: both
+    give ``size`` context and ``size`` candidate classes."""
+    vocab = make_vocab(size)
+    pairs = make_symmetric_confusion(vocab, n_pairs=size, seed=4)
+    noisy = inject_errors(make_markov_corpus(vocab, 30, seed=size), pairs, rate=0.2, seed=5)
+    corpus = Corpus((Sample("all", "".join(vocab), "".join(vocab)),) + noisy.samples)
+    return corpus, pairs if confused else ConfusionSet()
+
+
 class TestEncoding:
 
     @settings(max_examples=150, deadline=None)
+    @example((Corpus(()), ConfusionSet()))  # no position: the KEEP id n_feat - 1 is -1
     @example(LONE_SURROGATE)
     @example(WIDE_ALPHABET)
     @example(PAIR_CLASSES)
@@ -431,6 +444,7 @@ class TestEncoding:
         enc = encode_corpus(corpus, confusion)
         keys = enc.feature_index
         n_feat, n_slots = len(keys), len(enc.slot_char)
+        assert np.iinfo(enc.slot_feats.dtype).max >= n_feat + 1  # the padding slot's id
         assert (np.diff(keys) > 0).all()  # ascending, so no key repeats
         names = feature_names(keys)
 
@@ -460,6 +474,26 @@ class TestEncoding:
         assert enc.slot_feats[-1].tolist() == [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)
         assert len(set(names)) == n_feat
 
+
+    # one id per (template, context class, candidate class), KEEP, the sentinel
+    # and the padding: 89 x (1 + 4 x 91) + 3 = 32,488 ids fit int16, and
+    # 90 x (1 + 4 x 92) + 3 = 33,213 need int32
+    @pytest.mark.parametrize("size, bound, id_type", [(89, 32_488, np.int16),
+                                                      (90, 33_213, np.int32)])
+    @pytest.mark.parametrize("confused", [False, True], ids=["no-confusion", "pairs"])
+    def test_ids_take_the_narrowest_signed_type_of_the_bound(self, size, bound, id_type,
+                                                             confused):
+        corpus, confusion = alphabet_setup(size, confused)
+        enc = encode_corpus(corpus, confusion)
+        n_cc = len(np.unique(enc.slot_char))
+        n_chars = len({c for s in corpus for c in s.source})
+        assert n_cc == n_chars == size
+        assert n_cc * (1 + 4 * (n_chars + 2)) + 3 == bound
+        assert enc.slot_feats.dtype == id_type
+        manifest = arrange_shuffled_baseline(corpus.ids(), seed=0)
+        assert assert_kernel_matches_trace(corpus, confusion, manifest) > 0
+        model = train(manifest, corpus, confusion)
+        assert list(predict_corpus(model, corpus).items()) == reference_items(model, corpus)
 
     def test_wide_alphabet_takes_the_sorting_fallback(self):
         with mock.patch("spellcl.model._rank", wraps=_rank) as rank:
