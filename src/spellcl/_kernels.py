@@ -3,11 +3,11 @@ train/predict passes.
 
 One implementation each.  The embedder builds only the rows it is asked
 for, with a plain loop over each row's window.  The perceptron passes are
-vectorized with numpy over the encoding's two fixed-width tables
-(``CorpusEncoding``, model.py): ``pos_slots`` (each position's candidate
-slots) and ``slot_feats`` (each slot's feature ids).  The whole perceptron
-rule lives here, and both passes give exactly what a loop over slots and
-features gives:
+vectorized with numpy over the encoding (``CorpusEncoding``, model.py):
+``slot_feats`` (each slot's feature ids) and each position's first slot
+and real-slot count, from which a pass builds padded rows of candidate
+slots as it needs them.  The whole perceptron rule lives here, and both
+passes give exactly what a loop over slots and features gives:
 
 - ``train_pass`` must visit samples strictly in manifest order, since an
   update changes the scores of every later position.  It scores the next
@@ -36,8 +36,6 @@ bit-identical across runs and platforms.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -81,9 +79,7 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
     """The context vectors of ``sequence`` at ``positions`` (in range, any
     order, repeats allowed), shape ``(len(positions), dim)``."""
     n = len(sequence)
-    units = _UNITS.get((window, dim))
-    if units is None:
-        units = _UNITS[(window, dim)] = {}
+    units = _UNITS.setdefault((window, dim), {})
     out = np.zeros((len(positions), dim), dtype=np.float64)
     # at most 2w+1 neighbours per row: a plain loop beats any batched form
     for r, j in enumerate(positions):
@@ -100,10 +96,11 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # --- averaged perceptron over a pre-encoded corpus ---------------------------
 #
 # The corpus encoding (see model.py) gives every (position, candidate) a
-# "slot": a row of ``slot_feats`` holding its feature ids.  Row
-# ``pos_slots[p]`` lists position p's real candidates in tie-break order
-# (observed character first, confusables in code-point order), then the
-# padding slot.  Both kernels extend the weights with two entries: id
+# "slot": a row of ``slot_feats`` holding its feature ids.  Position p's
+# real candidates are the ``pos_n_real[p]`` slots from ``pos_first_slot[p]``
+# on, in tie-break order (observed character first, confusables in
+# code-point order); ``_row_maker`` pads them with the padding slot to the
+# widest position's count.  Both kernels extend the weights with two entries: id
 # ``n_feat`` (a slot's missing KEEP) weighs 0.0 and id ``n_feat + 1`` (the
 # padding slot) weighs -inf, so a padding slot never beats a real one.
 #
@@ -141,23 +138,40 @@ def _extend(weights: np.ndarray) -> np.ndarray:
     return np.concatenate([weights, [0.0, -np.inf]])
 
 
+def _row_maker(enc):
+    """A function from positions to their intp slot rows: each one's real
+    slots, then the padding slot up to the widest position's count."""
+    pad = len(enc.slot_feats) - 1
+    cols = np.arange(enc.pos_n_real.max(initial=1))
+    # row k: k real columns, then pad, which stays pad once a first slot is added and clipped
+    offsets = np.where(cols < np.arange(len(cols) + 1)[:, None], cols, pad)
+
+    def rows(positions):
+        out = offsets.take(enc.pos_n_real[positions], axis=0)
+        out += enc.pos_first_slot[positions][:, None]
+        return np.minimum(out, pad, out=out)
+    return rows
+
+
 def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     """One sequential training pass over the samples in ``order``, from zero
     weights over the encoding's features; returns (final weights, averaged
     weights, update count)."""
-    pos_slots, slot_feats, n_feat = enc.pos_slots, enc.slot_feats, len(enc.feature_index)
+    slot_feats, n_feat = enc.slot_feats, len(enc.feature_index)
     # every position of every visited sample, in visiting order
     starts = enc.samp_pos_start[order]
     lens = enc.samp_pos_start[order + 1] - starts
-    visits = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    width = pos_slots.shape[1]
+    visits = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    visits += np.arange(len(visits))
+    rows = _row_maker(enc)
+    width = int(enc.pos_n_real.max(initial=1))
     w = _extend(np.zeros(n_feat))
     ones = np.ones(slot_feats.shape[1])
     signs = np.repeat([1.0, -1.0], slot_feats.shape[1])  # gold ids, then predicted
     block, chunk = _BLOCK, _CHUNK
     log = []  # (gold slot, predicted slot) of every update, in order
     for lo in range(0, visits.shape[0], chunk):
-        cand = pos_slots.take(visits[lo:lo + chunk], axis=0)
+        cand = rows(visits[lo:lo + chunk])
         gold = enc.pos_gold_slot.take(visits[lo:lo + chunk])
         # the gold slot's column in its position's row: a hidden gold slot's
         # is at least the row's real count, which argmax never reaches
@@ -203,10 +217,15 @@ def predict_slots(enc, weights) -> np.ndarray:
     taken unless a later one scores strictly higher, so a NaN score never
     wins, and a NaN in the first slot keeps it.
     """
+    w, ids = _extend(weights), enc.slot_feats.T
+    slot_score = w.take(ids[0])
     with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
-        slot_score = reduce(np.add, _extend(weights)[enc.slot_feats].T)
-    scores = slot_score[enc.pos_slots]
+        for column in ids[1:]:
+            slot_score += w.take(column)
+    scores = slot_score[_row_maker(enc)(slice(None))]
+    del slot_score
     nan = np.isnan(scores)
     scores[nan] = -np.inf
     scores[nan[:, 0], 0] = np.inf
-    return enc.pos_slots[np.arange(scores.shape[0]), scores.argmax(1)]
+    # argmax lands on a real column: a padding one is -inf, and a row all -inf gives column 0
+    return enc.pos_first_slot + scores.argmax(1)

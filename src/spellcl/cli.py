@@ -227,10 +227,8 @@ def cmd_arrange(cfg: dict) -> int:
     # sorted_only and shuffled_baseline take no --k: they have one stage
     manifest = cur.arrange(cfg["policy"], ids, scores, cfg.get("k", 1), cfg["seed"])
     manifest = dataclasses.replace(manifest, source_corpus=name)
-
     cur.save_manifest(manifest, os.path.join(cfg["out"], "manifest.jsonl"))
-    print(f"arranged {len(manifest.stages)} stages -> "
-          f"{os.path.join(cfg['out'], 'manifest.jsonl')}")
+    print(f"arranged {len(manifest.stages)} stages -> {os.path.join(cfg['out'], 'manifest.jsonl')}")
     return 0
 
 
@@ -319,10 +317,8 @@ def cmd_ablate(cfg: dict) -> int:
         det_f1s, corr_f1s = zip(*runs)
         det_mean, _ = _mean_sd(det_f1s)
         corr_mean, corr_sd = _mean_sd(corr_f1s)
-        lines.append(
-            f"{mode}\t{len(runs)}\t{det_mean:.4f}\t{corr_mean:.4f}"
-            f"\t{corr_sd:.4f}\t{corr_mean - baseline_mean:+.4f}"
-        )
+        lines.append(f"{mode}\t{len(runs)}\t{det_mean:.4f}\t{corr_mean:.4f}"
+                     f"\t{corr_sd:.4f}\t{corr_mean - baseline_mean:+.4f}")
     return _write_table(cfg, "ablation.tsv", "\n".join(lines) + "\n")
 
 

@@ -66,9 +66,7 @@ class Corpus:
 def derive_error_positions(source: str, target: str) -> tuple[int, ...]:
     """Indices where the two equal-length sequences differ, ascending."""
     if len(source) != len(target):
-        raise LengthMismatch(
-            f"source has {len(source)} characters, target has {len(target)}"
-        )
+        raise LengthMismatch(f"source has {len(source)} characters, target has {len(target)}")
     if source == target:
         return ()
     return tuple(compress(range(len(source)), map(ne, source, target)))
@@ -224,10 +222,7 @@ def load_confusion_set(path) -> ConfusionSet:
 
 
 def confusion_to_tsv(confusion: ConfusionSet) -> str:
-    return "".join(
-        f"{head}\t{confusion.candidates(head)}\n"
-        for head in confusion.heads()
-    )
+    return "".join(f"{head}\t{confusion.candidates(head)}\n" for head in confusion.heads())
 
 
 # --- synthetic error injection ----------------------------------------------

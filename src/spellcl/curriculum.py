@@ -86,11 +86,9 @@ def arrange_annealing(scores: dict[str, float], k: int, seed: int) -> Curriculum
     ordered = _sorted_ids(scores)
     subsets = balanced_split(ordered, k)
     parts = [balanced_split(subset, k) for subset in subsets]
-
-    stages = []
-    for i in range(k):
-        stage = [sid for subset_parts in parts for sid in subset_parts[i]]
-        stages.append(tuple(shuffled(stage, seed, stream=i + 1)))
+    # stage i: part i of every subset, shuffled under stream i + 1
+    stages = [tuple(shuffled([sid for subset_parts in parts for sid in subset_parts[i]], seed,
+                             stream=i + 1)) for i in range(k)]
     return _with_full_set("annealing", stages, ordered, k, seed)
 
 
@@ -137,13 +135,8 @@ def arrange(policy: str, ids: list[str] | None, scores: dict[str, float] | None,
 
 def manifest_to_jsonl(manifest: CurriculumManifest) -> str:
     """Line 1: metadata object; then one {"stage": i, "ids": [...]} per stage."""
-    meta = {
-        "policy": manifest.policy,
-        "k": manifest.k,
-        "seed": manifest.seed,
-        "corpus": manifest.source_corpus,
-        "n": len(manifest.all_ids()),
-    }
+    meta = {"policy": manifest.policy, "k": manifest.k, "seed": manifest.seed,
+            "corpus": manifest.source_corpus, "n": len(manifest.all_ids())}
     lines = [json.dumps(meta, ensure_ascii=False)]
     for i, stage in enumerate(manifest.stages, start=1):
         lines.append(json.dumps({"stage": i, "ids": list(stage)}, ensure_ascii=False))
@@ -199,10 +192,8 @@ def parse_manifest(text: str) -> CurriculumManifest:
         stages.append(tuple(ids))
     if not stages:
         raise MalformedLine("manifest has no stages")
-    return CurriculumManifest(
-        policy=meta["policy"], k=meta["k"], seed=meta["seed"],
-        stages=tuple(stages), source_corpus=meta["corpus"],
-    )
+    return CurriculumManifest(policy=meta["policy"], k=meta["k"], seed=meta["seed"],
+                              stages=tuple(stages), source_corpus=meta["corpus"])
 
 
 def load_manifest(path) -> CurriculumManifest:

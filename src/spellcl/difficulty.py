@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 POLICIES = ("contextual", "char_similarity")
+_ROWS = 1024  # error rows per ``_row_cosines`` call: its temporaries stay (_ROWS, dim)
 
 
 def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,7 +55,7 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
     correct) pair is confusion-linked in either direction.  The contextual
     policy writes each sample's ``provider.embed_side`` answers, at its error
     positions only, into its rows of one ``(error positions, dim)`` array per
-    side.  One pass over those gives every cosine; each sample's are then
+    side.  Blocks of ``_ROWS`` rows give every cosine; each sample's are then
     added to 0.0 left to right in error order (``np.add.at``), as a running sum does.
     """
     if policy == "char_similarity":
@@ -83,7 +84,9 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
             raise ShapeMismatch(f"sample {s.id!r}: embedding rows {a.shape} and {b.shape} for "
                                 f"{hi - lo} error positions of dimension {u.shape[1]}")
         u[lo:hi], v[lo:hi] = a, b
-    cos, zero = _row_cosines(u, v)
+    cos, zero = np.empty(len(owner)), np.empty(len(owner), dtype=bool)
+    for lo in range(0, len(owner), _ROWS):
+        cos[lo:lo + _ROWS], zero[lo:lo + _ROWS] = _row_cosines(u[lo:lo + _ROWS], v[lo:lo + _ROWS])
     for i in np.flatnonzero(zero).tolist():
         s = corpus.samples[owner[i]]
         logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",

@@ -77,18 +77,17 @@ class FileEmbeddingProvider:
 
     def __init__(self, table: dict[tuple[str, str], np.ndarray]):
         self._table = table
+        # a file holds no rows for an empty side; it gets (0, dim) ones
+        self._empty = np.zeros((0, next((a.shape[1] for a in table.values()), 0)))
 
     def embed_side(self, sample: Sample, side: str, positions) -> ContextualEmbedding:
         n_chars = len(_side_text(sample, side))
-        try:
-            vectors = self._table[(sample.id, side)]
-        except KeyError:
+        vectors = self._table.get((sample.id, side), None if n_chars else self._empty)
+        if vectors is None:
             raise ShapeMismatch(f"no embedding for sample {sample.id!r} side {side!r}")
         if len(vectors) != n_chars:
-            raise ShapeMismatch(
-                f"sample {sample.id!r} side {side}: {len(vectors)} vectors "
-                f"for {n_chars} characters"
-            )
+            raise ShapeMismatch(f"sample {sample.id!r} side {side}: {len(vectors)} vectors "
+                                f"for {n_chars} characters")
         return ContextualEmbedding(vectors[np.asarray(positions, dtype=np.intp)])
 
 
@@ -137,15 +136,11 @@ def parse_embeddings(text: str) -> dict[tuple[str, str], np.ndarray]:
             raise MalformedLine(f"line {line_no}: duplicate position {pos}")
         group[pos] = vec
 
-    table = {}
     for (sample_id, side), group in rows.items():
-        for j in range(len(group)):
-            if j not in group:
-                raise MalformedLine(
-                    f"sample {sample_id!r} side {side!r}: position {j} missing"
-                )
-        table[(sample_id, side)] = np.stack([group[j] for j in range(len(group))])
-    return table
+        gaps = [j for j in range(len(group)) if j not in group]
+        if gaps:
+            raise MalformedLine(f"sample {sample_id!r} side {side!r}: position {gaps[0]} missing")
+    return {key: np.stack([group[j] for j in range(len(group))]) for key, group in rows.items()}
 
 
 def load_embeddings(path) -> FileEmbeddingProvider:

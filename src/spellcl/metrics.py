@@ -86,8 +86,6 @@ def reports_to_tsv(reports: list[EvalReport]) -> str:
     """Report table; metric values at 4 decimal places."""
     lines = [_REPORT_HEADER]
     for r in reports:
-        lines.append(
-            f"{r.level}\t{r.accuracy:.4f}\t{r.precision:.4f}\t{r.recall:.4f}"
-            f"\t{r.f1:.4f}\t{r.tp}\t{r.fp}\t{r.fn}\t{r.tn}\t{r.n_sentences}"
-        )
+        lines.append(f"{r.level}\t{r.accuracy:.4f}\t{r.precision:.4f}\t{r.recall:.4f}"
+                     f"\t{r.f1:.4f}\t{r.tp}\t{r.fp}\t{r.fn}\t{r.tn}\t{r.n_sentences}")
     return "\n".join(lines) + "\n"

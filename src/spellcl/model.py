@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +75,7 @@ _BOS_CODE, _EOS_CODE = 0x110000, 0x110001
 _CONTEXT_NAMES = {_BOS_CODE: BOS, _EOS_CODE: EOS}
 _CONTEXT_CODES = {BOS: _BOS_CODE, EOS: _EOS_CODE}
 _KEEP_KEY = len(_TEMPLATES) << 2 * _CODE_BITS
+_RANK_BLOCK = 16_384  # codes per ``_rank`` numpy call, so no slot-sized intp copy
 
 
 def _feature_name(key: int) -> str:
@@ -120,23 +122,24 @@ class CorpusEncoding:
     features (see above), so every id is known.  A model's weights reach an
     encoding by being copied into its numbering through ``feature_rows``.
 
-    The kernels read two integer tables.  ``slot_feats`` has one row of
-    ``SLOT_WIDTH`` feature ids per slot (C, L, R, LL, RR, KEEP); a slot
-    without KEEP holds the sentinel id ``n_feat`` (``len(feature_index)``)
-    in its last column, which the kernels weigh 0.0.  Its last row is a
-    padding slot whose first id is ``n_feat + 1``, weighed -inf.
-    ``pos_slots`` holds each position's real slots, then the padding slot
-    up to the widest position; a hidden gold slot is never in it, so it can
-    never be chosen.  Prediction reads ``slot_char``; only the benchmark's
-    counts (``perfbench/spans.py``) and one encoding test read ``pos_n_real``
-    and ``feat_ids``, so both can go when those probes move.
+    ``slot_feats`` has one row of ``SLOT_WIDTH`` feature ids per slot (C,
+    L, R, LL, RR, KEEP); a slot without KEEP holds the sentinel id
+    ``n_feat`` (``len(feature_index)``) in its last column, which the
+    kernels weigh 0.0.  Its last row is a padding slot whose first id is
+    ``n_feat + 1``, weighed -inf.  A position's slots are contiguous, from
+    ``pos_first_slot``: ``pos_n_real`` real ones, then its hidden slot if
+    it has one.  The kernels pad the real slots with the padding slot to
+    the widest position's count, so a hidden gold slot can never be chosen.
+    Prediction reads ``slot_char``; only the benchmark's counts
+    (``perfbench/spans.py``) read ``feat_ids``, so it can go when that
+    probe moves.
     """
 
     id_to_idx: dict[str, int]
     samp_pos_start: np.ndarray   # int64, len n_samples+1
-    pos_n_real: np.ndarray       # int64, real candidates per position
-    pos_gold_slot: np.ndarray    # int64, slot index of the gold character
-    pos_slots: np.ndarray        # int32, (n_positions, max pos_n_real)
+    pos_first_slot: np.ndarray   # int32, slot index of the observed character
+    pos_n_real: np.ndarray       # int32, real candidates per position
+    pos_gold_slot: np.ndarray    # int32, slot index of the gold character
     slot_feats: np.ndarray       # narrowest signed type for its ids, (n_slots+1, SLOT_WIDTH)
     slot_char: np.ndarray        # int32, candidate code point per slot
     feature_index: np.ndarray    # int64, feature key per id, ascending
@@ -151,21 +154,29 @@ def _codes(strings) -> np.ndarray:
     return np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
 
 
-def _rank(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(codes, return_inverse=True)`` for codes in [0, size) by a
-    presence mask's running count, unless the range dwarfs the input."""
+def _rank(codes: np.ndarray, size: int, out: np.ndarray, offset: int) -> np.ndarray:
+    """The distinct ``codes`` in [0, size), ascending, as ``np.unique`` gives
+    them; writes each code's rank among them plus ``offset`` into ``out``.
+    Ranks by a presence mask's running count, unless the range dwarfs the
+    input and a sort is cheaper."""
+    blocks = [slice(lo, lo + _RANK_BLOCK) for lo in range(0, len(codes), _RANK_BLOCK)]
     if size > 4 * len(codes) + 65_536:
-        return np.unique(codes, return_inverse=True)
-    present = np.zeros(size, dtype=bool)
-    present[codes] = True
-    return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[codes]
+        uniq = np.unique(codes)
+        rank = partial(np.searchsorted, uniq)
+    else:
+        present = np.zeros(size, dtype=bool)
+        for b in blocks:
+            present[codes[b]] = True
+        uniq, rank = np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1).take
+    for b in blocks:
+        np.add(rank(codes[b]), offset, out=out[b], casting="unsafe")
+    return uniq
 
 
 def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     samples = corpus.samples
     lens = np.fromiter((len(s.source) for s in samples), dtype=np.int64, count=len(samples))
-    samp_pos_start = np.zeros(len(samples) + 1, dtype=np.int64)
-    np.cumsum(lens, out=samp_pos_start[1:])
+    samp_pos_start = np.concatenate(([0], np.cumsum(lens)))
     src = _codes(s.source for s in samples)
     tgt = _codes(s.target for s in samples)
     n = src.shape[0]
@@ -177,46 +188,46 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     chars, cls = np.unique(src, return_inverse=True)
     err = np.flatnonzero(src != tgt)
     pairs, pair_cls = np.unique(cls[err] << _CODE_BITS | tgt[err], return_inverse=True)
+    cls = cls.astype(np.int32)
     reals = [c + confusion.candidates(c) for c in map(chr, chars.tolist())]
     classes = [(r, r[0]) for r in reals]  # (real candidates, gold character)
     classes += [(reals[pair >> _CODE_BITS], chr(pair & _CODE_MASK)) for pair in pairs.tolist()]
     entries = [r if g in r else r + g for r, g in classes]
-    class_n_slot = np.array([len(e) for e in entries], dtype=np.int64)
-    class_n_real = np.array([len(r) for r, _ in classes], dtype=np.int64)
-    class_gold = np.array([e.index(g) for e, (_, g) in zip(entries, classes)], dtype=np.int64)
-    class_start = np.cumsum(class_n_slot) - class_n_slot
+    class_n_slot = np.array([len(e) for e in entries], dtype=np.int32)
+    class_n_real = np.array([len(r) for r, _ in classes], dtype=np.int32)
+    class_gold = np.array([e.index(g) for e, (_, g) in zip(entries, classes)], dtype=np.int32)
+    class_start = np.cumsum(class_n_slot, dtype=np.int32) - class_n_slot
     cand_table = _codes(entries)
     pos_cls = cls.copy()
     pos_cls[err] = len(chars) + pair_cls
     del err, pairs, pair_cls, reals, classes, entries
 
     n_slot = class_n_slot[pos_cls]
-    pos_slot_start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_slot, out=pos_slot_start[1:])
+    pos_slot_start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(n_slot, out=pos_slot_start[1:], dtype=np.int32)
     n_slots = int(pos_slot_start[-1])
     n_real = class_n_real[pos_cls]
     pos_gold_slot = pos_slot_start[:-1] + class_gold[pos_cls]
-    slot_pos = np.repeat(np.arange(n, dtype=np.int32), n_slot)
     # a slot's entry in the candidate table, its character and its candidate
     # class: its character's rank among all candidates
-    entry = np.arange(n_slots, dtype=np.int64)
+    entry = np.arange(n_slots, dtype=np.int32)
     entry -= np.repeat(pos_slot_start[:-1] - class_start[pos_cls], n_slot)
-    del n_slot, pos_cls
+    del pos_cls
     slot_char = cand_table[entry]
     cand_chars = np.unique(cand_table)
-    slot_cc = np.searchsorted(cand_chars, cand_table).astype(np.int32)[entry]
+    n_cc = len(cand_chars)
+    ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
+    # the narrowest signed type (an empty corpus's KEEP id is -1) of one id per (template,
+    # context class, candidate class), KEEP, the sentinel and the padding; and of dense codes
+    id_type = np.min_scalar_type(-(n_cc * (1 + 4 * len(ctx_codes)) + 3))
+    slot_cc = np.searchsorted(cand_chars, cand_table).astype(id_type)[entry]
     del entry
 
     # Feature ids, one template column at a time: a dense (context class,
     # candidate class) code's rank among the column's codes numbers each
     # template's keys in key order, and the templates' key ranges follow.
-    n_cc = len(cand_chars)
-    ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
-    in_sample = np.arange(n, dtype=np.int64) - np.repeat(samp_pos_start[:-1], lens)
-    to_end = np.repeat(lens, lens) - in_sample
-    # the narrowest signed type (an empty corpus's KEEP id is -1) of one id per (template,
-    # context class, candidate class), KEEP, the sentinel and the padding; and of dense codes
-    id_type = np.min_scalar_type(-(n_cc * (1 + 4 * len(ctx_codes)) + 3))
+    in_sample = (np.arange(n) - np.repeat(samp_pos_start[:-1], lens)).astype(np.int32)
+    to_end = np.repeat(lens.astype(np.int32), lens) - in_sample
     slot_feats = np.empty((n_slots + 1, SLOT_WIDTH), dtype=id_type)
     feature_keys = []
     n_feat = 0
@@ -224,36 +235,32 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
         if offset:
             inside = in_sample >= -offset if offset < 0 else to_end > offset
             ctx_class = np.full(n, (len(chars) + (offset > 0)) * n_cc, dtype=id_type)
-            ctx_class[inside] = cls[np.flatnonzero(inside) + offset] * n_cc
-            dense = ctx_class[slot_pos]
+            ctx_class[inside] = cls[np.flatnonzero(inside) + offset].astype(id_type) * n_cc
+            dense = np.repeat(ctx_class, n_slot)
             dense += slot_cc
         else:
             dense = slot_cc
-        uniq, inverse = _rank(dense, len(ctx_codes) * n_cc if offset else n_cc)
-        np.add(inverse, n_feat, out=slot_feats[:-1, template], casting="unsafe")
-        del dense, inverse
+        uniq = _rank(dense, len(ctx_codes) * n_cc if offset else n_cc,
+                     slot_feats[:-1, template], n_feat)
+        del dense
         context = ctx_codes[uniq // n_cc] << _CODE_BITS if offset else 0
         feature_keys.append(template << 2 * _CODE_BITS | context | cand_chars[uniq % n_cc])
         n_feat += len(uniq)
-    del slot_pos, slot_cc
+    del n_slot, slot_cc
     if n:
         feature_keys.append(np.array([_KEEP_KEY]))
         n_feat += 1
     # KEEP on the observed character's slot, the first of each position
     slot_feats[:-1, -1] = n_feat
     slot_feats[pos_slot_start[:-1], -1] = n_feat - 1
-    slot_feats[-1] = n_feat
-    slot_feats[-1, 0] = n_feat + 1  # the padding slot
-    width = np.arange(n_real.max(initial=1), dtype=np.int32)
-    pos_slots = pos_slot_start[:-1].astype(np.int32)[:, None] + width
-    pos_slots[width >= n_real[:, None]] = n_slots
+    slot_feats[-1] = [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)  # the padding slot
 
     return CorpusEncoding(
         id_to_idx={sid: i for i, sid in enumerate(corpus.ids())},
         samp_pos_start=samp_pos_start,
+        pos_first_slot=pos_slot_start[:-1],
         pos_n_real=n_real,
         pos_gold_slot=pos_gold_slot,
-        pos_slots=pos_slots,
         slot_feats=slot_feats,
         slot_char=slot_char,
         feature_index=np.concatenate(feature_keys, dtype=np.int64),
@@ -262,14 +269,11 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
 
 def manifest_order(manifest: CurriculumManifest, enc: CorpusEncoding) -> np.ndarray:
     """Sample indices in training order (stages concatenated)."""
-    order = []
-    for stage in manifest.stages:
-        for sid in stage:
-            idx = enc.id_to_idx.get(sid)
-            if idx is None:
-                raise IdMismatch(f"manifest references unknown sample {sid!r}")
-            order.append(idx)
-    return np.asarray(order, dtype=np.int64)
+    try:
+        return np.array([enc.id_to_idx[sid] for stage in manifest.stages for sid in stage],
+                        dtype=np.int64)
+    except KeyError as exc:
+        raise IdMismatch(f"manifest references unknown sample {exc.args[0]!r}") from None
 
 
 # --- training -------------------------------------------------------------------

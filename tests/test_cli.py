@@ -897,6 +897,51 @@ class TestFileProvider:
             assert ((tmp_path / out / "difficulty.tsv").read_text(encoding="utf-8")
                     == f"s1\t{score}\tcontextual\n")
 
+    @pytest.mark.parametrize("samples, vectors, difficulty", [
+        # an empty sentence first: its (0, dim) rows give the dimension
+        (("e", "s1"), ("s1",), "e\t0.000000000\tcontextual\ns1\t1.000000000\tcontextual\n"),
+        (("s1", "e"), ("s1",), "s1\t1.000000000\tcontextual\ne\t0.000000000\tcontextual\n"),
+        # a file of no vectors at all
+        (("e",), (), "e\t0.000000000\tcontextual\n"),
+    ], ids=["empty-first", "empty-last", "no-vectors"])
+    def test_empty_sentence_scores_zero_from_a_file(self, tmp_path, samples, vectors,
+                                                    difficulty):
+        # a file holds no row for a 0-character side, so the empty sentence
+        # has none to read; it scores 0.0, as the hashed provider scores it
+        lines = {"e": "e\t\t\n", "s1": "s1\tABC\tAXC\n"}
+        train = tmp_path / "train.tsv"
+        train.write_text("".join(lines[sid] for sid in samples), encoding="utf-8")
+        emb_path = tmp_path / "vectors.tsv"
+        emb_path.write_text("dim=2\n" + "".join(f"{sid}\t{side}\t{j}\t1.0,{j}.0\n"
+                                                for sid in vectors
+                                                for side in ("source", "target")
+                                                for j in range(3)), encoding="utf-8")
+        assert run("score", "--train", train, "--policy", "contextual",
+                   "--embeddings", emb_path, "--out", tmp_path / "file") == 0
+        assert (tmp_path / "file" / "difficulty.tsv").read_text(encoding="utf-8") == difficulty
+        assert run("score", "--train", train, "--policy", "contextual",
+                   "--out", tmp_path / "hashed") == 0
+        hashed = (tmp_path / "hashed" / "difficulty.tsv").read_text(encoding="utf-8")
+        assert "e\t0.000000000\tcontextual\n" in hashed
+
+    @pytest.mark.parametrize("corpus, vectors, message", [
+        # a row for the empty sentence is one too many
+        ("e\t\t\n", "e\tsource\t0\t1.0,0.0\ne\ttarget\t0\t1.0,0.0\n",
+         "sample 'e' side source: 1 vectors for 0 characters"),
+        # a non-empty sentence still needs its rows
+        ("s1\tABC\tAXC\ne\t\t\n", "", "no embedding for sample 's1' side 'source'"),
+    ], ids=["rows-for-empty", "none-for-nonempty"])
+    def test_empty_sentence_keeps_the_shape_errors(self, tmp_path, capsys, corpus, vectors,
+                                                   message):
+        train = tmp_path / "train.tsv"
+        train.write_text(corpus, encoding="utf-8")
+        emb_path = tmp_path / "vectors.tsv"
+        emb_path.write_text("dim=2\n" + vectors, encoding="utf-8")
+        capsys.readouterr()
+        assert run("score", "--train", train, "--policy", "contextual",
+                   "--embeddings", emb_path, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command, options", [
         ("ablate", ("--k", "2")), ("sweep-k", ("--k-values", "2")),
     ])

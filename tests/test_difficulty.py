@@ -1,6 +1,7 @@
 """Difficulty scoring: contextual cosine sum, character-similarity ablation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample, parse_corpus
 from spellcl.curriculum import arrange_sorted_only
+from spellcl import difficulty
 from spellcl.difficulty import (
     POLICIES,
+    _row_cosines,
     load_records,
     parse_records,
     records_to_tsv,
@@ -75,6 +78,26 @@ class TestCosine:
         v = np.full(64, 0.1)
         assert one_error_score(v, v) == 1.0
         assert one_error_score(v, -v) == -1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_blocks_give_the_bits_of_one_call(self, data):
+        # score_corpus takes the cosines in fixed blocks of rows; each row's
+        # sums must not depend on the rows around it.  Arbitrary finite
+        # components (squares and their sums stay finite), with all-zero rows
+        # on either side, so the zero mask shows too.
+        n, dim = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 70))
+        component = st.floats(-1e150, 1e150, allow_nan=False)
+        u, v = (np.array(data.draw(st.lists(component, min_size=n * dim, max_size=n * dim)),
+                         dtype=np.float64).reshape(n, dim) for _ in range(2))
+        for rows in (u, v):
+            rows[data.draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+        block = data.draw(st.integers(1, n + 1))
+        cos, zero = _row_cosines(u, v)
+        parts = [_row_cosines(u[lo:lo + block], v[lo:lo + block]) for lo in range(0, n, block)]
+        blocks = [c for part, _ in parts for c in part.tolist()]
+        assert [c.hex() for c in blocks] == [c.hex() for c in cos.tolist()]
+        assert [z for _, part in parts for z in part.tolist()] == zero.tolist()
 
 
 # ===========================================================================
@@ -237,7 +260,10 @@ class TestScoreCorpus:
                 min_size=len(s.source), max_size=len(s.source))), dtype=np.float64)
             for s in corpus for side in ("source", "target")
         }
-        got = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
+        # cosines in blocks of any number of rows, one or several per sample
+        block = data.draw(st.integers(1, 9))
+        with mock.patch.object(difficulty, "_ROWS", block):
+            got = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
         want = [(s.id, score_one(s, table[(s.id, "source")], table[(s.id, "target")]).hex())
                 for s in corpus]
         assert [(sid, score.hex()) for sid, score in got.items()] == want

@@ -1,7 +1,9 @@
 """Averaged-perceptron corrector: features, training, prediction, model file."""
 
+import math
 import re
 from collections import defaultdict
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -268,7 +270,7 @@ NO_UPDATE = (
 )
 
 # Position 0 ("a", candidates a and b) is the widest, so its real slots fill
-# the whole pos_slots row, and its gold "z" is no candidate: the hidden gold
+# its whole padded row, and its gold "z" is no candidate: the hidden gold
 # slot's column equals the row width.
 HIDDEN_GOLD_AT_FULL_WIDTH = (
     Corpus(samples=(Sample(id="s", source="ab", target="zb"),)),
@@ -453,14 +455,22 @@ class TestEncoding:
             assert (ids[:-1] < n_feat).all()
             return [names[i] for i in ids if i != n_feat]
 
-        p = 0
+        for field in (enc.pos_first_slot, enc.pos_n_real, enc.pos_gold_slot):
+            assert field.dtype == np.int32
+        # the padded rows the kernels build: real slots, then the padding slot
+        rows = _kernels._row_maker(enc)(slice(None))
+        p = first = 0
         for sample in corpus:
             src, tgt = sample.source, sample.target
             for j in range(len(src)):
                 cands = candidate_set(src, j, confusion)
-                row = enc.pos_slots[p]
+                row = rows[p]
                 assert enc.pos_n_real[p] == len(cands)
+                # a position's slots follow the previous position's, hidden slot included
+                assert enc.pos_first_slot[p] == first
                 real = row[:len(cands)]
+                assert real.tolist() == list(range(first, first + len(cands)))
+                first += len(cands) + (tgt[j] not in cands)
                 assert (row[len(cands):] == n_slots).all()
                 assert [chr(c) for c in enc.slot_char[real]] == cands
                 for slot, cand in zip(real, cands):
@@ -470,7 +480,8 @@ class TestEncoding:
                 assert (gold in real) == (tgt[j] in cands)
                 assert slot_names(gold) == featurize(src, j, tgt[j])
                 p += 1
-        assert p == len(enc.pos_n_real)
+        assert p == len(enc.pos_n_real) == len(rows)
+        assert first == n_slots
         assert enc.slot_feats[-1].tolist() == [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)
         assert len(set(names)) == n_feat
 
@@ -498,7 +509,7 @@ class TestEncoding:
     def test_wide_alphabet_takes_the_sorting_fallback(self):
         with mock.patch("spellcl.model._rank", wraps=_rank) as rank:
             encode_corpus(*WIDE_ALPHABET)
-        sorted_ = [size > 4 * len(codes) + 65_536 for (codes, size), _ in rank.call_args_list]
+        sorted_ = [size > 4 * len(codes) + 65_536 for (codes, size, *_), _ in rank.call_args_list]
         assert sorted_ == [False, True, True, True, True]
 
     @settings(max_examples=200, deadline=None)
@@ -509,13 +520,19 @@ class TestEncoding:
         size = data.draw(st.one_of(st.integers(1, 200),
                                    st.integers(threshold - 2, threshold + 2)))
         codes = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)),
-                         dtype=data.draw(st.sampled_from([np.int32, np.int64])))
-        with mock.patch("numpy.unique", wraps=np.unique) as unique:
-            uniq, inverse = _rank(codes, size)
+                         dtype=data.draw(st.sampled_from(
+                             [np.int32, np.int64] + [np.int16] * (size <= 2**15))))
+        offset = data.draw(st.integers(0, 100))
+        # ranks are written into one column of a wider table, as encode_corpus does
+        table = np.full((n, 3), -1, dtype=np.int32)
+        with mock.patch("numpy.unique", wraps=np.unique) as unique, \
+                mock.patch("spellcl.model._RANK_BLOCK", data.draw(st.integers(1, 50))):
+            uniq = _rank(codes, size, table[:, 1], offset)
         assert unique.called == (size > threshold)
         want_uniq, want_inverse = np.unique(codes, return_inverse=True)
         assert np.array_equal(uniq, want_uniq)
-        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(table[:, 1], want_inverse + offset)
+        assert (table[:, [0, 2]] == -1).all()
 
 
 # ===========================================================================
@@ -674,7 +691,7 @@ class TestTrain:
     def test_hidden_gold_slot_at_full_row_width(self):
         corpus, confusion, manifest = HIDDEN_GOLD_AT_FULL_WIDTH
         enc = encode_corpus(corpus, confusion)
-        assert enc.pos_gold_slot[0] - enc.pos_slots[0, 0] == enc.pos_slots.shape[1] == 2
+        assert enc.pos_gold_slot[0] - enc.pos_first_slot[0] == enc.pos_n_real.max() == 2
         assert assert_kernel_matches_trace(corpus, confusion, manifest) == 1
 
     def test_mistake_on_the_last_position_of_a_short_final_block(self):
@@ -753,6 +770,30 @@ class TestPredict:
         assert any(p != sample.source for p, sample in zip(preds, corpus))
         assert len(model.keys) > max(len(encode_corpus(Corpus((s,)), confusion).feature_index)
                                      for s in corpus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_corpus(), CONFUSIONS, st.data())
+    def test_column_sums_choose_what_the_whole_gather_chose(self, corpus, confusion, data):
+        # predict_slots adds one feature column at a time; the whole (slots, 6)
+        # gather reduced over its columns, then argmax over padded rows, is the
+        # kernel it replaced.  NaN, +-inf and finite weights whose sums
+        # overflow make any change in the order of the additions show.
+        enc = encode_corpus(corpus, confusion)
+        weights = np.array(data.draw(st.lists(st.sampled_from(NON_ASSOCIATIVE + (math.nan,)),
+                                              min_size=len(enc.feature_index),
+                                              max_size=len(enc.feature_index))), dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            slot_score = reduce(np.add, _kernels._extend(weights)[enc.slot_feats].T)
+        width, pad = enc.pos_n_real.max(), len(enc.slot_char)
+        want = []
+        for first, n_real in zip(enc.pos_first_slot.tolist(), enc.pos_n_real.tolist()):
+            row = list(range(first, first + n_real)) + [pad] * (width - n_real)
+            scores = slot_score[row]
+            nan = np.isnan(scores)
+            scores[nan] = -np.inf
+            scores[0] = np.inf if nan[0] else scores[0]
+            want.append(row[int(scores.argmax())])
+        assert _kernels.predict_slots(enc, weights).tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(random_corpus(prefix="t"), CONFUSIONS, st.data())
