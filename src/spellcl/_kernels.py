@@ -14,8 +14,7 @@ passes give exactly what a loop over slots and features gives:
   ``_BLOCK`` positions of the visiting order at once, applies the update of
   the first wrong one and resumes right after it.  That is exact in any
   summation order, BLAS's ``np.dot`` included, because every training
-  weight is an integer (the padding -inf aside, summed only with zeros, so
-  no NaN arises) and every sum of them is held exactly in float64;
+  weight is an integer and every sum of them is held exactly in float64;
   ``argmax`` takes the first maximum, which is the loop's strict ``>``
   tie-break.  The feature ids of ``_CHUNK`` visits are gathered at once,
   so a block is a slice of that table and stops at the chunk's end.  An
@@ -99,10 +98,10 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # "slot": a row of ``slot_feats`` holding its feature ids.  Position p's
 # real candidates are the ``pos_n_real[p]`` slots from ``pos_first_slot[p]``
 # on, in tie-break order (observed character first, confusables in
-# code-point order); ``_row_maker`` pads them with the padding slot to the
-# widest position's count.  Both kernels extend the weights with two entries: id
-# ``n_feat`` (a slot's missing KEEP) weighs 0.0 and id ``n_feat + 1`` (the
-# padding slot) weighs -inf, so a padding slot never beats a real one.
+# code-point order); ``_row_maker`` pads them to the widest position's
+# count with copies of the first slot, which tie with it, so ``argmax`` (the
+# first maximum) never chooses one.  Both kernels extend the weights with id
+# ``n_feat``, a slot's missing KEEP, weighed 0.0.
 #
 # An update adds +1 to the weights of its gold slot's features and -1 to
 # its predicted slot's in one fancy-index write of 2 * SLOT_WIDTH flat ids:
@@ -134,22 +133,20 @@ _CHUNK = 1024
 
 
 def _extend(weights: np.ndarray) -> np.ndarray:
-    """``weights`` followed by the sentinel 0.0 and the padding -inf."""
-    return np.concatenate([weights, [0.0, -np.inf]])
+    """``weights`` followed by the sentinel 0.0."""
+    return np.concatenate([weights, [0.0]])
 
 
-def _row_maker(enc):
+def _row_maker(enc, width: int):
     """A function from positions to their intp slot rows: each one's real
-    slots, then the padding slot up to the widest position's count."""
-    pad = len(enc.slot_feats) - 1
-    cols = np.arange(enc.pos_n_real.max(initial=1))
-    # row k: k real columns, then pad, which stays pad once a first slot is added and clipped
-    offsets = np.where(cols < np.arange(len(cols) + 1)[:, None], cols, pad)
+    slots, then copies of its first slot up to ``width`` columns."""
+    # row k, for k real slots: offsets 0..k-1, then 0, the first slot's
+    offsets = np.tril(np.broadcast_to(np.arange(width), (width + 1, width)), -1)
 
     def rows(positions):
         out = offsets.take(enc.pos_n_real[positions], axis=0)
         out += enc.pos_first_slot[positions][:, None]
-        return np.minimum(out, pad, out=out)
+        return out
     return rows
 
 
@@ -163,8 +160,8 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     lens = enc.samp_pos_start[order + 1] - starts
     visits = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     visits += np.arange(len(visits))
-    rows = _row_maker(enc)
     width = int(enc.pos_n_real.max(initial=1))
+    rows = _row_maker(enc, width)
     w = _extend(np.zeros(n_feat))
     ones = np.ones(slot_feats.shape[1])
     signs = np.repeat([1.0, -1.0], slot_feats.shape[1])  # gold ids, then predicted
@@ -201,7 +198,7 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     feats = slot_feats.take(np.asarray(log, dtype=np.intp).reshape(t, 2), axis=0)
     del visits, log
     steps = np.arange(1.0, t + 1.0)[:, None] * signs  # shaped as feats.reshape(t, -1)
-    c = np.bincount(feats.ravel(), steps.ravel(), minlength=n_feat + 2)
+    c = np.bincount(feats.ravel(), steps.ravel(), minlength=n_feat)
     del feats, steps
     avg = w * (t + 1)
     avg -= c[:n_feat]
@@ -222,10 +219,10 @@ def predict_slots(enc, weights) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
         for column in ids[1:]:
             slot_score += w.take(column)
-    scores = slot_score[_row_maker(enc)(slice(None))]
+    scores = slot_score[_row_maker(enc, enc.pos_n_real.max(initial=1))(slice(None))]
     del slot_score
     nan = np.isnan(scores)
     scores[nan] = -np.inf
     scores[nan[:, 0], 0] = np.inf
-    # argmax lands on a real column: a padding one is -inf, and a row all -inf gives column 0
+    # argmax lands on a real column: a copy of column 0 ties with it or, NaN, is -inf
     return enc.pos_first_slot + scores.argmax(1)

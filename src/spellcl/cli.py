@@ -99,7 +99,7 @@ def _convert(name: str, value):
     try:
         if opt.type is list:
             items = value.split(",") if isinstance(value, str) else value
-            ints = [int(str(v)) for v in items if str(v) != ""]
+            ints = [int(str(v)) for v in items]
             if not ints:  # the message names the value as given
                 raise ValueError
             value = ints

@@ -125,11 +125,10 @@ class CorpusEncoding:
     ``slot_feats`` has one row of ``SLOT_WIDTH`` feature ids per slot (C,
     L, R, LL, RR, KEEP); a slot without KEEP holds the sentinel id
     ``n_feat`` (``len(feature_index)``) in its last column, which the
-    kernels weigh 0.0.  Its last row is a padding slot whose first id is
-    ``n_feat + 1``, weighed -inf.  A position's slots are contiguous, from
+    kernels weigh 0.0.  A position's slots are contiguous, from
     ``pos_first_slot``: ``pos_n_real`` real ones, then its hidden slot if
-    it has one.  The kernels pad the real slots with the padding slot to
-    the widest position's count, so a hidden gold slot can never be chosen.
+    it has one.  The kernels build rows of the real slots alone, so a
+    hidden gold slot can never be chosen.
     Prediction reads ``slot_char``; only the benchmark's counts
     (``perfbench/spans.py``) read ``feat_ids``, so it can go when that
     probe moves.
@@ -140,13 +139,13 @@ class CorpusEncoding:
     pos_first_slot: np.ndarray   # int32, slot index of the observed character
     pos_n_real: np.ndarray       # int32, real candidates per position
     pos_gold_slot: np.ndarray    # int32, slot index of the gold character
-    slot_feats: np.ndarray       # narrowest signed type for its ids, (n_slots+1, SLOT_WIDTH)
+    slot_feats: np.ndarray       # narrowest signed type for its ids, (n_slots, SLOT_WIDTH)
     slot_char: np.ndarray        # int32, candidate code point per slot
     feature_index: np.ndarray    # int64, feature key per id, ascending
 
     @property
     def feat_ids(self) -> np.ndarray:  # every slot's ids but the sentinels, flattened
-        return self.slot_feats[:-1][self.slot_feats[:-1] < len(self.feature_index)]
+        return self.slot_feats[self.slot_feats < len(self.feature_index)]
 
 
 def _codes(strings) -> np.ndarray:
@@ -218,8 +217,8 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     n_cc = len(cand_chars)
     ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
     # the narrowest signed type (an empty corpus's KEEP id is -1) of one id per (template,
-    # context class, candidate class), KEEP, the sentinel and the padding; and of dense codes
-    id_type = np.min_scalar_type(-(n_cc * (1 + 4 * len(ctx_codes)) + 3))
+    # context class, candidate class), KEEP and the sentinel; and of dense codes
+    id_type = np.min_scalar_type(-(n_cc * (1 + 4 * len(ctx_codes)) + 2))
     slot_cc = np.searchsorted(cand_chars, cand_table).astype(id_type)[entry]
     del entry
 
@@ -228,7 +227,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     # template's keys in key order, and the templates' key ranges follow.
     in_sample = (np.arange(n) - np.repeat(samp_pos_start[:-1], lens)).astype(np.int32)
     to_end = np.repeat(lens.astype(np.int32), lens) - in_sample
-    slot_feats = np.empty((n_slots + 1, SLOT_WIDTH), dtype=id_type)
+    slot_feats = np.empty((n_slots, SLOT_WIDTH), dtype=id_type)
     feature_keys = []
     n_feat = 0
     for template, offset in enumerate(_OFFSETS):
@@ -241,7 +240,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
         else:
             dense = slot_cc
         uniq = _rank(dense, len(ctx_codes) * n_cc if offset else n_cc,
-                     slot_feats[:-1, template], n_feat)
+                     slot_feats[:, template], n_feat)
         del dense
         context = ctx_codes[uniq // n_cc] << _CODE_BITS if offset else 0
         feature_keys.append(template << 2 * _CODE_BITS | context | cand_chars[uniq % n_cc])
@@ -251,9 +250,8 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
         feature_keys.append(np.array([_KEEP_KEY]))
         n_feat += 1
     # KEEP on the observed character's slot, the first of each position
-    slot_feats[:-1, -1] = n_feat
+    slot_feats[:, -1] = n_feat
     slot_feats[pos_slot_start[:-1], -1] = n_feat - 1
-    slot_feats[-1] = [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)  # the padding slot
 
     return CorpusEncoding(
         id_to_idx={sid: i for i, sid in enumerate(corpus.ids())},

@@ -535,6 +535,27 @@ class TestConfig:
         assert f"error: {flag}: repeated value in [3, 3]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name, value", [
+        ("ablate", "seeds", "0,,1"), ("ablate", "seeds", "0,1,"), ("sweep-k", "k_values", "1,,8")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_list_item_is_usage_error(self, workdir, capsys, command, name, value, source):
+        # skipping the empty item would run fewer grid cells than were typed
+        flag = "--" + name.replace("_", "-")
+        out = workdir["root"] / "empty"
+        argv = [command, "--train", workdir["train"], "--test", workdir["test"],
+                "--confusion", workdir["confusion"], "--out", out]
+        given = value
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            given = [int(v) if v else "" for v in value.split(",")]
+            cfg_path = workdir["root"] / "empty.json"
+            cfg_path.write_text(json.dumps({name: given}), encoding="utf-8")
+            argv += ["--config", cfg_path]
+        assert self._usage_error(capsys, *argv) == (
+            f"error: {flag}: expected comma-separated integers, got {given!r}\n")
+        assert not out.exists()
+
     def test_missing_required_flag(self, workdir):
         assert run("score", "--out", workdir["root"] / "x") == 2
 

@@ -446,7 +446,9 @@ class TestEncoding:
         enc = encode_corpus(corpus, confusion)
         keys = enc.feature_index
         n_feat, n_slots = len(keys), len(enc.slot_char)
-        assert np.iinfo(enc.slot_feats.dtype).max >= n_feat + 1  # the padding slot's id
+        assert np.iinfo(enc.slot_feats.dtype).max >= n_feat  # the sentinel's id
+        assert enc.slot_feats.shape == (n_slots, SLOT_WIDTH)
+        assert (enc.slot_feats <= n_feat).all()  # no id past the sentinel
         assert (np.diff(keys) > 0).all()  # ascending, so no key repeats
         names = feature_names(keys)
 
@@ -457,8 +459,8 @@ class TestEncoding:
 
         for field in (enc.pos_first_slot, enc.pos_n_real, enc.pos_gold_slot):
             assert field.dtype == np.int32
-        # the padded rows the kernels build: real slots, then the padding slot
-        rows = _kernels._row_maker(enc)(slice(None))
+        # the padded rows the kernels build: real slots, then copies of the first
+        rows = _kernels._row_maker(enc, enc.pos_n_real.max(initial=1))(slice(None))
         p = first = 0
         for sample in corpus:
             src, tgt = sample.source, sample.target
@@ -470,8 +472,8 @@ class TestEncoding:
                 assert enc.pos_first_slot[p] == first
                 real = row[:len(cands)]
                 assert real.tolist() == list(range(first, first + len(cands)))
+                assert (row[len(cands):] == first).all()
                 first += len(cands) + (tgt[j] not in cands)
-                assert (row[len(cands):] == n_slots).all()
                 assert [chr(c) for c in enc.slot_char[real]] == cands
                 for slot, cand in zip(real, cands):
                     assert slot_names(slot) == featurize(src, j, cand)
@@ -482,15 +484,14 @@ class TestEncoding:
                 p += 1
         assert p == len(enc.pos_n_real) == len(rows)
         assert first == n_slots
-        assert enc.slot_feats[-1].tolist() == [n_feat + 1] + [n_feat] * (SLOT_WIDTH - 1)
         assert len(set(names)) == n_feat
 
 
-    # one id per (template, context class, candidate class), KEEP, the sentinel
-    # and the padding: 89 x (1 + 4 x 91) + 3 = 32,488 ids fit int16, and
-    # 90 x (1 + 4 x 92) + 3 = 33,213 need int32
-    @pytest.mark.parametrize("size, bound, id_type", [(89, 32_488, np.int16),
-                                                      (90, 33_213, np.int32)])
+    # one id per (template, context class, candidate class), KEEP and the
+    # sentinel: 89 x (1 + 4 x 91) + 2 = 32,487 ids fit int16, and
+    # 90 x (1 + 4 x 92) + 2 = 33,212 need int32
+    @pytest.mark.parametrize("size, bound, id_type", [(89, 32_487, np.int16),
+                                                      (90, 33_212, np.int32)])
     @pytest.mark.parametrize("confused", [False, True], ids=["no-confusion", "pairs"])
     def test_ids_take_the_narrowest_signed_type_of_the_bound(self, size, bound, id_type,
                                                              confused):
@@ -499,7 +500,7 @@ class TestEncoding:
         n_cc = len(np.unique(enc.slot_char))
         n_chars = len({c for s in corpus for c in s.source})
         assert n_cc == n_chars == size
-        assert n_cc * (1 + 4 * (n_chars + 2)) + 3 == bound
+        assert n_cc * (1 + 4 * (n_chars + 2)) + 2 == bound
         assert enc.slot_feats.dtype == id_type
         manifest = arrange_shuffled_baseline(corpus.ids(), seed=0)
         assert assert_kernel_matches_trace(corpus, confusion, manifest) > 0
@@ -784,10 +785,10 @@ class TestPredict:
                                               max_size=len(enc.feature_index))), dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
             slot_score = reduce(np.add, _kernels._extend(weights)[enc.slot_feats].T)
-        width, pad = enc.pos_n_real.max(), len(enc.slot_char)
+        width = enc.pos_n_real.max()
         want = []
         for first, n_real in zip(enc.pos_first_slot.tolist(), enc.pos_n_real.tolist()):
-            row = list(range(first, first + n_real)) + [pad] * (width - n_real)
+            row = list(range(first, first + n_real)) + [first] * (width - n_real)
             scores = slot_score[row]
             nan = np.isnan(scores)
             scores[nan] = -np.inf
@@ -884,8 +885,8 @@ class TestPredict:
         assert self.predicts({"C|a": 1.0, "C|b": 1e308, "L|<BOS>|b": 1e308}, confusion) == "b"
 
     def test_all_minus_inf_takes_the_first_slot(self):
-        # "b" has one candidate, "a" three, so b's row carries padding slots
-        # that score -inf as well
+        # "b" has one candidate, "a" three, so b's row carries copies of its
+        # first slot, which score -inf as well
         weights = {f"C|{ch}": float("-inf") for ch in "abc"}
         assert self.predicts(weights, ConfusionSet({"a": {"b", "c"}}), source="ab") == "ab"
 
