@@ -93,8 +93,8 @@ def _help(name: str) -> str:
 
 def _convert(name: str, value):
     """``value`` as the option's type, within its bounds, a list option's
-    values distinct, an input file an existing file; ConfigError naming the flag
-    otherwise."""
+    values distinct, a string valid UTF-8, an input file an existing file;
+    ConfigError naming the flag otherwise."""
     opt = OPTIONS[name]
     try:
         if opt.type is list:
@@ -109,6 +109,11 @@ def _convert(name: str, value):
     except (TypeError, ValueError):
         kind = "comma-separated integers" if opt.type is list else opt.type.__name__
         raise ConfigError(f"{_flag(name)}: expected {kind}, got {value!r}")
+    if opt.type is str:
+        try:  # the resolved-config record holds every path and policy as UTF-8
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{_flag(name)}: {value!r} is not valid UTF-8") from None
     if opt.type is list and len(set(value)) != len(value):
         # a repeated seed or k would run the same grid cell twice
         raise ConfigError(f"{_flag(name)}: repeated value in {value}")
@@ -273,6 +278,9 @@ def _run_grid(cfg: dict, cells: list[tuple[str, int]]) -> dict:
     for name, loaded in (("train", train_corpus), ("test", test_corpus)):
         if not len(loaded):
             raise ConfigError(f"{name} corpus is empty")
+    k = max(k for _, k in cells)  # every ablate reads --k in random_stages
+    if k > len(train_corpus):
+        raise ConfigError(f"k={k} exceeds the number of samples ({len(train_corpus)})")
     provider = build_provider(cfg)
     scores = {
         policy: diff.score_corpus(train_corpus, policy, provider=provider, confusion=confusion)

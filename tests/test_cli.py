@@ -447,6 +447,21 @@ class TestSweepK:
                    "--seeds", "0", "--out", workdir["root"] / "x")
         assert code == 2
 
+    @pytest.mark.parametrize("command, option, value", [("ablate", "--k", "31"),
+                                                        ("sweep-k", "--k-values", "1,31,2")])
+    def test_k_above_the_sample_count_exits_before_scoring(self, workdir, capsys, monkeypatch,
+                                                           command, option, value):
+        # the largest k of the grid is checked before any cell is scored or run
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before checking k")
+        monkeypatch.setattr("spellcl.difficulty.score_corpus", no_scoring)
+        out = workdir["root"] / "x"
+        assert len(load_corpus(workdir["train"])) == 30
+        assert run(command, "--train", workdir["train"], "--test", workdir["test"],
+                   "--confusion", workdir["confusion"], option, value, "--out", out) == 2
+        assert capsys.readouterr().err == "error: k=31 exceeds the number of samples (30)\n"
+        assert not out.exists()
+
     def test_rows_carry_mean_over_seeds(self, workdir):
         # averaging oracle: the k row equals the mean of per-seed runs
         # computed independently through the library
@@ -793,6 +808,20 @@ class TestConfig:
                    "--out", out) == 1
         assert capsys.readouterr().err == "error: line 2: not UTF-8 (byte 0xb4)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("inject", ("--input", "clean", "--confusion", "confusion")),
+        ("arrange", ("--train", "train", "--policy", "shuffled_baseline")),
+    ])
+    def test_out_that_is_not_utf8_is_usage_error(self, workdir, capsys, command, inputs):
+        # a path from a byte that is not UTF-8 (argv decodes it to a lone
+        # surrogate) cannot go into the config record, so it fails before any work
+        argv = [workdir.get(a, a) for a in inputs]
+        before = sorted(workdir["root"].iterdir())
+        assert run(command, *argv, "--out", str(workdir["root"] / "o\udcff")) == 2
+        assert capsys.readouterr().err == "error: --out: '%s' is not valid UTF-8\n" % (
+            workdir["root"] / "o\\udcff")
+        assert sorted(workdir["root"].iterdir()) == before
 
     def test_io_error_is_a_data_error(self, workdir, capsys):
         # the output file's path is taken by a directory, so the write itself fails
