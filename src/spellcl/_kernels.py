@@ -5,7 +5,7 @@ One implementation each.  The embedder builds only the rows it is asked
 for, with a plain loop over each row's window.  The perceptron passes are
 vectorized with numpy over the encoding (``CorpusEncoding``, model.py):
 ``slot_feats`` (each slot's feature ids) and each position's first slot
-and real-slot count, from which a pass builds padded rows of candidate
+and real-slot count, from which training builds padded rows of candidate
 slots as it needs them.  The whole perceptron rule lives here, and both
 passes give exactly what a loop over slots and features gives:
 
@@ -25,8 +25,8 @@ passes give exactly what a loop over slots and features gives:
   loaded) weights are not integers, so it adds a slot's features in index
   order, as the loop does: one vector add per feature column, left to
   right (a pairwise sum or ``np.add.reduceat`` can round differently).
-  The first slot is taken unless a later one scores strictly higher, so a
-  NaN score never wins and a NaN first slot stays chosen.
+  A running strict maximum over the real slots keeps the first unless a
+  later one scores higher: a NaN never wins, and a NaN first slot stays.
 
 Every feature id indexes the weight array passed in: the caller copies a
 model's weights into the encoding's own feature numbering, 0.0 where the
@@ -98,10 +98,10 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # "slot": a row of ``slot_feats`` holding its feature ids.  Position p's
 # real candidates are the ``pos_n_real[p]`` slots from ``pos_first_slot[p]``
 # on, in tie-break order (observed character first, confusables in
-# code-point order); ``_row_maker`` pads them to the widest position's
-# count with copies of the first slot, which tie with it, so ``argmax`` (the
-# first maximum) never chooses one.  Both kernels extend the weights with id
-# ``n_feat``, a slot's missing KEEP, weighed 0.0.
+# code-point order).  Training alone pads them, to the widest position's
+# count with copies of the first slot (``_row_maker``), which tie with it,
+# so ``argmax`` (the first maximum) never chooses one.  Both kernels extend
+# the weights with id ``n_feat``, a slot's missing KEEP, weighed 0.0.
 #
 # An update adds +1 to the weights of its gold slot's features and -1 to
 # its predicted slot's in one fancy-index write of 2 * SLOT_WIDTH flat ids:
@@ -219,10 +219,9 @@ def predict_slots(enc, weights) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
         for column in ids[1:]:
             slot_score += w.take(column)
-    scores = slot_score[_row_maker(enc, enc.pos_n_real.max(initial=1))(slice(None))]
-    del slot_score
-    nan = np.isnan(scores)
-    scores[nan] = -np.inf
-    scores[nan[:, 0], 0] = np.inf
-    # argmax lands on a real column: a copy of column 0 ties with it or, NaN, is -inf
-    return enc.pos_first_slot + scores.argmax(1)
+    first, last = enc.pos_first_slot, enc.pos_first_slot + (enc.pos_n_real - 1)
+    chosen = first.copy()
+    for c in range(1, enc.pos_n_real.max(initial=1)):
+        slot = np.minimum(first + c, last)  # past its last real slot a position re-reads it
+        np.copyto(chosen, slot, where=slot_score.take(slot) > slot_score.take(chosen))
+    return chosen

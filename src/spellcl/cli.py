@@ -93,7 +93,7 @@ def _help(name: str) -> str:
 
 def _convert(name: str, value):
     """``value`` as the option's type, within its bounds, a list option's
-    values distinct, a string valid UTF-8, an input file an existing file;
+    values distinct, a string valid UTF-8 without NUL, an input file an existing file;
     ConfigError naming the flag otherwise."""
     opt = OPTIONS[name]
     try:
@@ -110,6 +110,8 @@ def _convert(name: str, value):
         kind = "comma-separated integers" if opt.type is list else opt.type.__name__
         raise ConfigError(f"{_flag(name)}: expected {kind}, got {value!r}")
     if opt.type is str:
+        if "\0" in value:  # a JSON string can hold one, no path can: fail before the work
+            raise ConfigError(f"{_flag(name)}: {value!r} contains a NUL character")
         try:  # the resolved-config record holds every path and policy as UTF-8
             value.encode("utf-8")
         except UnicodeEncodeError:

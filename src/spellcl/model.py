@@ -127,11 +127,10 @@ class CorpusEncoding:
     ``n_feat`` (``len(feature_index)``) in its last column, which the
     kernels weigh 0.0.  A position's slots are contiguous, from
     ``pos_first_slot``: ``pos_n_real`` real ones, then its hidden slot if
-    it has one.  The kernels build rows of the real slots alone, so a
-    hidden gold slot can never be chosen.
-    Prediction reads ``slot_char``; only the benchmark's counts
-    (``perfbench/spans.py``) read ``feat_ids``, so it can go when that
-    probe moves.
+    it has one.  The kernels read real slots alone, so a hidden gold slot is
+    never chosen.  A slot's character is its C feature's key; only the
+    benchmark's counts (``perfbench/spans.py``) and the tests read
+    ``slot_char`` and ``feat_ids``, so both can go when that probe moves.
     """
 
     id_to_idx: dict[str, int]
@@ -140,8 +139,11 @@ class CorpusEncoding:
     pos_n_real: np.ndarray       # int32, real candidates per position
     pos_gold_slot: np.ndarray    # int32, slot index of the gold character
     slot_feats: np.ndarray       # narrowest signed type for its ids, (n_slots, SLOT_WIDTH)
-    slot_char: np.ndarray        # int32, candidate code point per slot
     feature_index: np.ndarray    # int64, feature key per id, ascending
+
+    @property
+    def slot_char(self) -> np.ndarray:  # each slot's candidate code point: its C key
+        return self.feature_index[self.slot_feats[:, 0]]
 
     @property
     def feat_ids(self) -> np.ndarray:  # every slot's ids but the sentinels, flattened
@@ -207,12 +209,10 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     n_slots = int(pos_slot_start[-1])
     n_real = class_n_real[pos_cls]
     pos_gold_slot = pos_slot_start[:-1] + class_gold[pos_cls]
-    # a slot's entry in the candidate table, its character and its candidate
-    # class: its character's rank among all candidates
+    # a slot's candidate-table entry and candidate class (its character's rank among all)
     entry = np.arange(n_slots, dtype=np.int32)
     entry -= np.repeat(pos_slot_start[:-1] - class_start[pos_cls], n_slot)
     del pos_cls
-    slot_char = cand_table[entry]
     cand_chars = np.unique(cand_table)
     n_cc = len(cand_chars)
     ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
@@ -260,7 +260,6 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
         pos_n_real=n_real,
         pos_gold_slot=pos_gold_slot,
         slot_feats=slot_feats,
-        slot_char=slot_char,
         feature_index=np.concatenate(feature_keys, dtype=np.int64),
     )
 
@@ -314,7 +313,8 @@ def predict_encoded(enc: CorpusEncoding, weights: np.ndarray, rows: np.ndarray) 
     found = rows < len(weights)
     taken = np.zeros(len(rows))
     taken[found] = weights[rows[found]]
-    chars = "".join(map(chr, enc.slot_char[_kernels.predict_slots(enc, taken)].tolist()))
+    slots = _kernels.predict_slots(enc, taken)  # a slot's character is its C key
+    chars = "".join(map(chr, enc.feature_index[enc.slot_feats[slots, 0]].tolist()))
     bounds = enc.samp_pos_start.tolist()
     return {sid: chars[lo:hi] for sid, lo, hi in zip(enc.id_to_idx, bounds, bounds[1:])}
 

@@ -823,6 +823,24 @@ class TestConfig:
             workdir["root"] / "o\\udcff")
         assert sorted(workdir["root"].iterdir()) == before
 
+    @pytest.mark.parametrize("command, inputs, key", [
+        ("inject", ("--input", "clean", "--confusion", "confusion"), "out"),
+        ("score", ("--policy", "contextual", "--out", "root"), "train"),
+    ])
+    def test_config_string_with_nul_is_usage_error(self, workdir, capsys, command, inputs,
+                                                   key):
+        # a JSON string can hold a NUL, which no path can: the first write would
+        # fail only after the work, and the input check would call the file missing
+        value = str(workdir["root"] / "o\0x")
+        config = workdir["root"] / "nul.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        argv = [workdir.get(a, a) for a in inputs]
+        before = sorted(workdir["root"].iterdir())
+        assert run(command, "--config", config, *argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --{key}: {value!r} contains a NUL character\n")
+        assert sorted(workdir["root"].iterdir()) == before
+
     def test_io_error_is_a_data_error(self, workdir, capsys):
         # the output file's path is taken by a directory, so the write itself fails
         out = workdir["root"] / "x"

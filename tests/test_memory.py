@@ -70,22 +70,24 @@ def test_scoring_many_blocks_peaks_below_2_8_row_arrays():
     assert traced_peak(score_corpus, copies, "contextual", provider=provider) < 2.8 * rows
 
 
-def test_encoding_peaks_below_38_bytes_per_slot():
+def test_encoding_peaks_below_29_bytes_per_slot():
     # int32 per-position arrays and candidate entries, no padded slot table,
-    # ranks indexed in fixed blocks: about 30 bytes per slot; a padded table,
-    # int64 entries and slot-sized intp copies of the codes peaked at 43.5
+    # no per-slot character, ranks indexed in fixed blocks: about 26.4 bytes
+    # per slot; an int32 character per slot peaked at 30.4, and a padded
+    # table, int64 entries and slot-sized intp copies of the codes at 43.5
     corpus, confusion = desk_train()
     assert len(encode_corpus(corpus, confusion).slot_char) == SLOTS
-    assert traced_peak(encode_corpus, corpus, confusion) < 38 * SLOTS
+    assert traced_peak(encode_corpus, corpus, confusion) < 29 * SLOTS
 
 
-def test_encoding_arrays_hold_below_21_bytes_per_slot():
-    # 12 bytes of int16 feature ids and 4 of code point per slot, and three
-    # int32 arrays per position: about 19 bytes per slot; int64 position
-    # arrays and the padded slot table held 27.8
+def test_encoding_arrays_hold_below_16_bytes_per_slot():
+    # 12 bytes of int16 feature ids per slot (a slot's character is its C
+    # feature's key) and three int32 arrays per position: about 15 bytes per
+    # slot; an int32 code point per slot held 19.0, and int64 position arrays
+    # and the padded slot table 27.8
     corpus, confusion = desk_train()
     enc = encode_corpus(corpus, confusion)
-    assert sum(a.nbytes for a in held_arrays(enc)) < 21 * SLOTS
+    assert sum(a.nbytes for a in held_arrays(enc)) < 16 * SLOTS
 
 
 def held_arrays(enc) -> list[np.ndarray]:
@@ -100,10 +102,11 @@ def held_arrays(enc) -> list[np.ndarray]:
     return list(arrays.values())
 
 
-def test_prediction_peaks_below_72_bytes_per_slot():
+def test_prediction_peaks_below_48_bytes_per_slot():
     # the encoding, then one float64 score per slot summed a feature column at
-    # a time and the padded rows' scores: about 61 bytes per slot; the whole
-    # (slots, 6) float64 gather and its intp index peaked at 93.6
+    # a time and a running maximum over per-position arrays: about 42.5 bytes
+    # per slot; the padded rows' scores and their intp index peaked at 61.3,
+    # and the whole (slots, 6) float64 gather and its intp index at 93.6
     corpus, confusion = desk_train()
     model = train(arrange_shuffled_baseline(corpus.ids(), seed=0), corpus, confusion)
-    assert traced_peak(predict_corpus, model, corpus) < 72 * SLOTS
+    assert traced_peak(predict_corpus, model, corpus) < 48 * SLOTS
