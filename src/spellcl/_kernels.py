@@ -16,12 +16,13 @@ passes give exactly what a loop over slots and features gives:
   summation order, BLAS's ``np.dot`` included, because every training
   weight is an integer and every sum of them is held exactly in float64;
   ``argmax`` takes the first maximum, which is the loop's strict ``>``
-  tie-break.  The feature ids of ``_CHUNK`` visits are gathered at once,
-  so a block is a slice of that table and stops at the chunk's end.  An
-  update is one write to the weights and one entry in a log of (gold slot,
-  predicted slot) pairs; the averaging sum is one ``np.bincount`` over that
-  log after the pass (exact while T(T+1) < 2**53 for T updates, checked).
-- ``predict_slots`` scores every position in one call.  Averaged (and
+  tie-break.  The visiting order takes one int32 per visit, and the feature
+  ids of ``_CHUNK`` visits are gathered at once, so a block is a slice of
+  that table and stops at the chunk's end.  An update is one write to the
+  weights and one entry in a log of (gold slot, predicted slot) pairs; the
+  averaging sum is one ``np.bincount`` over that log after the pass (exact
+  while T(T+1) < 2**53 for T updates, checked).
+- ``predict_slots`` scores one block of positions at a time.  Averaged (and
   loaded) weights are not integers, so it adds a slot's features in index
   order, as the loop does: one vector add per feature column, left to
   right (a pairwise sum or ``np.add.reduceat`` can round differently).
@@ -130,6 +131,7 @@ _MAX_UPDATES = 94_906_265
 _BLOCK = 32
 # Visits whose feature ids ``train_pass`` gathers into one intp table.
 _CHUNK = 1024
+_PREDICT_BLOCK = 4096  # positions ``predict_slots`` scores at once: its temporaries' size
 
 
 def _extend(weights: np.ndarray) -> np.ndarray:
@@ -155,11 +157,10 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     weights over the encoding's features; returns (final weights, averaged
     weights, update count)."""
     slot_feats, n_feat = enc.slot_feats, len(enc.feature_index)
-    # every position of every visited sample, in visiting order
+    # visit i, in order over every visited sample's positions, is at position shift[i] + i
     starts = enc.samp_pos_start[order]
     lens = enc.samp_pos_start[order + 1] - starts
-    visits = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    visits += np.arange(len(visits))
+    shift = np.repeat((starts - (np.cumsum(lens) - lens)).astype(np.int32), lens)
     width = int(enc.pos_n_real.max(initial=1))
     rows = _row_maker(enc, width)
     w = _extend(np.zeros(n_feat))
@@ -167,9 +168,10 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     signs = np.repeat([1.0, -1.0], slot_feats.shape[1])  # gold ids, then predicted
     block, chunk = _BLOCK, _CHUNK
     log = []  # (gold slot, predicted slot) of every update, in order
-    for lo in range(0, visits.shape[0], chunk):
-        cand = rows(visits[lo:lo + chunk])
-        gold = enc.pos_gold_slot.take(visits[lo:lo + chunk])
+    for lo in range(0, len(shift), chunk):
+        visits = shift[lo:lo + chunk] + np.arange(lo, min(lo + chunk, len(shift)))
+        cand = rows(visits)
+        gold = enc.pos_gold_slot.take(visits)
         # the gold slot's column in its position's row: a hidden gold slot's
         # is at least the row's real count, which argmax never reaches
         gcol = gold - cand[:, 0]
@@ -196,7 +198,7 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
         raise ConfigError(f"{t} updates; averaged weights are exact for at most {_MAX_UPDATES}")
     w = w[:n_feat]
     feats = slot_feats.take(np.asarray(log, dtype=np.intp).reshape(t, 2), axis=0)
-    del visits, log
+    del shift, log
     steps = np.arange(1.0, t + 1.0)[:, None] * signs  # shaped as feats.reshape(t, -1)
     c = np.bincount(feats.ravel(), steps.ravel(), minlength=n_feat)
     del feats, steps
@@ -214,14 +216,19 @@ def predict_slots(enc, weights) -> np.ndarray:
     taken unless a later one scores strictly higher, so a NaN score never
     wins, and a NaN in the first slot keeps it.
     """
-    w, ids = _extend(weights), enc.slot_feats.T
-    slot_score = w.take(ids[0])
-    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
-        for column in ids[1:]:
-            slot_score += w.take(column)
-    first, last = enc.pos_first_slot, enc.pos_first_slot + (enc.pos_n_real - 1)
-    chosen = first.copy()
-    for c in range(1, enc.pos_n_real.max(initial=1)):
-        slot = np.minimum(first + c, last)  # past its last real slot a position re-reads it
-        np.copyto(chosen, slot, where=slot_score.take(slot) > slot_score.take(chosen))
+    w, first, n_real = _extend(weights), enc.pos_first_slot, enc.pos_n_real
+    chosen = np.empty_like(first)
+    for lo in range(0, len(first), _PREDICT_BLOCK):
+        base, n = first[lo], n_real[lo:lo + _PREDICT_BLOCK]
+        start = first[lo:lo + _PREDICT_BLOCK] - base  # the block's real slots run from base
+        ids = enc.slot_feats[base:base + start[-1] + n[-1]].T
+        slot_score = w.take(ids[0])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
+            for column in ids[1:]:
+                slot_score += w.take(column)
+        best, last = start.copy(), start + (n - 1)
+        for c in range(1, n.max()):
+            slot = np.minimum(start + c, last)  # past its last real slot a position re-reads it
+            np.copyto(best, slot, where=slot_score.take(slot) > slot_score.take(best))
+        chosen[lo:lo + _PREDICT_BLOCK] = best + base
     return chosen

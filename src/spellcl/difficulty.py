@@ -53,10 +53,11 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
 
     The char_similarity policy counts the error positions whose (wrong,
     correct) pair is confusion-linked in either direction.  The contextual
-    policy writes each sample's ``provider.embed_side`` answers, at its error
-    positions only, into its rows of one ``(error positions, dim)`` array per
-    side.  Blocks of ``_ROWS`` rows give every cosine; each sample's are then
-    added to 0.0 left to right in error order (``np.add.at``), as a running sum does.
+    policy asks ``provider.embed_side`` for each sample's rows at its error
+    positions only and copies them into one float64 block of ``_ROWS`` rows
+    per side, a sample's rows running on into the next block when one fills.
+    Each block gives its cosines, which are added to their samples'
+    scores from 0.0 on in error order (``np.add.at``), as a running sum does.
     """
     if policy == "char_similarity":
         if confusion is None:
@@ -72,27 +73,36 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
     if not len(corpus):
         return {}
     import numpy as np
-    counts = [len(s.error_positions) for s in corpus]
-    owner = np.repeat(np.arange(len(corpus)), counts)
-    bounds = np.cumsum([0] + counts).tolist()
-    for s, lo, hi in zip(corpus, bounds, bounds[1:]):
+    bounds = np.cumsum([0] + [len(s.error_positions) for s in corpus])  # each sample's first row
+    scores = np.zeros(len(corpus))
+
+    def add_block(first: int, rows: int) -> None:  # the block holds rows first.. of the corpus
+        owner = np.searchsorted(bounds, np.arange(first, first + rows), side="right") - 1
+        cos, zero = _row_cosines(u[:rows], v[:rows])
+        for r in np.flatnonzero(zero).tolist():
+            s = corpus.samples[owner[r]]
+            logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",
+                           s.id, s.error_positions[first + r - bounds[owner[r]]])
+        np.add.at(scores, owner, cos)
+
+    rows = 0  # rows in the block
+    for i, s in enumerate(corpus):
         a = provider.embed_side(s, "source", s.error_positions).vectors
         b = provider.embed_side(s, "target", s.error_positions).vectors
-        if s is corpus.samples[0]:  # the first answer gives the dimension
-            u, v = np.empty((2, len(owner), a.shape[1]))  # each side's rows
-        if a.shape != (hi - lo, u.shape[1]) or b.shape != a.shape:
+        if not i:  # the first answer gives the dimension
+            u, v = np.empty((2, _ROWS, a.shape[1]))  # each side's rows of one block
+        if a.shape != (len(s.error_positions), u.shape[1]) or b.shape != a.shape:
             raise ShapeMismatch(f"sample {s.id!r}: embedding rows {a.shape} and {b.shape} for "
-                                f"{hi - lo} error positions of dimension {u.shape[1]}")
-        u[lo:hi], v[lo:hi] = a, b
-    cos, zero = np.empty(len(owner)), np.empty(len(owner), dtype=bool)
-    for lo in range(0, len(owner), _ROWS):
-        cos[lo:lo + _ROWS], zero[lo:lo + _ROWS] = _row_cosines(u[lo:lo + _ROWS], v[lo:lo + _ROWS])
-    for i in np.flatnonzero(zero).tolist():
-        s = corpus.samples[owner[i]]
-        logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",
-                       s.id, s.error_positions[i - bounds[owner[i]]])
-    scores = np.zeros(len(corpus))
-    np.add.at(scores, owner, cos)
+                                f"{len(s.error_positions)} error positions of dimension "
+                                f"{u.shape[1]}")
+        while len(a) > _ROWS - rows:  # the block fills up within the sample
+            u[rows:], v[rows:] = a[:_ROWS - rows], b[:_ROWS - rows]
+            a, b = a[_ROWS - rows:], b[_ROWS - rows:]
+            add_block(bounds[i + 1] - len(a) - _ROWS, _ROWS)
+            rows = 0
+        u[rows:rows + len(a)], v[rows:rows + len(a)] = a, b
+        rows += len(a)
+    add_block(bounds[-1] - rows, rows)
     return dict(zip(corpus.ids(), scores.tolist()))
 
 

@@ -76,6 +76,7 @@ _CONTEXT_NAMES = {_BOS_CODE: BOS, _EOS_CODE: EOS}
 _CONTEXT_CODES = {BOS: _BOS_CODE, EOS: _EOS_CODE}
 _KEEP_KEY = len(_TEMPLATES) << 2 * _CODE_BITS
 _RANK_BLOCK = 16_384  # codes per ``_rank`` numpy call, so no slot-sized intp copy
+_POS_BLOCK = 4096  # positions per block of ``encode_corpus``'s codes
 
 
 def _feature_name(key: int) -> str:
@@ -157,9 +158,10 @@ def _codes(strings) -> np.ndarray:
 
 def _rank(codes: np.ndarray, size: int, out: np.ndarray, offset: int) -> np.ndarray:
     """The distinct ``codes`` in [0, size), ascending, as ``np.unique`` gives
-    them; writes each code's rank among them plus ``offset`` into ``out``.
-    Ranks by a presence mask's running count, unless the range dwarfs the
-    input and a sort is cheaper."""
+    them; writes each code's rank among them plus ``offset`` into ``out``,
+    which may be ``codes`` itself: a block is read before its ranks are
+    written.  Ranks by a presence mask's running count, unless the range
+    dwarfs the input and a sort is cheaper."""
     blocks = [slice(lo, lo + _RANK_BLOCK) for lo in range(0, len(codes), _RANK_BLOCK)]
     if size > 4 * len(codes) + 65_536:
         uniq = np.unique(codes)
@@ -176,8 +178,7 @@ def _rank(codes: np.ndarray, size: int, out: np.ndarray, offset: int) -> np.ndar
 
 def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     samples = corpus.samples
-    lens = np.fromiter((len(s.source) for s in samples), dtype=np.int64, count=len(samples))
-    samp_pos_start = np.concatenate(([0], np.cumsum(lens)))
+    samp_pos_start = np.cumsum([0] + [len(s.source) for s in samples])
     src = _codes(s.source for s in samples)
     tgt = _codes(s.target for s in samples)
     n = src.shape[0]
@@ -189,6 +190,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     chars, cls = np.unique(src, return_inverse=True)
     err = np.flatnonzero(src != tgt)
     pairs, pair_cls = np.unique(cls[err] << _CODE_BITS | tgt[err], return_inverse=True)
+    del src, tgt
     cls = cls.astype(np.int32)
     reals = [c + confusion.candidates(c) for c in map(chr, chars.tolist())]
     classes = [(r, r[0]) for r in reals]  # (real candidates, gold character)
@@ -203,49 +205,50 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     pos_cls[err] = len(chars) + pair_cls
     del err, pairs, pair_cls, reals, classes, entries
 
-    n_slot = class_n_slot[pos_cls]
     pos_slot_start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(n_slot, out=pos_slot_start[1:], dtype=np.int32)
+    np.cumsum(class_n_slot[pos_cls], out=pos_slot_start[1:], dtype=np.int32)
     n_slots = int(pos_slot_start[-1])
     n_real = class_n_real[pos_cls]
     pos_gold_slot = pos_slot_start[:-1] + class_gold[pos_cls]
-    # a slot's candidate-table entry and candidate class (its character's rank among all)
-    entry = np.arange(n_slots, dtype=np.int32)
-    entry -= np.repeat(pos_slot_start[:-1] - class_start[pos_cls], n_slot)
+    # a position's first slot less its class's first candidate-table entry
+    entry_shift = pos_slot_start[:-1] - class_start[pos_cls]
     del pos_cls
-    cand_chars = np.unique(cand_table)
+    # each candidate-table slot's candidate class: its character's rank among all
+    cand_chars, entry_cc = np.unique(cand_table, return_inverse=True)
     n_cc = len(cand_chars)
     ctx_codes = np.append(chars, [_BOS_CODE, _EOS_CODE]).astype(np.int64)
     # the narrowest signed type (an empty corpus's KEEP id is -1) of one id per (template,
     # context class, candidate class), KEEP and the sentinel; and of dense codes
     id_type = np.min_scalar_type(-(n_cc * (1 + 4 * len(ctx_codes)) + 2))
-    slot_cc = np.searchsorted(cand_chars, cand_table).astype(id_type)[entry]
-    del entry
+    entry_cc = entry_cc.astype(id_type)
 
-    # Feature ids, one template column at a time: a dense (context class,
-    # candidate class) code's rank among the column's codes numbers each
-    # template's keys in key order, and the templates' key ranges follow.
-    in_sample = (np.arange(n) - np.repeat(samp_pos_start[:-1], lens)).astype(np.int32)
-    to_end = np.repeat(lens.astype(np.int32), lens) - in_sample
+    # Feature ids: each template's dense (context class, candidate class) codes
+    # go into its column a block of positions at a time, and a code's rank among
+    # its column's codes, written over it, numbers the template's keys in key
+    # order; the templates' key ranges follow.  C's code is the candidate class.
     slot_feats = np.empty((n_slots, SLOT_WIDTH), dtype=id_type)
-    feature_keys = []
-    n_feat = 0
-    for template, offset in enumerate(_OFFSETS):
-        if offset:
-            inside = in_sample >= -offset if offset < 0 else to_end > offset
-            ctx_class = np.full(n, (len(chars) + (offset > 0)) * n_cc, dtype=id_type)
-            ctx_class[inside] = cls[np.flatnonzero(inside) + offset].astype(id_type) * n_cc
-            dense = np.repeat(ctx_class, n_slot)
-            dense += slot_cc
-        else:
-            dense = slot_cc
-        uniq = _rank(dense, len(ctx_codes) * n_cc if offset else n_cc,
-                     slot_feats[:, template], n_feat)
-        del dense
-        context = ctx_codes[uniq // n_cc] << _CODE_BITS if offset else 0
+    for lo in range(0, n, _POS_BLOCK):
+        hi = min(lo + _POS_BLOCK, n)
+        pos, slots = np.arange(lo, hi), pos_slot_start[lo:hi + 1]
+        block = slot_feats[slots[0]:slots[-1]]
+        owner = np.repeat(np.arange(hi - lo), np.diff(slots))  # each slot's position, from lo
+        cc = entry_cc.take(np.arange(slots[0], slots[-1]) - entry_shift[lo:hi].take(owner))
+        block[:, 0] = cc
+        sample_end = np.searchsorted(samp_pos_start, pos, side="right")
+        bounds = samp_pos_start[sample_end - 1], samp_pos_start[sample_end]  # its sample's
+        for template, offset in enumerate(_OFFSETS[1:], 1):
+            ctx = pos + offset
+            inside = ctx >= bounds[0] if offset < 0 else ctx < bounds[1]
+            ctx_class = np.where(inside, cls.take(ctx, mode="clip"), len(chars) + (offset > 0))
+            np.add((ctx_class.astype(id_type) * n_cc).take(owner), cc, out=block[:, template])
+    # every candidate class is some slot's, so C's ids are the classes themselves
+    feature_keys, n_feat = [cand_chars], n_cc
+    for template in range(1, len(_OFFSETS)):
+        column = slot_feats[:, template]
+        uniq = _rank(column, len(ctx_codes) * n_cc, column, n_feat)
+        context = ctx_codes[uniq // n_cc] << _CODE_BITS
         feature_keys.append(template << 2 * _CODE_BITS | context | cand_chars[uniq % n_cc])
         n_feat += len(uniq)
-    del n_slot, slot_cc
     if n:
         feature_keys.append(np.array([_KEEP_KEY]))
         n_feat += 1
@@ -314,7 +317,8 @@ def predict_encoded(enc: CorpusEncoding, weights: np.ndarray, rows: np.ndarray) 
     taken = np.zeros(len(rows))
     taken[found] = weights[rows[found]]
     slots = _kernels.predict_slots(enc, taken)  # a slot's character is its C key
-    chars = "".join(map(chr, enc.feature_index[enc.slot_feats[slots, 0]].tolist()))
+    chars = enc.feature_index[enc.slot_feats[slots, 0]].astype("<u4").tobytes()
+    chars = chars.decode("utf-32-le", "surrogatepass")
     bounds = enc.samp_pos_start.tolist()
     return {sid: chars[lo:hi] for sid, lo, hi in zip(enc.id_to_idx, bounds, bounds[1:])}
 

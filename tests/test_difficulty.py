@@ -282,6 +282,74 @@ class TestScoreCorpus:
         assert [r.getMessage() for r in caplog.records] == [
             "zero-norm embedding at sample 's1' position 3; similarity taken as 0"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_block_of_rows_gives_the_unblocked_bits(self, data):
+        # non-integer components over several samples; blocks of 1-9 rows hold
+        # a sample's rows whole or split them across two or more blocks
+        dim = data.draw(st.integers(1, 6))
+        flips = data.draw(st.lists(st.lists(st.booleans(), min_size=1, max_size=8),
+                                   min_size=1, max_size=6))
+        corpus = Corpus(tuple(
+            Sample(id=f"s{i}", source="a" * len(row),
+                   target="".join("x" if flip else "a" for flip in row))
+            for i, row in enumerate(flips)
+        ))
+        component = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        provider = FileEmbeddingProvider({
+            (s.id, side): np.array(data.draw(st.lists(
+                st.lists(component, min_size=dim, max_size=dim),
+                min_size=len(s.source), max_size=len(s.source))), dtype=np.float64)
+            for s in corpus for side in ("source", "target")
+        })
+        want = score_corpus(corpus, "contextual", provider=provider)
+        with mock.patch.object(difficulty, "_ROWS", data.draw(st.integers(1, 9))):
+            got = score_corpus(corpus, "contextual", provider=provider)
+        assert [(sid, score.hex()) for sid, score in got.items()] == [
+            (sid, score.hex()) for sid, score in want.items()]
+
+    # error rows: s1 0-2, s2 3-6 (positions 0, 1, 3, 4), s3 7-8 (positions 1, 2).
+    # Blocks of 4 rows split s2 at 3 | 4-6 and s3 at 7 | 8; blocks of 3 put
+    # s2's last row in s3's block.  s2's source row at position 4 and s3's
+    # target row at position 2 are zero.
+    STRADDLING = "s1\tAAA\tXXX\ns2\tAAAAA\tXXAXX\ns3\tAAA\tAXX\n"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 1024])
+    def test_rows_split_across_blocks_score_and_warn_as_one_block(self, block, caplog):
+        rng = np.random.default_rng(7)
+        corpus = parse_corpus(self.STRADDLING)
+        table = {(s.id, side): rng.standard_normal((len(s.source), 3))
+                 for s in corpus for side in ("source", "target")}
+        table[("s2", "source")][4] = 0.0
+        table[("s3", "target")][2] = 0.0
+        want = [(s.id, score_one(s, table[(s.id, "source")], table[(s.id, "target")]).hex())
+                for s in corpus]
+        caplog.clear()
+        with mock.patch.object(difficulty, "_ROWS", block), caplog.at_level("WARNING"):
+            got = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
+        assert [(sid, score.hex()) for sid, score in got.items()] == want
+        assert [r.getMessage() for r in caplog.records] == [
+            f"zero-norm embedding at sample {sid!r} position {j}; similarity taken as 0"
+            for sid, j in (("s2", 4), ("s3", 2))]
+
+    @pytest.mark.parametrize("block", [2, 1024])
+    def test_float32_rows_score_as_their_float64_values(self, block):
+        # rows go into float64 blocks, so a float32 answer scores as its exact
+        # float64 values do, not with float32 sums
+        class Float32Provider(FileEmbeddingProvider):
+            def embed_side(self, sample, side, positions):
+                rows = super().embed_side(sample, side, positions).vectors
+                return ContextualEmbedding(rows.astype(np.float32))
+
+        rng = np.random.default_rng(3)
+        corpus = parse_corpus(self.STRADDLING)
+        table = {(s.id, side): rng.standard_normal((len(s.source), 5)).astype(np.float32)
+                 .astype(np.float64) for s in corpus for side in ("source", "target")}
+        with mock.patch.object(difficulty, "_ROWS", block):
+            got = score_corpus(corpus, "contextual", provider=Float32Provider(table))
+            want = score_corpus(corpus, "contextual", provider=FileEmbeddingProvider(table))
+        assert [score.hex() for score in got.values()] == [score.hex() for score in want.values()]
+
     @pytest.mark.parametrize("n_vectors", [2, 4])
     def test_file_embedding_of_wrong_length(self, n_vectors):
         doc = "dim=2\n" + "".join(f"s1\t{side}\t{j}\t1.0,0.0\n"

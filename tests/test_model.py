@@ -510,8 +510,9 @@ class TestEncoding:
     def test_wide_alphabet_takes_the_sorting_fallback(self):
         with mock.patch("spellcl.model._rank", wraps=_rank) as rank:
             encode_corpus(*WIDE_ALPHABET)
+        # the four context templates; C's ids are the candidate classes, ranked by none
         sorted_ = [size > 4 * len(codes) + 65_536 for (codes, size, *_), _ in rank.call_args_list]
-        assert sorted_ == [False, True, True, True, True]
+        assert sorted_ == [True, True, True, True]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -534,6 +535,22 @@ class TestEncoding:
         assert np.array_equal(uniq, want_uniq)
         assert np.array_equal(table[:, 1], want_inverse + offset)
         assert (table[:, [0, 2]] == -1).all()
+
+    @settings(max_examples=150, deadline=None)
+    @example(PAIR_CLASSES, 3)  # positions 0-3 and 4-5: sample "p" spans both blocks
+    @example(LONE_SURROGATE, 1)
+    @example(WIDE_ALPHABET, 7)
+    @example((Corpus(()), ConfusionSet()), 1)
+    @given(spec_corpus(), st.integers(1, 50))
+    def test_any_block_of_positions_gives_the_unblocked_encoding(self, setup, block):
+        want = encode_corpus(*setup)
+        with mock.patch("spellcl.model._POS_BLOCK", block):
+            got = encode_corpus(*setup)
+        assert got.id_to_idx == want.id_to_idx
+        for name in ("samp_pos_start", "pos_first_slot", "pos_n_real", "pos_gold_slot",
+                     "slot_feats", "feature_index"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 # ===========================================================================
@@ -795,6 +812,19 @@ class TestPredict:
             scores[0] = np.inf if nan[0] else scores[0]
             want.append(row[int(scores.argmax())])
         assert _kernels.predict_slots(enc, weights).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_corpus(), CONFUSIONS, st.integers(1, 50), st.data())
+    def test_any_block_of_positions_chooses_the_unblocked_slots(self, corpus, confusion, block,
+                                                               data):
+        enc = encode_corpus(corpus, confusion)
+        weights = np.array(data.draw(st.lists(st.sampled_from(NON_ASSOCIATIVE + (math.nan,)),
+                                              min_size=len(enc.feature_index),
+                                              max_size=len(enc.feature_index))), dtype=float)
+        want = _kernels.predict_slots(enc, weights)
+        with mock.patch.object(_kernels, "_PREDICT_BLOCK", block):
+            got = _kernels.predict_slots(enc, weights)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(random_corpus(prefix="t"), CONFUSIONS, st.data())
