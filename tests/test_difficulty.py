@@ -282,32 +282,6 @@ class TestScoreCorpus:
         assert [r.getMessage() for r in caplog.records] == [
             "zero-norm embedding at sample 's1' position 3; similarity taken as 0"]
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_any_block_of_rows_gives_the_unblocked_bits(self, data):
-        # non-integer components over several samples; blocks of 1-9 rows hold
-        # a sample's rows whole or split them across two or more blocks
-        dim = data.draw(st.integers(1, 6))
-        flips = data.draw(st.lists(st.lists(st.booleans(), min_size=1, max_size=8),
-                                   min_size=1, max_size=6))
-        corpus = Corpus(tuple(
-            Sample(id=f"s{i}", source="a" * len(row),
-                   target="".join("x" if flip else "a" for flip in row))
-            for i, row in enumerate(flips)
-        ))
-        component = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-        provider = FileEmbeddingProvider({
-            (s.id, side): np.array(data.draw(st.lists(
-                st.lists(component, min_size=dim, max_size=dim),
-                min_size=len(s.source), max_size=len(s.source))), dtype=np.float64)
-            for s in corpus for side in ("source", "target")
-        })
-        want = score_corpus(corpus, "contextual", provider=provider)
-        with mock.patch.object(difficulty, "_ROWS", data.draw(st.integers(1, 9))):
-            got = score_corpus(corpus, "contextual", provider=provider)
-        assert [(sid, score.hex()) for sid, score in got.items()] == [
-            (sid, score.hex()) for sid, score in want.items()]
-
     # error rows: s1 0-2, s2 3-6 (positions 0, 1, 3, 4), s3 7-8 (positions 1, 2).
     # Blocks of 4 rows split s2 at 3 | 4-6 and s3 at 7 | 8; blocks of 3 put
     # s2's last row in s3's block.  s2's source row at position 4 and s3's
