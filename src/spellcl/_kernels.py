@@ -20,8 +20,8 @@ passes give exactly what a loop over slots and features gives:
   ids of ``_CHUNK`` visits are gathered at once, so a block is a slice of
   that table and stops at the chunk's end.  An update is one write to the
   weights and one entry in a log of (gold slot, predicted slot) pairs; the
-  averaging sum is one ``np.bincount`` over that log after the pass (exact
-  while T(T+1) < 2**53 for T updates, checked).
+  averaged weights are one ``np.bincount`` over that log after the pass
+  (exact for up to ``_MAX_UPDATES`` updates, checked).
 - ``predict_slots`` scores one block of positions at a time.  Averaged (and
   loaded) weights are not integers, so it adds a slot's features in index
   order, as the loop does: one vector add per feature column, left to
@@ -101,8 +101,9 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # on, in tie-break order (observed character first, confusables in
 # code-point order).  Training alone pads them, to the widest position's
 # count with copies of the first slot (``_row_maker``), which tie with it,
-# so ``argmax`` (the first maximum) never chooses one.  Both kernels extend
-# the weights with id ``n_feat``, a slot's missing KEEP, weighed 0.0.
+# so ``argmax`` (the first maximum) never chooses one.  Id ``n_feat``, a
+# slot's missing KEEP, weighs 0.0: training starts from weights that end in
+# it, and prediction appends it to the weights it is given.
 #
 # An update adds +1 to the weights of its gold slot's features and -1 to
 # its predicted slot's in one fancy-index write of 2 * SLOT_WIDTH flat ids:
@@ -116,14 +117,13 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # a time (~0.5-0.8 MB on the benchmark's corpora, whatever the corpus size),
 # and an update's gold ids join the chunk's intp predicted ids.
 #
-# Averaging (Daume III's step-weighted sum): update t adds +-1 to w[f] and
-# +-t to c[f] for every feature f it touches, so after T updates
-# ((T + 1) * w[f] - c[f]) is the integer sum of w[f] over the T weight
-# vectors the updates left, and dividing it by T gives the averaged weight.
-# The pass only logs each update's two slots and builds c after the loop,
-# in one ``np.bincount``.  |c[f]| <= T(T+1)/2 and |(T + 1) * w[f]| <=
-# T(T+1), so every quantity is an integer held exactly in float64, in any
-# summation order, while T(T+1) < 2**53: for T <= _MAX_UPDATES, checked.
+# Averaging: update i of T (counting from 1) is in the last T + 1 - i of the
+# T weight vectors the updates leave, so the sum of those vectors is one
+# ``np.bincount`` over the logged updates' feature ids, weighted
+# +-(T + 1 - i), and dividing it by T gives the averaged weights.  Every term
+# is an integer and every partial sum is at most T(T+1)/2 in magnitude, held
+# exactly in float64 in any summation order while that is below 2**53: for
+# T <= _MAX_UPDATES (the largest T with T(T+1) < 2**53), checked.
 _MAX_UPDATES = 94_906_265
 
 # Positions scored per step of ``train_pass``; an update restarts the block
@@ -132,11 +132,6 @@ _BLOCK = 32
 # Visits whose feature ids ``train_pass`` gathers into one intp table.
 _CHUNK = 1024
 _PREDICT_BLOCK = 4096  # positions ``predict_slots`` scores at once: its temporaries' size
-
-
-def _extend(weights: np.ndarray) -> np.ndarray:
-    """``weights`` followed by the sentinel 0.0."""
-    return np.concatenate([weights, [0.0]])
 
 
 def _row_maker(enc, width: int):
@@ -163,7 +158,7 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     shift = np.repeat((starts - (np.cumsum(lens) - lens)).astype(np.int32), lens)
     width = int(enc.pos_n_real.max(initial=1))
     rows = _row_maker(enc, width)
-    w = _extend(np.zeros(n_feat))
+    w = np.zeros(n_feat + 1)  # the last entry is the missing-KEEP sentinel
     ones = np.ones(slot_feats.shape[1])
     signs = np.repeat([1.0, -1.0], slot_feats.shape[1])  # gold ids, then predicted
     block, chunk = _BLOCK, _CHUNK
@@ -196,17 +191,13 @@ def train_pass(order, enc) -> tuple[np.ndarray, np.ndarray, int]:
     t = len(log)
     if t > _MAX_UPDATES:
         raise ConfigError(f"{t} updates; averaged weights are exact for at most {_MAX_UPDATES}")
-    w = w[:n_feat]
     feats = slot_feats.take(np.asarray(log, dtype=np.intp).reshape(t, 2), axis=0)
     del shift, log
-    steps = np.arange(1.0, t + 1.0)[:, None] * signs  # shaped as feats.reshape(t, -1)
-    c = np.bincount(feats.ravel(), steps.ravel(), minlength=n_feat)
-    del feats, steps
-    avg = w * (t + 1)
-    avg -= c[:n_feat]
-    # with no update, w and c are all zero and so is the average
+    steps = np.arange(t, 0.0, -1.0)[:, None] * signs  # shaped as feats.reshape(t, -1)
+    # with no update numpy's bincount gives int64 zeros: the average is all zero
+    avg = np.bincount(feats.ravel(), steps.ravel(), n_feat + 1).astype(np.float64, copy=False)
     avg /= max(t, 1)
-    return w, avg, t
+    return w[:n_feat], avg[:n_feat], t
 
 
 def predict_slots(enc, weights) -> np.ndarray:
@@ -216,7 +207,7 @@ def predict_slots(enc, weights) -> np.ndarray:
     taken unless a later one scores strictly higher, so a NaN score never
     wins, and a NaN in the first slot keeps it.
     """
-    w, first, n_real = _extend(weights), enc.pos_first_slot, enc.pos_n_real
+    w, first, n_real = np.append(weights, 0.0), enc.pos_first_slot, enc.pos_n_real
     chosen = np.empty_like(first)
     for lo in range(0, len(first), _PREDICT_BLOCK):
         base, n = first[lo], n_real[lo:lo + _PREDICT_BLOCK]

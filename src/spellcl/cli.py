@@ -71,8 +71,8 @@ OPTIONS = {
     "policy": Option("one of"),  # the command's policies follow
     "k": Option("number of subsets/stages", int, 1, default=4),
     "k_values": Option("comma-separated k values, e.g. 1,2,4,8", list, 1),
-    "seed": Option("PRNG seed", int, default=0),
-    "seeds": Option("comma-separated seeds, e.g. 0,1,2", list, default=[0]),
+    "seed": Option("PRNG seed", int, 0, 2**64 - 1, default=0),
+    "seeds": Option("comma-separated seeds, e.g. 0,1,2", list, 0, 2**64 - 1, default=[0]),
     "rate": Option("per-character corruption probability", float, 0.0, 1.0, default=0.1),
     "out": Option("output directory"),
 }

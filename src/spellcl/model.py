@@ -156,12 +156,11 @@ def _codes(strings) -> np.ndarray:
     return np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
 
 
-def _rank(codes: np.ndarray, size: int, out: np.ndarray, offset: int) -> np.ndarray:
+def _rank(codes: np.ndarray, size: int, offset: int) -> np.ndarray:
     """The distinct ``codes`` in [0, size), ascending, as ``np.unique`` gives
-    them; writes each code's rank among them plus ``offset`` into ``out``,
-    which may be ``codes`` itself: a block is read before its ranks are
-    written.  Ranks by a presence mask's running count, unless the range
-    dwarfs the input and a sort is cheaper."""
+    them; writes each code's rank among them plus ``offset`` over it, a
+    block at a time.  Ranks by a presence mask's running count, unless the
+    range dwarfs the input and a sort is cheaper."""
     blocks = [slice(lo, lo + _RANK_BLOCK) for lo in range(0, len(codes), _RANK_BLOCK)]
     if size > 4 * len(codes) + 65_536:
         uniq = np.unique(codes)
@@ -172,7 +171,7 @@ def _rank(codes: np.ndarray, size: int, out: np.ndarray, offset: int) -> np.ndar
             present[codes[b]] = True
         uniq, rank = np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1).take
     for b in blocks:
-        np.add(rank(codes[b]), offset, out=out[b], casting="unsafe")
+        np.add(rank(codes[b]), offset, out=codes[b], casting="unsafe")
     return uniq
 
 
@@ -244,8 +243,7 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     # every candidate class is some slot's, so C's ids are the classes themselves
     feature_keys, n_feat = [cand_chars], n_cc
     for template in range(1, len(_OFFSETS)):
-        column = slot_feats[:, template]
-        uniq = _rank(column, len(ctx_codes) * n_cc, column, n_feat)
+        uniq = _rank(slot_feats[:, template], len(ctx_codes) * n_cc, n_feat)
         context = ctx_codes[uniq // n_cc] << _CODE_BITS
         feature_keys.append(template << 2 * _CODE_BITS | context | cand_chars[uniq % n_cc])
         n_feat += len(uniq)

@@ -571,6 +571,31 @@ class TestConfig:
             f"error: {flag}: expected comma-separated integers, got {given!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name, value", [
+        ("ablate", "seeds", [0, 2**64]), ("arrange", "seed", -1), ("inject", "seed", 2**64)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_seed_outside_64_bits_is_usage_error(self, workdir, capsys, command, name, value,
+                                                 source):
+        # the generator reads a seed mod 2**64: 0 and 2**64 would be one seed
+        # trained twice, and -1 would silently be 2**64 - 1
+        flag = "--" + name
+        out = workdir["root"] / "wide"
+        argv = {"ablate": ["--train", workdir["train"], "--test", workdir["test"],
+                           "--confusion", workdir["confusion"]],
+                "arrange": ["--train", workdir["train"], "--policy", "shuffled_baseline"],
+                "inject": ["--input", workdir["clean"], "--confusion", workdir["confusion"]]}
+        argv = [command, *argv[command], "--out", out]
+        if source == "flag":
+            argv += [flag, ",".join(map(str, value)) if name == "seeds" else str(value)]
+        else:
+            cfg_path = workdir["root"] / "wide.json"
+            cfg_path.write_text(json.dumps({name: value}), encoding="utf-8")
+            argv += ["--config", cfg_path]
+        bad = value[-1] if name == "seeds" else value
+        assert self._usage_error(capsys, *argv) == (
+            f"error: {flag} must be in [0, 18446744073709551615], got {bad}\n")
+        assert not out.exists()
+
     def test_missing_required_flag(self, workdir):
         assert run("score", "--out", workdir["root"] / "x") == 2
 

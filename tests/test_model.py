@@ -4,6 +4,7 @@ import math
 import re
 from collections import defaultdict
 from functools import reduce
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -525,11 +526,13 @@ class TestEncoding:
                          dtype=data.draw(st.sampled_from(
                              [np.int32, np.int64] + [np.int16] * (size <= 2**15))))
         offset = data.draw(st.integers(0, 100))
-        # ranks are written into one column of a wider table, as encode_corpus does
-        table = np.full((n, 3), -1, dtype=np.int32)
+        # ranks are written over the codes in one column of a wider table, as
+        # encode_corpus does
+        table = np.full((n, 3), -1, dtype=codes.dtype)
+        table[:, 1] = codes
         with mock.patch("numpy.unique", wraps=np.unique) as unique, \
                 mock.patch("spellcl.model._RANK_BLOCK", data.draw(st.integers(1, 50))):
-            uniq = _rank(codes, size, table[:, 1], offset)
+            uniq = _rank(table[:, 1], size, offset)
         assert unique.called == (size > threshold)
         want_uniq, want_inverse = np.unique(codes, return_inverse=True)
         assert np.array_equal(uniq, want_uniq)
@@ -669,9 +672,10 @@ class TestTrain:
                 self._check(ids)
                 super().__setitem__(ids, value)
 
-        extend = _kernels._extend
+        # the pass's weights are its one np.zeros vector, seen through IntpOnly
+        hooked = SimpleNamespace(**{**vars(np), "zeros": lambda *a: np.zeros(*a).view(IntpOnly)})
         corpus, confusion, manifest = EVERY_POSITION_WRONG
-        with mock.patch.object(_kernels, "_extend", lambda w: extend(w).view(IntpOnly)):
+        with mock.patch.object(_kernels, "np", hooked):
             assert assert_kernel_matches_trace(corpus, confusion, manifest) == 80
 
     def test_every_position_wrong_updates_at_every_position(self):
@@ -705,6 +709,8 @@ class TestTrain:
             assert t == 0
             assert np.array_equal(w, np.zeros(n_feat))
             assert np.array_equal(averaged, np.zeros(n_feat))
+            # numpy's bincount over no ids gives int64 zeros, even with float weights
+            assert w.dtype == averaged.dtype == np.float64
 
     def test_hidden_gold_slot_at_full_row_width(self):
         corpus, confusion, manifest = HIDDEN_GOLD_AT_FULL_WIDTH
@@ -801,7 +807,7 @@ class TestPredict:
                                               min_size=len(enc.feature_index),
                                               max_size=len(enc.feature_index))), dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
-            slot_score = reduce(np.add, _kernels._extend(weights)[enc.slot_feats].T)
+            slot_score = reduce(np.add, np.append(weights, 0.0)[enc.slot_feats].T)
         width = enc.pos_n_real.max()
         want = []
         for first, n_real in zip(enc.pos_first_slot.tolist(), enc.pos_n_real.tolist()):
