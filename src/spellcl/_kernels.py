@@ -31,8 +31,8 @@ passes give exactly what a loop over slots and features gives:
 
 Every feature id indexes the weight array passed in: the caller copies a
 model's weights into the encoding's own feature numbering, 0.0 where the
-model lacks a feature, so there are no unknown ids to skip.  Results are
-bit-identical across runs and platforms.
+model lacks a feature, then the missing-KEEP sentinel's 0.0, so there are
+no unknown ids to skip.  Results are bit-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ def hash_embed(sequence: str, window: int, dim: int, positions) -> np.ndarray:
 # code-point order).  Training alone pads them, to the widest position's
 # count with copies of the first slot (``_row_maker``), which tie with it,
 # so ``argmax`` (the first maximum) never chooses one.  Id ``n_feat``, a
-# slot's missing KEEP, weighs 0.0: training starts from weights that end in
-# it, and prediction appends it to the weights it is given.
+# slot's missing KEEP, weighs 0.0: both kernels read weights that end in it.
 #
 # An update adds +1 to the weights of its gold slot's features and -1 to
 # its predicted slot's in one fancy-index write of 2 * SLOT_WIDTH flat ids:
@@ -131,7 +130,7 @@ _MAX_UPDATES = 94_906_265
 _BLOCK = 32
 # Visits whose feature ids ``train_pass`` gathers into one intp table.
 _CHUNK = 1024
-_PREDICT_BLOCK = 4096  # positions ``predict_slots`` scores at once: its temporaries' size
+_POS_BLOCK = 4096  # positions per predict_slots and encode_corpus block: temporaries' size
 
 
 def _row_maker(enc, width: int):
@@ -207,19 +206,19 @@ def predict_slots(enc, weights) -> np.ndarray:
     taken unless a later one scores strictly higher, so a NaN score never
     wins, and a NaN in the first slot keeps it.
     """
-    w, first, n_real = np.append(weights, 0.0), enc.pos_first_slot, enc.pos_n_real
+    first, n_real = enc.pos_first_slot, enc.pos_n_real
     chosen = np.empty_like(first)
-    for lo in range(0, len(first), _PREDICT_BLOCK):
-        base, n = first[lo], n_real[lo:lo + _PREDICT_BLOCK]
-        start = first[lo:lo + _PREDICT_BLOCK] - base  # the block's real slots run from base
+    for lo in range(0, len(first), _POS_BLOCK):
+        base, n = first[lo], n_real[lo:lo + _POS_BLOCK]
+        start = first[lo:lo + _POS_BLOCK] - base  # the block's real slots run from base
         ids = enc.slot_feats[base:base + start[-1] + n[-1]].T
-        slot_score = w.take(ids[0])
+        slot_score = weights.take(ids[0])
         with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN; an overflow +-inf
             for column in ids[1:]:
-                slot_score += w.take(column)
+                slot_score += weights.take(column)
         best, last = start.copy(), start + (n - 1)
         for c in range(1, n.max()):
             slot = np.minimum(start + c, last)  # past its last real slot a position re-reads it
             np.copyto(best, slot, where=slot_score.take(slot) > slot_score.take(best))
-        chosen[lo:lo + _PREDICT_BLOCK] = best + base
+        chosen[lo:lo + _POS_BLOCK] = best + base
     return chosen

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 POLICIES = ("contextual", "char_similarity")
-_ROWS = 1024  # error rows per ``_row_cosines`` call: its temporaries stay (_ROWS, dim)
+_ROWS = 512  # error rows a block gathers: it holds them twice, as answers and as a float64 copy
 
 
 def _row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,10 +54,10 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
     The char_similarity policy counts the error positions whose (wrong,
     correct) pair is confusion-linked in either direction.  The contextual
     policy asks ``provider.embed_side`` for each sample's rows at its error
-    positions only and copies them into one float64 block of ``_ROWS`` rows
-    per side, a sample's rows running on into the next block when one fills.
-    Each block gives its cosines, which are added to their samples'
-    scores from 0.0 on in error order (``np.add.at``), as a running sum does.
+    positions only, joins whole samples' rows into float64 blocks of about
+    ``_ROWS`` rows per side and takes one cosine per error row.  After the
+    last block it warns of zero-norm rows and adds each sample's cosines to
+    its score from 0.0 on in error order (``np.add.at``), as a running sum does.
     """
     if policy == "char_similarity":
         if confusion is None:
@@ -70,39 +70,32 @@ def score_corpus(corpus: Corpus, policy: str, provider=None,
         raise ValueError(f"unknown difficulty policy {policy!r}")
     if provider is None:
         raise ValueError("contextual scoring needs an embedding provider")
-    if not len(corpus):
-        return {}
     import numpy as np
-    bounds = np.cumsum([0] + [len(s.error_positions) for s in corpus])  # each sample's first row
-    scores = np.zeros(len(corpus))
-
-    def add_block(first: int, rows: int) -> None:  # the block holds rows first.. of the corpus
-        owner = np.searchsorted(bounds, np.arange(first, first + rows), side="right") - 1
-        cos, zero = _row_cosines(u[:rows], v[:rows])
-        for r in np.flatnonzero(zero).tolist():
-            s = corpus.samples[owner[r]]
-            logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",
-                           s.id, s.error_positions[first + r - bounds[owner[r]]])
-        np.add.at(scores, owner, cos)
-
-    rows = 0  # rows in the block
+    counts = [len(s.error_positions) for s in corpus]
+    cos, zero = np.empty(sum(counts)), np.empty(sum(counts), dtype=bool)  # per error row
+    block, rows, done = [], 0, 0  # the block's (source, target) answers, its rows, rows before it
     for i, s in enumerate(corpus):
         a = provider.embed_side(s, "source", s.error_positions).vectors
         b = provider.embed_side(s, "target", s.error_positions).vectors
         if not i:  # the first answer gives the dimension
-            u, v = np.empty((2, _ROWS, a.shape[1]))  # each side's rows of one block
-        if a.shape != (len(s.error_positions), u.shape[1]) or b.shape != a.shape:
+            dim = a.shape[1]
+        if a.shape != (counts[i], dim) or b.shape != a.shape:
             raise ShapeMismatch(f"sample {s.id!r}: embedding rows {a.shape} and {b.shape} for "
-                                f"{len(s.error_positions)} error positions of dimension "
-                                f"{u.shape[1]}")
-        while len(a) > _ROWS - rows:  # the block fills up within the sample
-            u[rows:], v[rows:] = a[:_ROWS - rows], b[:_ROWS - rows]
-            a, b = a[_ROWS - rows:], b[_ROWS - rows:]
-            add_block(bounds[i + 1] - len(a) - _ROWS, _ROWS)
-            rows = 0
-        u[rows:rows + len(a)], v[rows:rows + len(a)] = a, b
-        rows += len(a)
-    add_block(bounds[-1] - rows, rows)
+                                f"{counts[i]} error positions of dimension {dim}")
+        if counts[i]:  # an error-free sample adds nothing
+            block.append((a, b))
+            rows += counts[i]
+        if block and (rows >= _ROWS or i + 1 == len(counts) or counts[i + 1] > _ROWS):
+            cos[done:done + rows], zero[done:done + rows] = _row_cosines(
+                *(np.concatenate(side, dtype=np.float64) for side in zip(*block)))
+            block, rows, done = [], 0, done + rows
+    owner = np.repeat(np.arange(len(counts)), counts)  # each error row's sample
+    for r in np.flatnonzero(zero).tolist():
+        s = corpus.samples[owner[r]]
+        logger.warning("zero-norm embedding at sample %r position %d; similarity taken as 0",
+                       s.id, s.error_positions[r - owner.searchsorted(owner[r])])
+    scores = np.zeros(len(counts))
+    np.add.at(scores, owner, cos)
     return dict(zip(corpus.ids(), scores.tolist()))
 
 

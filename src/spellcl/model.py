@@ -76,7 +76,6 @@ _CONTEXT_NAMES = {_BOS_CODE: BOS, _EOS_CODE: EOS}
 _CONTEXT_CODES = {BOS: _BOS_CODE, EOS: _EOS_CODE}
 _KEEP_KEY = len(_TEMPLATES) << 2 * _CODE_BITS
 _RANK_BLOCK = 16_384  # codes per ``_rank`` numpy call, so no slot-sized intp copy
-_POS_BLOCK = 4096  # positions per block of ``encode_corpus``'s codes
 
 
 def _feature_name(key: int) -> str:
@@ -226,8 +225,8 @@ def encode_corpus(corpus: Corpus, confusion: ConfusionSet) -> CorpusEncoding:
     # its column's codes, written over it, numbers the template's keys in key
     # order; the templates' key ranges follow.  C's code is the candidate class.
     slot_feats = np.empty((n_slots, SLOT_WIDTH), dtype=id_type)
-    for lo in range(0, n, _POS_BLOCK):
-        hi = min(lo + _POS_BLOCK, n)
+    for lo in range(0, n, _kernels._POS_BLOCK):
+        hi = min(lo + _kernels._POS_BLOCK, n)
         pos, slots = np.arange(lo, hi), pos_slot_start[lo:hi + 1]
         block = slot_feats[slots[0]:slots[-1]]
         owner = np.repeat(np.arange(hi - lo), np.diff(slots))  # each slot's position, from lo
@@ -301,11 +300,12 @@ def train(manifest: CurriculumManifest, corpus: Corpus,
 def feature_rows(keys: np.ndarray, enc: CorpusEncoding) -> np.ndarray:
     """Row of each of ``enc``'s features in the ascending key table ``keys``
     (a model's or an encoding's), or ``len(keys)``, weighed 0.0, for one it
-    lacks.  The work follows ``enc``'s features, not the table's size."""
+    lacks, and last ``len(keys)`` for ``enc``'s missing-KEEP sentinel id.  The
+    work follows ``enc``'s features, not the table's size."""
     rows = np.searchsorted(keys, enc.feature_index)
     if len(keys):
         rows[keys.take(rows, mode="clip") != enc.feature_index] = len(keys)
-    return rows
+    return np.append(rows, len(keys))
 
 
 def predict_encoded(enc: CorpusEncoding, weights: np.ndarray, rows: np.ndarray) -> dict[str, str]:

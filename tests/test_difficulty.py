@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spellcl.corpus import ConfusionSet, Corpus, Sample, parse_corpus
 from spellcl.curriculum import arrange_sorted_only
@@ -216,6 +216,9 @@ class TestScoreCorpus:
         assert scores["two"] > scores["one"]
 
     @settings(max_examples=60, deadline=None)
+    # a corpus with no error at all, and errored samples followed by error-free ones
+    @example([("abc", []), ("他a", [False, False]), ("", [])], 2, 8)
+    @example([("abca", [True, False, True]), ("b", [True]), ("ab", []), ("", [])], 1, 4)
     @given(
         st.lists(st.tuples(st.text(alphabet="abc他\ud800", max_size=12),
                            st.lists(st.booleans(), max_size=12)), max_size=6),
@@ -283,9 +286,9 @@ class TestScoreCorpus:
             "zero-norm embedding at sample 's1' position 3; similarity taken as 0"]
 
     # error rows: s1 0-2, s2 3-6 (positions 0, 1, 3, 4), s3 7-8 (positions 1, 2).
-    # Blocks of 4 rows split s2 at 3 | 4-6 and s3 at 7 | 8; blocks of 3 put
-    # s2's last row in s3's block.  s2's source row at position 4 and s3's
-    # target row at position 2 are zero.
+    # Blocks of 4 rows form s1+s2 | s3; blocks of 1, 2 and 3 hold one sample
+    # each, and with 1 or 2, s2 is larger than its block.  s2's source row at
+    # position 4 and s3's target row at position 2 are zero.
     STRADDLING = "s1\tAAA\tXXX\ns2\tAAAAA\tXXAXX\ns3\tAAA\tAXX\n"
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4, 1024])

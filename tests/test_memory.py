@@ -60,8 +60,9 @@ def row_bytes(corpus, provider) -> int:
 
 
 def test_scoring_peaks_below_four_row_arrays():
-    # Each side's rows pass through one block of 1,024 rows: about 1.15 R at
-    # the desk corpus's 2,790 error rows, two thirds of it the blocks.  One
+    # Each side's rows pass through blocks of whole samples, about 512 rows
+    # each, held as the answers and their float64 copy: about 1.01 R at the
+    # desk corpus's 2,790 error rows, four fifths of it the blocks.  One
     # (error positions, dim) array per side peaked at 2.5 R, and lists of
     # per-sample arrays and the stacked copy of each at 5.4 R.
     corpus, _ = desk_train()
@@ -71,9 +72,10 @@ def test_scoring_peaks_below_four_row_arrays():
 
 
 def test_scoring_many_blocks_peaks_below_0_4_row_arrays():
-    # the 4 copies' 11,160 error rows pass through one (1,024, dim) block per
-    # side, so the peak is the blocks, the scores and the returned dict: about
-    # 0.32 R; one (error positions, dim) array per side peaked at 2.2 R, and
+    # the 4 copies' 11,160 error rows pass through blocks of whole samples,
+    # about 512 rows per side, so the peak is one block's answers and their
+    # float64 copy, the rows' cosines, the scores and the returned dict: about
+    # 0.28 R; one (error positions, dim) array per side peaked at 2.2 R, and
     # a whole-corpus product temporary on top at 3.1 R
     copies = desk_copies()
     provider = HashedEmbedder()

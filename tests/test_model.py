@@ -547,7 +547,7 @@ class TestEncoding:
     @given(spec_corpus(), st.integers(1, 50))
     def test_any_block_of_positions_gives_the_unblocked_encoding(self, setup, block):
         want = encode_corpus(*setup)
-        with mock.patch("spellcl.model._POS_BLOCK", block):
+        with mock.patch("spellcl._kernels._POS_BLOCK", block):
             got = encode_corpus(*setup)
         assert got.id_to_idx == want.id_to_idx
         for name in ("samp_pos_start", "pos_first_slot", "pos_n_real", "pos_gold_slot",
@@ -806,8 +806,9 @@ class TestPredict:
         weights = np.array(data.draw(st.lists(st.sampled_from(NON_ASSOCIATIVE + (math.nan,)),
                                               min_size=len(enc.feature_index),
                                               max_size=len(enc.feature_index))), dtype=float)
+        weights = np.append(weights, 0.0)  # the missing-KEEP sentinel's, last
         with np.errstate(invalid="ignore", over="ignore"):
-            slot_score = reduce(np.add, np.append(weights, 0.0)[enc.slot_feats].T)
+            slot_score = reduce(np.add, weights[enc.slot_feats].T)
         width = enc.pos_n_real.max()
         want = []
         for first, n_real in zip(enc.pos_first_slot.tolist(), enc.pos_n_real.tolist()):
@@ -827,8 +828,9 @@ class TestPredict:
         weights = np.array(data.draw(st.lists(st.sampled_from(NON_ASSOCIATIVE + (math.nan,)),
                                               min_size=len(enc.feature_index),
                                               max_size=len(enc.feature_index))), dtype=float)
+        weights = np.append(weights, 0.0)
         want = _kernels.predict_slots(enc, weights)
-        with mock.patch.object(_kernels, "_PREDICT_BLOCK", block):
+        with mock.patch.object(_kernels, "_POS_BLOCK", block):
             got = _kernels.predict_slots(enc, weights)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -871,7 +873,7 @@ class TestPredict:
         enc_test = encode_corpus(corpus, confusion)
         enc_train = encode_corpus(Corpus(samples=()), confusion)
         rows = feature_rows(enc_train.feature_index, enc_test)
-        assert len(rows) == len(enc_test.feature_index) > 0
+        assert len(rows) == len(enc_test.feature_index) + 1 > 1
         assert (rows == 0).all()
 
     def test_grid_row_of_an_unseen_feature_is_the_sentinel(self):
